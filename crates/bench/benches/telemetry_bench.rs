@@ -24,27 +24,27 @@ fn bench<R>(name: &str, iters: u32, mut f: impl FnMut() -> R) -> f64 {
 }
 
 /// The disabled facade versus the enabled path on the raw primitives:
-/// counter adds, histogram records, and event pushes.
+/// gauge sets, histogram records, and event pushes.
 fn bench_facade() {
     let mut off = Telemetry::off();
-    let off_id = off.counter("bench.counter");
+    let off_gauge = off.gauge("bench.gauge");
     let off_hist = off.histogram("bench.hist");
     let mut i = 0u64;
-    let disabled = bench("telemetry_off_add_record_event", 1_000_000, || {
+    let disabled = bench("telemetry_off_set_record_event", 1_000_000, || {
         i = i.wrapping_add(1);
-        off.add(off_id, 1);
+        off.set_gauge(off_gauge, i as i64);
         off.record(off_hist, i & 0xff);
         off.event(i, EventKind::Recovery, i, 0);
         i
     });
 
     let mut on = Telemetry::on(65_536);
-    let on_id = on.counter("bench.counter");
+    let on_gauge = on.gauge("bench.gauge");
     let on_hist = on.histogram("bench.hist");
     let mut j = 0u64;
-    bench("telemetry_on_add_record_event", 1_000_000, || {
+    bench("telemetry_on_set_record_event", 1_000_000, || {
         j = j.wrapping_add(1);
-        on.add(on_id, 1);
+        on.set_gauge(on_gauge, j as i64);
         on.record(on_hist, j & 0xff);
         on.event(j, EventKind::Recovery, j, 0);
         j

@@ -3,23 +3,16 @@
 //! ```text
 //! figures [--quick] [--json] [--threads N] [--retired N] [--regions K]
 //!         [--workloads a,b,c] [--telemetry-out DIR] [--sample-interval N]
-//!         [--faults SPEC [--soak N]] [--bench [--bench-ref SECS]]
-//!         [<experiment>|all]
+//!         [--faults SPEC [--soak N]] [<experiment>|all]
 //! ```
 
 use std::process::ExitCode;
 
 use br_bench::{
-    export_telemetry, perf, run_experiment, run_experiment_json, run_faults_soak, EXPERIMENTS,
+    export_telemetry, run_experiment, run_experiment_json, run_faults_soak, EXPERIMENTS,
 };
 use br_sim::experiments::ExperimentSetup;
 use br_sim::FaultSpec;
-
-// With `--features bench-alloc` every heap allocation in the process is
-// counted, making `figures --bench` report allocations per job.
-#[cfg(feature = "bench-alloc")]
-#[global_allocator]
-static GLOBAL: br_bench::alloc_count::CountingAllocator = br_bench::alloc_count::CountingAllocator;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -32,11 +25,6 @@ fn usage() -> ExitCode {
          \x20                      (flip/drop/evict/decay/delaymem=<prob>, delay/period/seed=<int>,\n\
          \x20                      sabotage=0|1); prints a JSON report, exits nonzero on failure\n\
          \x20 --soak N             fault schedules per job in the soak (default 4)\n\
-         \x20 --bench              run the perf suite and write BENCH_quick.json (with\n\
-         \x20                      --quick) or BENCH_full.json; build with\n\
-         \x20                      --features bench-alloc to also count heap allocations\n\
-         \x20 --bench-ref SECS     record SECS as the reference build's total for the\n\
-         \x20                      suite and report the speedup against it\n\
          experiments: {}",
         EXPERIMENTS.join(", ")
     );
@@ -51,16 +39,10 @@ fn main() -> ExitCode {
     let mut telemetry_out: Option<std::path::PathBuf> = None;
     let mut faults: Option<FaultSpec> = None;
     let mut soak_schedules: u32 = 4;
-    let mut bench = false;
-    let mut bench_ref: Option<f64> = None;
-    let mut quick = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--quick" => {
-                setup = ExperimentSetup::quick();
-                quick = true;
-            }
+            "--quick" => setup = ExperimentSetup::quick(),
             "--json" => json = true,
             "--threads" => {
                 let Some(n) = args.next().and_then(|v| v.parse().ok()) else {
@@ -117,19 +99,12 @@ fn main() -> ExitCode {
                 };
                 soak_schedules = n;
             }
-            "--bench" => bench = true,
-            "--bench-ref" => {
-                let Some(s) = args.next().and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                bench_ref = Some(s);
-            }
             "--help" | "-h" => return usage(),
             name => targets.push(name.to_string()),
         }
     }
     setup.threads = threads;
-    if targets.is_empty() && telemetry_out.is_none() && faults.is_none() && !bench {
+    if targets.is_empty() && telemetry_out.is_none() && faults.is_none() {
         return usage();
     }
     if targets.iter().any(|t| t == "all") {
@@ -171,41 +146,6 @@ fn main() -> ExitCode {
             }
         }
         eprintln!("[telemetry: {:.1}s]", started.elapsed().as_secs_f64());
-    }
-    if bench {
-        let suite = if quick { "quick" } else { "full" };
-        match perf::run_bench(&setup, suite, bench_ref) {
-            Ok(report) => {
-                let path = format!("BENCH_{suite}.json");
-                if let Err(e) = std::fs::write(&path, report.to_json()) {
-                    eprintln!("error: writing {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                for j in &report.jobs {
-                    eprintln!(
-                        "bench {}: {:.3}s, {:.0} uops/s{}",
-                        j.name,
-                        j.seconds,
-                        j.uops_per_sec,
-                        j.allocations
-                            .map(|a| format!(", {a} allocs"))
-                            .unwrap_or_default()
-                    );
-                }
-                if let Some(s) = report.speedup() {
-                    eprintln!("bench speedup vs reference: {s:.2}x");
-                }
-                eprintln!(
-                    "wrote {path} [bench: {:.1}s total, {:.0} uops/s]",
-                    report.total_seconds,
-                    report.uops_per_sec()
-                );
-            }
-            Err(e) => {
-                eprintln!("error: bench failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
     }
     if let Some(spec) = faults {
         let started = std::time::Instant::now();

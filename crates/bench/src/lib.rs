@@ -11,19 +11,17 @@
 //!   cargo run --release -p br-bench --bin figures -- --quick fig12
 //!   ```
 //!
-//! * the **timing benches** (`cargo bench -p br-bench`) time reduced
-//!   versions of each experiment plus component micro-benchmarks
-//!   (predictor lookups, cache accesses, chain extraction).
+//! * the **timing benches** (`cargo bench -p br-bench`) time component
+//!   micro-benchmarks (predictor lookups, cache accesses, chain
+//!   extraction) and the telemetry overhead.
+//!
+//! Simulator performance end to end and per layer is measured by the
+//! stand-alone benchmark in `benchmark/` at the repository root.
 //!
 //! The experiment logic itself lives in [`br_sim::experiments`]; this
 //! crate only drives it.
 
 #![warn(missing_docs)]
-
-pub mod perf;
-
-#[cfg(feature = "bench-alloc")]
-pub mod alloc_count;
 
 use std::path::{Path, PathBuf};
 

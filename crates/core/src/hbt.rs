@@ -270,7 +270,7 @@ impl HardBranchTable {
 
     /// Lifetime allocation churn as `(inserts, evicts)`: every entry
     /// allocation counts as an insert, and an insert that overwrote a live
-    /// victim also counts as an evict. Telemetry polls the deltas.
+    /// victim also counts as an evict.
     #[must_use]
     pub fn churn(&self) -> (u64, u64) {
         (self.inserts, self.evicts)

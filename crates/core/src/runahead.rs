@@ -11,7 +11,7 @@ use br_mem::{MemResp, MemorySystem};
 use br_ooo::{
     BranchOutcome, CoreHooks, CycleReport, FetchedBranch, MispredictInfo, RetiredUop, WrongPathUop,
 };
-use br_telemetry::{CounterId, EventKind, GaugeId, HistId, Telemetry};
+use br_telemetry::{EventKind, GaugeId, HistId, Telemetry};
 
 use crate::agdetect::PoisonDetector;
 use crate::ceb::{CebRecord, ChainExtractionBuffer};
@@ -55,19 +55,10 @@ struct MergeValidation {
 }
 
 /// Pre-registered telemetry ids for the engine's instrumentation sites
-/// (inert defaults when the sink is disabled).
+/// (inert defaults when the sink is disabled). Event counts are not
+/// telemetry: they live in [`BrStats`].
 #[derive(Clone, Copy, Debug, Default)]
 struct BrTeleIds {
-    extraction_attempts: CounterId,
-    chains_extracted: CounterId,
-    extraction_rejects: CounterId,
-    dce_flushes: CounterId,
-    dce_syncs: CounterId,
-    merge_events: CounterId,
-    hbt_inserts: CounterId,
-    hbt_evicts: CounterId,
-    faults_injected: CounterId,
-    machine_checks: CounterId,
     chain_len: HistId,
     cached_chains: GaugeId,
 }
@@ -75,16 +66,6 @@ struct BrTeleIds {
 impl BrTeleIds {
     fn register(tele: &mut Telemetry) -> Self {
         BrTeleIds {
-            extraction_attempts: tele.counter("br.extraction_attempts"),
-            chains_extracted: tele.counter("br.chains_extracted"),
-            extraction_rejects: tele.counter("br.extraction_rejects"),
-            dce_flushes: tele.counter("br.dce_flushes"),
-            dce_syncs: tele.counter("br.dce_syncs"),
-            merge_events: tele.counter("br.merge_events"),
-            hbt_inserts: tele.counter("br.hbt_inserts"),
-            hbt_evicts: tele.counter("br.hbt_evicts"),
-            faults_injected: tele.counter("br.faults_injected"),
-            machine_checks: tele.counter("br.machine_checks"),
             chain_len: tele.histogram("br.chain_len"),
             cached_chains: tele.gauge("br.cached_chains"),
         }
@@ -101,10 +82,6 @@ pub struct BrLiveState {
     pub queue_slots: usize,
     /// Chains resident in the dependence chain cache.
     pub cached_chains: usize,
-    /// Lifetime chain-cache lookups.
-    pub cache_lookups: u64,
-    /// Lifetime chain-cache lookups that matched at least one chain.
-    pub cache_hits: u64,
 }
 
 /// The Branch Runahead system. Implements [`CoreHooks`]; call
@@ -140,8 +117,6 @@ pub struct BranchRunahead {
 
     tele: Telemetry,
     tids: BrTeleIds,
-    /// HBT `(inserts, evicts)` at the last telemetry poll.
-    last_hbt_churn: (u64, u64),
 }
 
 impl std::fmt::Debug for BranchRunahead {
@@ -178,7 +153,6 @@ impl BranchRunahead {
             extract_scratch: ExtractScratch::default(),
             tele: Telemetry::off(),
             tids: BrTeleIds::default(),
-            last_hbt_churn: (0, 0),
             cfg,
         }
     }
@@ -188,7 +162,6 @@ impl BranchRunahead {
     pub fn attach_telemetry(&mut self, mut tele: Telemetry) {
         self.tids = BrTeleIds::register(&mut tele);
         self.tele = tele;
-        self.last_hbt_churn = self.hbt.churn();
     }
 
     /// Detaches and returns the telemetry sink (a disabled sink remains).
@@ -199,13 +172,10 @@ impl BranchRunahead {
     /// Current occupancy of the engine's structures (interval sampling).
     #[must_use]
     pub fn live_state(&self) -> BrLiveState {
-        let (cache_lookups, cache_hits) = self.cache.lookup_stats();
         BrLiveState {
             dce_active: self.dce.active_instances(),
             queue_slots: self.queues.occupied_slots(),
             cached_chains: self.cache.len(),
-            cache_lookups,
-            cache_hits,
         }
     }
 
@@ -232,13 +202,14 @@ impl BranchRunahead {
         );
     }
 
-    /// Accumulated statistics, with WPB counters folded in.
+    /// Accumulated statistics, with the counts the WPB, the HBT and the
+    /// chain cache keep themselves folded in.
     #[must_use]
     pub fn stats(&self) -> BrStats {
         let mut s = self.stats.clone();
-        let (_, found, failed) = self.wpb.stats();
-        s.merge_points_found = found;
-        s.merge_points_failed = failed;
+        (_, s.merge_points_found, s.merge_points_failed) = self.wpb.stats();
+        (s.hbt_inserts, s.hbt_evicts) = self.hbt.churn();
+        (s.chain_cache_lookups, s.chain_cache_hits) = self.cache.lookup_stats();
         s
     }
 
@@ -274,7 +245,6 @@ impl BranchRunahead {
     pub fn chaos_evict_chain(&mut self, sel: u64, cycle: u64) -> bool {
         let evicted = self.cache.chaos_evict(sel);
         if evicted {
-            self.tele.add(self.tids.faults_injected, 1);
             self.tele.event(cycle, EventKind::FaultInject, 0, 2);
         }
         evicted
@@ -283,14 +253,12 @@ impl BranchRunahead {
     /// Fault injection: forces an HBT decay storm.
     pub fn chaos_decay_storm(&mut self, cycle: u64) {
         self.hbt.chaos_decay_storm();
-        self.tele.add(self.tids.faults_injected, 1);
         self.tele.event(cycle, EventKind::FaultInject, 0, 3);
     }
 
     /// Fault injection: swallows the next DCE→prediction-queue push.
     pub fn chaos_drop_next_fill(&mut self, cycle: u64) {
         self.queues.chaos_drop_next_fill();
-        self.tele.add(self.tids.faults_injected, 1);
         self.tele.event(cycle, EventKind::FaultInject, 0, 1);
     }
 
@@ -301,11 +269,10 @@ impl BranchRunahead {
         self.dce.owns_request(id)
     }
 
-    /// Records a fault injected outside the engine (outcome flips and
-    /// DCE memory delays live in the simulator) so telemetry still sees
-    /// it. `kind_code` follows `br_sim::faults::FaultKind`.
+    /// Traces a fault injected outside the engine (outcome flips and DCE
+    /// memory delays live in the simulator, which also counts them).
+    /// `kind_code` follows `br_sim::faults::FaultKind`.
     pub fn record_external_fault(&mut self, cycle: u64, pc: Pc, kind_code: u64) {
-        self.tele.add(self.tids.faults_injected, 1);
         self.tele
             .event(cycle, EventKind::FaultInject, pc, kind_code);
     }
@@ -327,7 +294,7 @@ impl BranchRunahead {
     ///
     /// Returns the first violated invariant, described.
     pub fn check_invariants(&mut self, cycle: u64) -> Result<(), String> {
-        self.tele.add(self.tids.machine_checks, 1);
+        self.stats.machine_checks += 1;
         let result = self
             .queues
             .check_invariants()
@@ -346,7 +313,6 @@ impl BranchRunahead {
 
     fn run_extraction(&mut self, pc: Pc, cycle: u64) {
         self.stats.extraction_attempts += 1;
-        self.tele.add(self.tids.extraction_attempts, 1);
         let mut ag = self.hbt.affector_guards(pc);
         if !self.cfg.enable_affector_guards {
             ag.clear();
@@ -364,7 +330,6 @@ impl BranchRunahead {
                     self.stats.chains_with_ag += 1;
                 }
                 self.stats.uops_eliminated += chain.eliminated_uops as u64;
-                self.tele.add(self.tids.chains_extracted, 1);
                 self.tele.record(self.tids.chain_len, chain.len() as u64);
                 self.tele
                     .event(cycle, EventKind::ChainExtract, pc, chain.len() as u64);
@@ -374,9 +339,21 @@ impl BranchRunahead {
             }
             Err(_) => {
                 self.stats.extraction_rejects += 1;
-                self.tele.add(self.tids.extraction_rejects, 1);
                 self.tele.event(cycle, EventKind::ChainReject, pc, 0);
             }
+        }
+    }
+
+    /// Traces the HBT allocations made since `before` (a
+    /// [`HardBranchTable::churn`] reading) as insert/evict events at the
+    /// retirement that caused them.
+    fn trace_hbt_churn(&mut self, before: (u64, u64), cycle: u64, pc: Pc) {
+        let (inserts, evicts) = self.hbt.churn();
+        for _ in before.0..inserts {
+            self.tele.event(cycle, EventKind::HbtInsert, pc, 0);
+        }
+        for _ in before.1..evicts {
+            self.tele.event(cycle, EventKind::HbtEvict, pc, 0);
         }
     }
 
@@ -510,7 +487,7 @@ impl CoreHooks for BranchRunahead {
             if info.base_prediction == info.actual_taken {
                 self.queues.penalize(info.pc);
             }
-            self.tele.add(self.tids.dce_flushes, 1);
+            self.stats.dce_flushes += 1;
             self.tele.event(
                 info.cycle,
                 EventKind::DceFlush,
@@ -520,7 +497,6 @@ impl CoreHooks for BranchRunahead {
             self.dce.flush_all(&mut self.queues, &mut self.stats);
             self.queues.clear_all();
             if self.cache.has_match(info.pc, info.actual_taken) {
-                self.tele.add(self.tids.dce_syncs, 1);
                 self.tele.event(
                     info.cycle,
                     EventKind::DceSync,
@@ -540,7 +516,6 @@ impl CoreHooks for BranchRunahead {
             && self.cache.has_match(info.pc, info.actual_taken)
         {
             self.queues.clear_all();
-            self.tele.add(self.tids.dce_syncs, 1);
             self.tele.event(
                 info.cycle,
                 EventKind::DceSync,
@@ -559,6 +534,7 @@ impl CoreHooks for BranchRunahead {
     }
 
     fn on_retire(&mut self, u: &RetiredUop) {
+        let churn = self.hbt.churn();
         // Indirect jumps get queue-pointer checkpoints at fetch (any flush
         // must rewind the queues) but no branch-retire callback; clean
         // their checkpoints here.
@@ -570,7 +546,6 @@ impl CoreHooks for BranchRunahead {
         self.ceb.push(CebRecord::from_retired(u));
 
         if let Some(ev) = self.wpb.on_correct_retire(u) {
-            self.tele.add(self.tids.merge_events, 1);
             self.tele
                 .event(u.cycle, EventKind::WpbMerge, ev.branch_pc, ev.merge_pc);
             // Guard registration: the merge-predicted branch guards every
@@ -615,9 +590,11 @@ impl CoreHooks for BranchRunahead {
         }
 
         self.feed_merge_validator(u);
+        self.trace_hbt_churn(churn, u.cycle, u.uop.pc);
     }
 
     fn on_branch_retire(&mut self, b: &BranchOutcome) {
+        let churn = self.hbt.churn();
         if let Ok(i) = self.checkpoints.binary_search_by_key(&b.seq, |e| e.0) {
             self.checkpoint_pool.push(self.checkpoints.remove(i).1);
         }
@@ -662,22 +639,7 @@ impl CoreHooks for BranchRunahead {
             self.run_extraction(b.pc, b.cycle);
         }
 
-        // HBT allocation churn, polled as deltas (allocations happen both
-        // here and inside guard registration; attribution is at the
-        // granularity of the triggering retirement).
-        if self.tele.is_on() {
-            let (inserts, evicts) = self.hbt.churn();
-            let (last_i, last_e) = self.last_hbt_churn;
-            for _ in last_i..inserts {
-                self.tele.add(self.tids.hbt_inserts, 1);
-                self.tele.event(b.cycle, EventKind::HbtInsert, b.pc, 0);
-            }
-            for _ in last_e..evicts {
-                self.tele.add(self.tids.hbt_evicts, 1);
-                self.tele.event(b.cycle, EventKind::HbtEvict, b.pc, 0);
-            }
-            self.last_hbt_churn = (inserts, evicts);
-        }
+        self.trace_hbt_churn(churn, b.cycle, b.pc);
     }
 }
 

@@ -27,9 +27,24 @@ impl PredictionCategory {
         PredictionCategory::Incorrect,
         PredictionCategory::Correct,
     ];
+
+    /// Lower-case name, used in counter names
+    /// (`prediction_breakdown.late`).
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            PredictionCategory::Inactive => "inactive",
+            PredictionCategory::Late => "late",
+            PredictionCategory::Throttled => "throttled",
+            PredictionCategory::Correct => "correct",
+            PredictionCategory::Incorrect => "incorrect",
+        }
+    }
 }
 
-/// Aggregate Branch Runahead statistics.
+/// Aggregate Branch Runahead statistics. Every count, the Figure 12
+/// categories included, is listed once in the [`br_mem::counters!`] call
+/// below.
 #[derive(Clone, Debug, Default)]
 pub struct BrStats {
     /// Chain extraction attempts.
@@ -58,6 +73,9 @@ pub struct BrStats {
     pub dce_loads: u64,
     /// Synchronizations (live-in copies from the core).
     pub syncs: u64,
+    /// Whole-DCE flushes after a DCE-supplied misprediction (chain
+    /// divergence).
+    pub dce_flushes: u64,
 
     /// Per-category counts over retired covered branches (Figure 12).
     pub prediction_breakdown: HashMap<PredictionCategory, u64>,
@@ -78,10 +96,49 @@ pub struct BrStats {
     pub static_merge_correct: u64,
     /// Affector/guard pairs registered in the HBT.
     pub ag_pairs: u64,
+    /// HBT entry allocations.
+    pub hbt_inserts: u64,
+    /// HBT allocations that displaced a live entry.
+    pub hbt_evicts: u64,
+    /// Chain-cache lookups.
+    pub chain_cache_lookups: u64,
+    /// Chain-cache lookups that matched at least one chain.
+    pub chain_cache_hits: u64,
+    /// Machine-check invariant sweeps run.
+    pub machine_checks: u64,
 
     /// Retired covered-branch executions (Figure 12 denominator).
     pub covered_branch_retires: u64,
 }
+br_mem::counters!(BrStats {
+    extraction_attempts,
+    chains_extracted,
+    extraction_rejects,
+    chain_len_sum,
+    chains_with_ag,
+    uops_eliminated,
+    instances_initiated,
+    instances_flushed,
+    instances_completed,
+    dce_uops,
+    dce_loads,
+    syncs,
+    dce_flushes,
+    merge_points_found,
+    merge_points_failed,
+    merge_validated,
+    merge_correct,
+    static_merge_validated,
+    static_merge_correct,
+    ag_pairs,
+    hbt_inserts,
+    hbt_evicts,
+    chain_cache_lookups,
+    chain_cache_hits,
+    machine_checks,
+    covered_branch_retires;
+    keyed prediction_breakdown[PredictionCategory::ALL]
+});
 
 impl BrStats {
     /// Mean installed chain length (Figure 2).
@@ -112,6 +169,16 @@ impl BrStats {
         }
         let n = self.prediction_breakdown.get(&cat).copied().unwrap_or(0);
         n as f64 / self.covered_branch_retires as f64
+    }
+
+    /// Fraction of chain-cache lookups that matched a chain.
+    #[must_use]
+    pub fn chain_cache_hit_rate(&self) -> f64 {
+        if self.chain_cache_lookups == 0 {
+            0.0
+        } else {
+            self.chain_cache_hits as f64 / self.chain_cache_lookups as f64
+        }
     }
 
     /// Merge-point prediction accuracy over validated samples (§4.4).

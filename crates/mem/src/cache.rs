@@ -84,6 +84,12 @@ pub struct CacheStats {
     /// Dirty evictions.
     pub writebacks: u64,
 }
+crate::counters!(CacheStats {
+    hits,
+    misses,
+    fills,
+    writebacks
+});
 
 impl CacheStats {
     /// Miss ratio over demand accesses.

@@ -68,6 +68,13 @@ pub struct DramStats {
     /// Write requests serviced.
     pub writes: u64,
 }
+crate::counters!(DramStats {
+    row_hits,
+    row_misses,
+    row_conflicts,
+    reads,
+    writes
+});
 
 /// A completed DRAM read.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -37,6 +37,7 @@
 #![warn(missing_docs)]
 
 mod cache;
+pub mod counters;
 mod dram;
 mod mshr;
 mod prefetch;
@@ -44,6 +45,7 @@ mod system;
 mod tlb;
 
 pub use cache::{Cache, CacheAccess, CacheConfig, CacheStats};
+pub use counters::Counters;
 pub use dram::{Dram, DramConfig, DramStats};
 pub use mshr::{MshrFile, MshrOutcome};
 pub use prefetch::{StreamPrefetcher, StreamPrefetcherConfig};

@@ -105,6 +105,12 @@ pub struct MemoryStats {
     /// Data-TLB statistics.
     pub tlb: TlbStats,
 }
+crate::counters!(MemoryStats {
+    core_requests,
+    dce_requests,
+    prefetches;
+    nested l1, l2, dram, tlb
+});
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Pending {

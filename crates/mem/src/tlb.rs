@@ -34,6 +34,7 @@ pub struct TlbStats {
     /// Accesses that missed (paid the walk).
     pub misses: u64,
 }
+crate::counters!(TlbStats { hits, misses });
 
 /// A fully-associative, LRU data TLB.
 #[derive(Clone, Debug)]

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use br_isa::{ExecRecord, Force, Machine, MachineCheckpoint, Program, Uop, UopKind, NUM_ARCH_REGS};
 use br_mem::{Cache, CacheConfig, MemResp, MemorySystem, ReqId, ReqSource, RequestError};
 use br_predictor::{ConditionalPredictor, Prediction, PredictorCheckpoint};
-use br_telemetry::{CounterId, EventKind, HistId, Telemetry};
+use br_telemetry::{EventKind, HistId, Telemetry};
 
 use crate::config::CoreConfig;
 use crate::hooks::{
@@ -112,25 +112,16 @@ pub struct CycleReport {
 }
 
 /// Pre-registered telemetry ids for the core's instrumentation sites
-/// (inert defaults when the sink is disabled).
+/// (inert defaults when the sink is disabled). Event counts are not
+/// telemetry: they live in [`CoreStats`].
 #[derive(Clone, Copy, Debug, Default)]
 struct CoreTeleIds {
-    retired_uops: CounterId,
-    retired_branches: CounterId,
-    mispredicts: CounterId,
-    recoveries: CounterId,
-    squashed_uops: CounterId,
     squash_len: HistId,
 }
 
 impl CoreTeleIds {
     fn register(tele: &mut Telemetry) -> Self {
         CoreTeleIds {
-            retired_uops: tele.counter("core.retired_uops"),
-            retired_branches: tele.counter("core.retired_branches"),
-            mispredicts: tele.counter("core.mispredicts"),
-            recoveries: tele.counter("core.recoveries"),
-            squashed_uops: tele.counter("core.squashed_uops"),
             squash_len: tele.histogram("core.squash_len"),
         }
     }
@@ -459,9 +450,6 @@ impl Core {
         }
 
         self.fetch_stall_until = now + self.cfg.redirect_latency;
-        self.tele.add(self.tids.recoveries, 1);
-        self.tele
-            .add(self.tids.squashed_uops, wrong_path.len() as u64);
         self.tele
             .record(self.tids.squash_len, wrong_path.len() as u64);
         self.tele
@@ -487,7 +475,6 @@ impl Core {
             let mut e = self.rob.pop_front().expect("checked front");
             retired += 1;
             self.stats.retired_uops += 1;
-            self.tele.add(self.tids.retired_uops, 1);
 
             // Architectural-equivalence fingerprint: fold only content
             // that is independent of prediction and timing. `next_pc`
@@ -537,10 +524,8 @@ impl Core {
                 self.machine.release(&ctl.machine_cp);
                 if ctl.conditional {
                     self.stats.retired_branches += 1;
-                    self.tele.add(self.tids.retired_branches, 1);
                     if ctl.mispredicted {
                         self.stats.mispredicts += 1;
-                        self.tele.add(self.tids.mispredicts, 1);
                     }
                     let site = self.stats.branch_sites.entry(e.uop.pc).or_default();
                     site.executed += 1;

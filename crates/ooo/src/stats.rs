@@ -34,7 +34,9 @@ impl BranchSiteStats {
     }
 }
 
-/// Aggregate core statistics.
+/// Aggregate core statistics. The `u64` event counts are listed once in
+/// the [`br_mem::counters!`] call below; the fingerprint and the per-site
+/// map are structural and stay out of that list.
 #[derive(Clone, Debug)]
 pub struct CoreStats {
     /// Cycles simulated.
@@ -76,6 +78,22 @@ pub struct CoreStats {
     /// Per-site branch accounting.
     pub branch_sites: HashMap<Pc, BranchSiteStats>,
 }
+
+br_mem::counters!(CoreStats {
+    cycles,
+    fetched_uops,
+    fetched_branches,
+    issued_uops,
+    issued_loads,
+    retired_uops,
+    retired_branches,
+    mispredicts,
+    recoveries,
+    icache_misses,
+    indirect_jumps,
+    indirect_mispredicts,
+    squashed_uops
+});
 
 impl Default for CoreStats {
     fn default() -> Self {

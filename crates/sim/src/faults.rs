@@ -187,6 +187,13 @@ pub struct FaultStats {
     /// DCE memory responses delayed.
     pub delayed_responses: u64,
 }
+br_mem::counters!(FaultStats {
+    outcome_flips,
+    dropped_fills,
+    chain_evictions,
+    decay_storms,
+    delayed_responses
+});
 
 impl FaultStats {
     /// Total faults injected.

@@ -18,6 +18,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
+use br_mem::Counters;
 use br_workloads::{WorkloadImage, WorkloadParams};
 
 use crate::job::{SimError, SimJob};
@@ -157,14 +158,17 @@ pub fn run_jobs(jobs: &[SimJob], threads: usize) -> Result<Vec<RunResult>, SimEr
 }
 
 /// Combines weighted region runs into one result (the paper's SimPoint
-/// methodology). Scalar counters become the weighted average; structural
-/// results (chains, branch sites, category breakdowns) are taken from the
+/// methodology). Every listed counter — core, memory, Branch Runahead
+/// and fault counts, the Figure 12 categories included — becomes the
+/// weighted average `floor(Σ w·x / Σ w)`. Structural data that cannot be
+/// averaged (the retire fingerprint, per-site branch maps) comes from the
 /// heaviest region's run. A single run passes through untouched.
 ///
 /// # Panics
 ///
 /// Panics if `runs` is empty — an experiment with zero regions is a
-/// driver bug, not a recoverable condition.
+/// driver bug, not a recoverable condition — or if the runs do not share
+/// one configuration (their counter lists differ).
 #[must_use]
 pub fn aggregate(mut runs: Vec<(f64, RunResult)>) -> RunResult {
     assert!(!runs.is_empty(), "need at least one region run");
@@ -178,32 +182,20 @@ pub fn aggregate(mut runs: Vec<(f64, RunResult)>) -> RunResult {
         .max_by(|a, b| a.1 .0.total_cmp(&b.1 .0))
         .map(|(i, _)| i)
         .expect("nonempty");
-    let avg = |f: &dyn Fn(&RunResult) -> u64| -> u64 {
-        (runs.iter().map(|(w, r)| *w * f(r) as f64).sum::<f64>() / total_w) as u64
-    };
-    let averaged = [
-        avg(&|r| r.core.cycles),
-        avg(&|r| r.core.retired_uops),
-        avg(&|r| r.core.retired_branches),
-        avg(&|r| r.core.mispredicts),
-        avg(&|r| r.core.issued_uops),
-        avg(&|r| r.core.issued_loads),
-        avg(&|r| r.core.fetched_uops),
-        avg(&|r| r.core.fetched_branches),
-    ];
+    let values: Vec<(f64, Vec<u64>)> = runs.iter().map(|(w, r)| (*w, r.counter_values())).collect();
+    assert!(
+        values.iter().all(|(_, v)| v.len() == values[0].1.len()),
+        "regions of one job must share a configuration"
+    );
     // Move the heaviest run out instead of cloning it: RunResult carries
-    // per-site maps and chain structures that are expensive to duplicate.
+    // per-site maps that are expensive to duplicate.
     let mut out = runs.swap_remove(heaviest).1;
-    [
-        out.core.cycles,
-        out.core.retired_uops,
-        out.core.retired_branches,
-        out.core.mispredicts,
-        out.core.issued_uops,
-        out.core.issued_loads,
-        out.core.fetched_uops,
-        out.core.fetched_branches,
-    ] = averaged;
+    let mut k = 0;
+    out.for_each_counter_mut(&mut |_, x| {
+        let sum: f64 = values.iter().map(|(w, v)| *w * v[k] as f64).sum();
+        *x = (sum / total_w) as u64;
+        k += 1;
+    });
     out
 }
 
@@ -211,6 +203,7 @@ pub fn aggregate(mut runs: Vec<(f64, RunResult)>) -> RunResult {
 mod tests {
     use super::*;
     use crate::config::SimConfig;
+    use br_core::PredictionCategory;
 
     fn jobs(n: u64) -> Vec<SimJob> {
         (0..n)
@@ -290,6 +283,54 @@ mod tests {
         let weighted: Vec<(f64, RunResult)> = batch.iter().map(|j| j.weight).zip(results).collect();
         let agg = aggregate(weighted);
         assert!(agg.core.cycles >= lo && agg.core.cycles <= hi);
+    }
+
+    #[test]
+    fn aggregate_averages_every_counter() {
+        let batch: Vec<SimJob> = jobs(2)
+            .into_iter()
+            .map(|mut j| {
+                j.config = SimConfig::mini_br();
+                j.max_retired = 100_000;
+                j
+            })
+            .collect();
+        let results = run_jobs(&batch, 1).unwrap();
+        let runs: Vec<(f64, RunResult)> = batch.iter().map(|j| j.weight).zip(results).collect();
+        let by_hand = |f: fn(&RunResult) -> u64| -> u64 {
+            let sum: f64 = runs.iter().map(|(w, r)| *w * f(r) as f64).sum();
+            let total: f64 = runs.iter().map(|(w, _)| *w).sum();
+            (sum / total) as u64
+        };
+        fn br(r: &RunResult) -> &br_core::BrStats {
+            r.br.as_ref().expect("BR enabled")
+        }
+        let dce_uops = by_hand(|r| br(r).dce_uops);
+        let covered = by_hand(|r| br(r).covered_branch_retires);
+        let l1_misses = by_hand(|r| r.mem.l1.misses);
+        assert_ne!(
+            br(&runs[0].1).dce_uops,
+            br(&runs[1].1).dce_uops,
+            "the regions must differ for the average to be visible"
+        );
+
+        let agg = aggregate(runs);
+        let agg_br = br(&agg);
+        assert_eq!(agg_br.dce_uops, dce_uops);
+        assert_eq!(agg_br.covered_branch_retires, covered);
+        assert_eq!(agg.mem.l1.misses, l1_misses);
+        // Each of the five categories floors separately, so their sum may
+        // trail the floored total by up to 4 counts: within 1e-3 once more
+        // than 4000 branches are covered.
+        assert!(covered > 4_000, "enough covered branches: {covered}");
+        let total: f64 = PredictionCategory::ALL
+            .iter()
+            .map(|c| agg_br.category_fraction(*c))
+            .sum();
+        assert!(
+            (total - 1.0).abs() < 1e-3,
+            "Figure 12 fractions sum to {total}"
+        );
     }
 
     #[test]

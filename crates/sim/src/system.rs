@@ -3,7 +3,7 @@
 use br_core::{BrLiveState, BrStats, BranchRunahead, PredictionCategory};
 use br_energy::EnergyEvents;
 use br_isa::{CpuState, Machine, Pc};
-use br_mem::{MemResp, MemoryStats, MemorySystem};
+use br_mem::{Counters, MemResp, MemoryStats, MemorySystem};
 use br_ooo::{
     BranchOutcome, CoreHooks, CoreStats, CycleReport, FetchedBranch, MispredictInfo, RetiredUop,
     WrongPathUop,
@@ -133,8 +133,27 @@ pub struct RunResult {
     /// Faults injected (when [`SimConfig::faults`] set a schedule).
     pub faults: Option<FaultStats>,
 }
+// Every event count of a run, named `core.<field>`, `mem.<path>`,
+// `br.<field>` and `faults.<field>`.
+br_mem::counters!(RunResult {
+    ;
+    nested core, mem, br, faults
+});
 
 impl RunResult {
+    /// The statistics of a system so far, without telemetry or a
+    /// configuration name.
+    fn snapshot(core: &Core, mem: &MemorySystem, hooks: &SystemHooks) -> Self {
+        RunResult {
+            core: core.stats().clone(),
+            mem: mem.stats(),
+            br: hooks.runahead().map(BranchRunahead::stats),
+            config_name: String::new(),
+            telemetry: None,
+            faults: None,
+        }
+    }
+
     /// Instructions per cycle.
     #[must_use]
     pub fn ipc(&self) -> f64 {
@@ -145,6 +164,18 @@ impl RunResult {
     #[must_use]
     pub fn mpki(&self) -> f64 {
         self.core.mpki()
+    }
+
+    /// Fraction of retired conditional branches covered by a cached chain
+    /// (Figure 12's denominator over all branches; 0 without BR).
+    #[must_use]
+    pub fn coverage(&self) -> f64 {
+        let covered = self.br.as_ref().map_or(0, |b| b.covered_branch_retires);
+        if self.core.retired_branches == 0 {
+            0.0
+        } else {
+            covered as f64 / self.core.retired_branches as f64
+        }
     }
 
     /// MPKI improvement of `self` over `base`, in percent (the paper's
@@ -189,25 +220,6 @@ impl RunResult {
     }
 }
 
-/// Cumulative counter values at the previous interval sample; the
-/// sampler differences against these to get per-interval rates.
-#[derive(Clone, Copy, Debug, Default)]
-struct SampleSnapshot {
-    cycles: u64,
-    retired: u64,
-    mispredicts: u64,
-    l1_hits: u64,
-    l1_misses: u64,
-    retired_branches: u64,
-    covered: u64,
-    correct: u64,
-    incorrect: u64,
-    late: u64,
-    throttled: u64,
-    cc_lookups: u64,
-    cc_hits: u64,
-}
-
 /// The interval sampler: snapshots the system every `interval` retired
 /// uops, turning cumulative statistics into a time series of interval
 /// rates (the time axis the end-of-run totals flatten away).
@@ -216,15 +228,8 @@ struct Sampler {
     interval: u64,
     next: u64,
     samples: Vec<Sample>,
-    prev: SampleSnapshot,
-}
-
-fn rate(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        num as f64 / den as f64
-    }
+    /// Every counter of the run at the previous sample, in list order.
+    prev: Vec<u64>,
 }
 
 impl Sampler {
@@ -233,60 +238,53 @@ impl Sampler {
             interval: interval.max(1),
             next: interval.max(1),
             samples: Vec::new(),
-            prev: SampleSnapshot::default(),
+            prev: Vec::new(),
         }
     }
 
-    fn take(&mut self, cycle: u64, core: &Core, mem: &MemorySystem, hooks: &SystemHooks) {
-        let cs = core.stats();
-        let ms = mem.stats();
-        let (br_stats, live) = match hooks.runahead() {
-            Some(br) => (Some(br.stats()), br.live_state()),
-            None => (None, BrLiveState::default()),
-        };
-        let category = |cat: PredictionCategory| -> u64 {
-            br_stats
-                .as_ref()
-                .and_then(|s| s.prediction_breakdown.get(&cat).copied())
-                .unwrap_or(0)
-        };
-        let now = SampleSnapshot {
-            cycles: cs.cycles,
-            retired: cs.retired_uops,
-            mispredicts: cs.mispredicts,
-            l1_hits: ms.l1.hits,
-            l1_misses: ms.l1.misses,
-            retired_branches: cs.retired_branches,
-            covered: br_stats.as_ref().map_or(0, |s| s.covered_branch_retires),
-            correct: category(PredictionCategory::Correct),
-            incorrect: category(PredictionCategory::Incorrect),
-            late: category(PredictionCategory::Late),
-            throttled: category(PredictionCategory::Throttled),
-            cc_lookups: live.cache_lookups,
-            cc_hits: live.cache_hits,
-        };
-        let p = self.prev;
-        let d = |f: fn(&SampleSnapshot) -> u64| f(&now).saturating_sub(f(&p));
-        let d_covered = d(|s| s.covered);
+    /// Samples the interval since the previous sample; `retired` is the
+    /// run's cumulative retired-uop count.
+    fn take(
+        &mut self,
+        cycle: u64,
+        retired: u64,
+        core: &Core,
+        mem: &MemorySystem,
+        hooks: &SystemHooks,
+    ) {
+        // The interval's statistics: the run so far minus the previous
+        // snapshot, counter by counter.
+        let mut d = RunResult::snapshot(core, mem, hooks);
+        let now = d.counter_values();
+        let mut prev = self.prev.iter();
+        d.for_each_counter_mut(&mut |_, v| {
+            *v = v.saturating_sub(prev.next().copied().unwrap_or(0));
+        });
+        self.prev = now;
+
+        let live = hooks
+            .runahead()
+            .map_or_else(BrLiveState::default, BranchRunahead::live_state);
+        let br = d.br.as_ref();
+        let category = |cat| br.map_or(0.0, |s| s.category_fraction(cat));
         self.samples.push(Sample {
             cycle,
-            retired_uops: now.retired,
-            ipc: rate(d(|s| s.retired), d(|s| s.cycles)),
-            mpki: rate(d(|s| s.mispredicts), d(|s| s.retired)) * 1000.0,
-            l1_miss_rate: rate(d(|s| s.l1_misses), d(|s| s.l1_hits) + d(|s| s.l1_misses)),
+            retired_uops: retired,
+            ipc: d.ipc(),
+            mpki: d.mpki(),
+            l1_miss_rate: d.mem.l1.miss_ratio(),
             mshr_in_use: mem.mshrs_in_use() as u64,
             dce_active: live.dce_active as u64,
             queue_slots: live.queue_slots as u64,
             cached_chains: live.cached_chains as u64,
-            chain_cache_hit_rate: rate(d(|s| s.cc_hits), d(|s| s.cc_lookups)),
-            coverage_rate: rate(d_covered, d(|s| s.retired_branches)),
-            late_rate: rate(d(|s| s.late), d_covered),
-            throttle_rate: rate(d(|s| s.throttled), d_covered),
-            correct_rate: rate(d(|s| s.correct), d_covered),
-            incorrect_rate: rate(d(|s| s.incorrect), d_covered),
+            chain_cache_hit_rate: br.map_or(0.0, BrStats::chain_cache_hit_rate),
+            coverage_rate: d.coverage(),
+            late_rate: category(PredictionCategory::Late),
+            throttle_rate: category(PredictionCategory::Throttled),
+            correct_rate: category(PredictionCategory::Correct),
+            incorrect_rate: category(PredictionCategory::Incorrect),
         });
-        self.prev = now;
-        while self.next <= now.retired {
+        while self.next <= retired {
             self.next += self.interval;
         }
     }
@@ -432,8 +430,9 @@ impl System {
                 &report,
             );
             if let Some(s) = &mut self.sampler {
-                if self.core.stats().retired_uops >= s.next {
-                    s.take(cycle, &self.core, &self.mem, &self.hooks);
+                let retired = self.core.stats().retired_uops;
+                if retired >= s.next {
+                    s.take(cycle, retired, &self.core, &self.mem, &self.hooks);
                 }
             }
             if self.machine_check && cycle.is_multiple_of(MACHINE_CHECK_INTERVAL) {
@@ -448,22 +447,22 @@ impl System {
             // Terminal sweep: catch damage done after the last periodic one.
             self.check_machine(last_cycle)?;
         }
-        let telemetry = self.sampler.take().map(|s| {
+        let mut result = RunResult {
+            config_name: self.config_name.clone(),
+            faults: self.injector.as_ref().map(FaultInjector::stats),
+            ..RunResult::snapshot(&self.core, &self.mem, &self.hooks)
+        };
+        if let Some(s) = self.sampler.take() {
             let core_t = self.core.take_telemetry();
             let br_t = self
                 .hooks
                 .runahead_mut()
                 .map_or_else(Telemetry::off, BranchRunahead::take_telemetry);
-            TelemetryRun::collect(s.samples, vec![core_t, br_t])
-        });
-        Ok(RunResult {
-            core: self.core.stats().clone(),
-            mem: self.mem.stats(),
-            br: self.hooks.runahead().map(BranchRunahead::stats),
-            config_name: self.config_name.clone(),
-            telemetry,
-            faults: self.injector.as_ref().map(FaultInjector::stats),
-        })
+            let mut run = TelemetryRun::collect(s.samples, vec![core_t, br_t]);
+            result.for_each_counter(&mut |name, v| run.counters.push((name.to_string(), v)));
+            result.telemetry = Some(run);
+        }
+        Ok(result)
     }
 
     /// The core (for inspection after a run).

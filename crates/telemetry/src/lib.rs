@@ -5,7 +5,7 @@
 //! but end-of-run statistics flatten all of it. This crate adds the
 //! missing time axis with three primitives:
 //!
-//! * a [`Metrics`] registry — named counters, gauges, and log2-bucketed
+//! * a [`Metrics`] registry — named gauges and log2-bucketed
 //!   [`Histogram`]s — behind the [`Telemetry`] facade, whose disabled
 //!   path is a single predictable branch (no trait objects, no generics
 //!   leaking into component types; verified by `telemetry_bench`),
@@ -16,6 +16,10 @@
 //!   extraction/rejection, HBT churn, WPB merge hits, DCE flush/sync,
 //!   recoveries).
 //!
+//! Event counts are deliberately absent: the simulator's statistics
+//! structs already count every event once, and the simulator copies them
+//! into [`TelemetryRun::counters`] at the end of a run.
+//!
 //! Per-run output is folded into a [`TelemetryRun`], which the [`export`]
 //! module renders as Chrome `trace_event` JSON, JSONL, or CSV — all pure
 //! string transforms, so "byte-identical across worker-thread counts" is
@@ -25,10 +29,12 @@
 //! use br_telemetry::{EventKind, Telemetry};
 //!
 //! let mut t = Telemetry::on(1024);
-//! let retired = t.counter("core.retired_uops");
-//! t.add(retired, 4);
+//! let squash = t.histogram("core.squash_len");
+//! t.record(squash, 12);
 //! t.event(100, EventKind::Recovery, 0x40, 12);
-//! assert_eq!(t.counter_value("core.retired_uops"), Some(4));
+//! let (metrics, events) = t.drain().unwrap();
+//! assert_eq!(metrics.histograms().next().unwrap().1.sum(), 12);
+//! assert_eq!(events.len(), 1);
 //!
 //! let off = Telemetry::off();          // all updates are no-ops
 //! assert!(!off.is_on());
@@ -42,7 +48,7 @@ mod metrics;
 mod sample;
 
 pub use events::{EventKind, EventRing, TraceEvent};
-pub use metrics::{CounterId, GaugeId, HistId, Histogram, Metrics, HIST_BUCKETS};
+pub use metrics::{GaugeId, HistId, Histogram, Metrics, HIST_BUCKETS};
 pub use sample::{json_f64, Sample};
 
 /// Telemetry collection knobs, carried inside the simulation
@@ -120,15 +126,8 @@ impl Telemetry {
         self.inner.is_some()
     }
 
-    /// Registers (or finds) a counter. On a disabled sink the returned id
+    /// Registers (or finds) a gauge. On a disabled sink the returned id
     /// is inert (updates through it are dropped with the rest).
-    pub fn counter(&mut self, name: &'static str) -> CounterId {
-        self.inner
-            .as_mut()
-            .map_or(CounterId::default(), |i| i.metrics.counter(name))
-    }
-
-    /// Registers (or finds) a gauge.
     pub fn gauge(&mut self, name: &'static str) -> GaugeId {
         self.inner
             .as_mut()
@@ -140,14 +139,6 @@ impl Telemetry {
         self.inner
             .as_mut()
             .map_or(HistId::default(), |i| i.metrics.histogram(name))
-    }
-
-    /// Adds `delta` to a counter (no-op when disabled).
-    #[inline]
-    pub fn add(&mut self, id: CounterId, delta: u64) {
-        if let Some(i) = &mut self.inner {
-            i.metrics.add(id, delta);
-        }
     }
 
     /// Sets a gauge (no-op when disabled).
@@ -179,15 +170,6 @@ impl Telemetry {
         }
     }
 
-    /// Current value of a counter by name (None when disabled or
-    /// unregistered).
-    #[must_use]
-    pub fn counter_value(&self, name: &str) -> Option<u64> {
-        self.inner
-            .as_ref()
-            .and_then(|i| i.metrics.counter_value(name))
-    }
-
     /// Consumes the sink, returning its registry and event ring (None for
     /// a disabled sink).
     #[must_use]
@@ -207,7 +189,9 @@ pub struct TelemetryRun {
     pub events: Vec<TraceEvent>,
     /// Events lost to ring-buffer bounds, summed across sinks.
     pub dropped_events: u64,
-    /// Final counter values, in sink order then registration order.
+    /// End-of-run event counts, named `core.<field>`, `br.<field>` and
+    /// `mem.<path>` after the simulator's statistics lists (filled by the
+    /// simulator, not by the sinks).
     pub counters: Vec<(String, u64)>,
     /// Final gauge values, in sink order then registration order.
     pub gauges: Vec<(String, i64)>,
@@ -217,9 +201,10 @@ pub struct TelemetryRun {
 
 impl TelemetryRun {
     /// Folds the interval time series and the drained sinks into one run
-    /// record. Sink order is significant and must be deterministic
-    /// (callers pass e.g. `[core_sink, br_sink]`): counters concatenate
-    /// in that order and event streams — each already nondecreasing in
+    /// record (with no counters yet). Sink order is significant and must
+    /// be deterministic (callers pass e.g. `[core_sink, br_sink]`): gauges
+    /// and histograms concatenate in that order and event streams — each
+    /// already nondecreasing in
     /// cycle, since components observe cycles monotonically — are
     /// stably merged by cycle with earlier sinks winning ties.
     #[must_use]
@@ -232,9 +217,6 @@ impl TelemetryRun {
             let Some((metrics, ring)) = sink.drain() else {
                 continue;
             };
-            for (name, v) in metrics.counters() {
-                run.counters.push((name.to_string(), v));
-            }
             for (name, v) in metrics.gauges() {
                 run.gauges.push((name.to_string(), v));
             }
@@ -292,13 +274,12 @@ mod tests {
     #[test]
     fn disabled_sink_is_inert() {
         let mut t = Telemetry::off();
-        let c = t.counter("x");
+        let g = t.gauge("g");
         let h = t.histogram("h");
-        t.add(c, 5);
+        t.set_gauge(g, 5);
         t.record(h, 9);
         t.event(1, EventKind::Recovery, 0, 0);
         assert!(!t.is_on());
-        assert_eq!(t.counter_value("x"), None);
         assert!(t.drain().is_none());
     }
 
@@ -313,20 +294,19 @@ mod tests {
     #[test]
     fn collect_merges_sinks_deterministically() {
         let mut a = Telemetry::on(16);
-        let ca = a.counter("a.n");
-        a.add(ca, 1);
+        let ga = a.gauge("a.n");
+        a.set_gauge(ga, 1);
         a.event(5, EventKind::Recovery, 1, 0);
         a.event(9, EventKind::Recovery, 2, 0);
 
         let mut b = Telemetry::on(16);
-        let cb = b.counter("b.n");
-        b.add(cb, 2);
+        let gb = b.gauge("b.n");
+        b.set_gauge(gb, 2);
         b.event(5, EventKind::ChainExtract, 3, 0);
         b.event(7, EventKind::ChainExtract, 4, 0);
 
         let run = TelemetryRun::collect(Vec::new(), vec![a, b]);
-        assert_eq!(run.counter("a.n"), Some(1));
-        assert_eq!(run.counter("b.n"), Some(2));
+        assert_eq!(run.gauges, [("a.n".to_string(), 1), ("b.n".to_string(), 2)]);
         let cycles: Vec<u64> = run.events.iter().map(|e| e.cycle).collect();
         assert_eq!(cycles, vec![5, 5, 7, 9]);
         // Tie at cycle 5: the first sink's event comes first.
@@ -350,14 +330,15 @@ mod tests {
         // The same site can register against successive sinks (attach,
         // drain, attach again) and ids stay valid for the current sink.
         let mut t = Telemetry::on(4);
-        let c1 = t.counter("n");
-        t.add(c1, 1);
+        let h1 = t.histogram("n");
+        t.record(h1, 1);
         let (m, _) = t.drain().unwrap();
-        assert_eq!(m.counter_value("n"), Some(1));
+        assert_eq!(m.histograms().next().map(|(_, h)| h.sum()), Some(1));
 
         let mut t2 = Telemetry::on(4);
-        let c2 = t2.counter("n");
-        t2.add(c2, 7);
-        assert_eq!(t2.counter_value("n"), Some(7));
+        let h2 = t2.histogram("n");
+        t2.record(h2, 7);
+        let (m2, _) = t2.drain().unwrap();
+        assert_eq!(m2.histograms().next().map(|(_, h)| h.sum()), Some(7));
     }
 }

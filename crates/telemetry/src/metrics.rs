@@ -1,14 +1,11 @@
-//! The metrics registry: named counters, gauges, and log-scaled
-//! histograms.
+//! The metrics registry: named gauges and log-scaled histograms. Event
+//! counts are not kept here: they live in the simulator's statistics
+//! structs, which feed `counters.json` directly.
 //!
-//! Registration returns a small index (`CounterId` etc.); the hot-path
+//! Registration returns a small index (`GaugeId`, `HistId`); the hot-path
 //! update methods are plain slice indexing, so an enabled sink costs one
 //! bounds-checked array write per update and a disabled sink (see
 //! [`crate::Telemetry`]) costs one branch.
-
-/// Handle to a registered counter.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CounterId(pub(crate) u32);
 
 /// Handle to a registered gauge.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -137,21 +134,11 @@ impl Histogram {
 /// deduplicates, so repeated attach/registration cycles are idempotent.
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
-    counters: Vec<(&'static str, u64)>,
     gauges: Vec<(&'static str, i64)>,
     histograms: Vec<(&'static str, Histogram)>,
 }
 
 impl Metrics {
-    /// Registers (or finds) the counter `name`.
-    pub fn counter(&mut self, name: &'static str) -> CounterId {
-        if let Some(i) = self.counters.iter().position(|(n, _)| *n == name) {
-            return CounterId(i as u32);
-        }
-        self.counters.push((name, 0));
-        CounterId((self.counters.len() - 1) as u32)
-    }
-
     /// Registers (or finds) the gauge `name`.
     pub fn gauge(&mut self, name: &'static str) -> GaugeId {
         if let Some(i) = self.gauges.iter().position(|(n, _)| *n == name) {
@@ -170,12 +157,6 @@ impl Metrics {
         HistId((self.histograms.len() - 1) as u32)
     }
 
-    /// Adds `delta` to a counter.
-    #[inline]
-    pub fn add(&mut self, id: CounterId, delta: u64) {
-        self.counters[id.0 as usize].1 += delta;
-    }
-
     /// Sets a gauge to `value`.
     #[inline]
     pub fn set_gauge(&mut self, id: GaugeId, value: i64) {
@@ -188,11 +169,6 @@ impl Metrics {
         self.histograms[id.0 as usize].1.record(value);
     }
 
-    /// Iterates counters in registration order.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().copied()
-    }
-
     /// Iterates gauges in registration order.
     pub fn gauges(&self) -> impl Iterator<Item = (&'static str, i64)> + '_ {
         self.gauges.iter().copied()
@@ -202,15 +178,6 @@ impl Metrics {
     pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
         self.histograms.iter().map(|(n, h)| (*n, h))
     }
-
-    /// Current value of the counter named `name`, if registered.
-    #[must_use]
-    pub fn counter_value(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| *v)
-    }
 }
 
 #[cfg(test)]
@@ -218,21 +185,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_registration_dedupes_and_accumulates() {
-        let mut m = Metrics::default();
-        let a = m.counter("x");
-        let b = m.counter("x");
-        assert_eq!(a, b);
-        m.add(a, 3);
-        m.add(b, 4);
-        assert_eq!(m.counter_value("x"), Some(7));
-        assert_eq!(m.counter_value("y"), None);
-    }
-
-    #[test]
     fn gauge_holds_last_value() {
         let mut m = Metrics::default();
         let g = m.gauge("depth");
+        assert_eq!(m.gauge("depth"), g, "registration dedupes");
         m.set_gauge(g, 5);
         m.set_gauge(g, -2);
         assert_eq!(m.gauges().collect::<Vec<_>>(), vec![("depth", -2)]);

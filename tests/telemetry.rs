@@ -1,9 +1,10 @@
-//! Telemetry acceptance: the collected record must *reconcile* with the
-//! end-of-run statistics it shadows (same underlying events, two views),
-//! the interval samples must advance monotonically, and a run with
-//! telemetry disabled must be byte-identical to one that never heard of
-//! the subsystem.
+//! Telemetry acceptance: the exported counters must be the end-of-run
+//! statistics, one name per listed counter; traced events must match the
+//! counts of the events they trace; the interval samples must advance
+//! monotonically; and a run with telemetry disabled must be
+//! byte-identical to one that never heard of the subsystem.
 
+use branch_runahead::mem::Counters;
 use branch_runahead::sim::{SimConfig, System, TelemetryConfig};
 use branch_runahead::telemetry::EventKind;
 use branch_runahead::workloads::{workload_by_name, WorkloadParams};
@@ -35,22 +36,19 @@ fn counters_reconcile_with_run_stats() {
     let t = r.telemetry.as_ref().expect("telemetry enabled");
     let br = r.br.as_ref().expect("BR enabled");
 
-    assert_eq!(t.counter("core.retired_uops"), Some(r.core.retired_uops));
-    assert_eq!(
-        t.counter("core.retired_branches"),
-        Some(r.core.retired_branches)
-    );
-    assert_eq!(t.counter("core.mispredicts"), Some(r.core.mispredicts));
-    assert_eq!(
-        t.counter("br.extraction_attempts"),
-        Some(br.extraction_attempts)
-    );
-    assert_eq!(t.counter("br.chains_extracted"), Some(br.chains_extracted));
-    assert_eq!(
-        t.counter("br.extraction_rejects"),
-        Some(br.extraction_rejects)
-    );
-    assert_eq!(t.counter("br.dce_syncs"), Some(br.syncs));
+    let mut listed = 0;
+    r.for_each_counter(&mut |name, value| {
+        listed += 1;
+        let exported: Vec<u64> = t
+            .counters
+            .iter()
+            .filter(|(n, _)| n == name)
+            .map(|(_, v)| *v)
+            .collect();
+        assert_eq!(exported, [value], "{name}: exported once, as the stat");
+    });
+    assert_eq!(t.counters.len(), listed, "only listed counters exported");
+    assert!(t.counter("br.prediction_breakdown.correct").unwrap_or(0) > 0);
 
     // The chain-length histogram shadows the stats' sum.
     let (_, hist) = t
@@ -72,15 +70,16 @@ fn events_reconcile_with_counters() {
     for (kind, counter) in [
         (EventKind::ChainExtract, "br.chains_extracted"),
         (EventKind::ChainReject, "br.extraction_rejects"),
-        (EventKind::DceSync, "br.dce_syncs"),
+        (EventKind::DceSync, "br.syncs"),
         (EventKind::DceFlush, "br.dce_flushes"),
-        (EventKind::WpbMerge, "br.merge_events"),
+        (EventKind::WpbMerge, "br.merge_points_found"),
         (EventKind::HbtInsert, "br.hbt_inserts"),
+        (EventKind::HbtEvict, "br.hbt_evicts"),
         (EventKind::Recovery, "core.recoveries"),
     ] {
         assert_eq!(
             t.event_count(kind) as u64,
-            t.counter(counter).unwrap_or(0),
+            t.counter(counter).expect("listed counter"),
             "{} events disagree with {counter}",
             kind.name()
         );
