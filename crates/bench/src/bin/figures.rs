@@ -6,12 +6,11 @@
 //!         [--faults SPEC [--soak N]] [<experiment>|all]
 //! ```
 
+use std::path::PathBuf;
 use std::process::ExitCode;
 
-use br_bench::{
-    export_telemetry, run_experiment, run_experiment_json, run_faults_soak, EXPERIMENTS,
-};
-use br_sim::experiments::ExperimentSetup;
+use br_bench::{export_telemetry, run_faults_soak, EXPERIMENTS};
+use br_sim::experiments::{self, ExperimentSetup};
 use br_sim::FaultSpec;
 
 fn usage() -> ExitCode {
@@ -31,115 +30,100 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn main() -> ExitCode {
+/// The parsed command line.
+struct Args {
+    setup: ExperimentSetup,
+    targets: Vec<String>,
+    json: bool,
+    telemetry_out: Option<PathBuf>,
+    faults: Option<FaultSpec>,
+    soak_schedules: u32,
+}
+
+/// Parses the command line; `None` means "print usage".
+fn parse(mut args: impl Iterator<Item = String>) -> Option<Args> {
     let mut setup = ExperimentSetup::default();
-    let mut targets: Vec<String> = Vec::new();
-    let mut json = false;
-    let mut threads = setup.threads;
-    let mut telemetry_out: Option<std::path::PathBuf> = None;
-    let mut faults: Option<FaultSpec> = None;
-    let mut soak_schedules: u32 = 4;
-    let mut args = std::env::args().skip(1);
+    let (mut targets, mut json, mut telemetry_out, mut faults) = (Vec::new(), false, None, None);
+    let (mut threads, mut soak_schedules) = (setup.threads, 4);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => setup = ExperimentSetup::quick(),
             "--json" => json = true,
-            "--threads" => {
-                let Some(n) = args.next().and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                threads = n;
-            }
-            "--retired" => {
-                let Some(n) = args.next().and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                setup.max_retired = n;
-            }
-            "--regions" => {
-                let Some(n) = args.next().and_then(|v| v.parse::<usize>().ok()) else {
-                    return usage();
-                };
-                // Paper-style 1..=5 regions with decaying weights.
-                setup = setup.with_regions(n);
-            }
+            "--threads" => threads = args.next()?.parse().ok()?,
+            "--retired" => setup.max_retired = args.next()?.parse().ok()?,
+            // Paper-style 1..=5 regions with decaying weights.
+            "--regions" => setup = setup.with_regions(args.next()?.parse().ok()?),
             "--workloads" => {
-                let Some(list) = args.next() else {
-                    return usage();
-                };
-                setup.workloads = list.split(',').map(str::to_string).collect();
+                setup.workloads = args.next()?.split(',').map(str::to_string).collect();
             }
-            "--telemetry-out" => {
-                let Some(dir) = args.next() else {
-                    return usage();
-                };
-                telemetry_out = Some(dir.into());
-            }
-            "--sample-interval" => {
-                let Some(n) = args.next().and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                setup.telemetry.sample_interval = n;
-            }
-            "--faults" => {
-                let Some(spec) = args.next() else {
-                    return usage();
-                };
-                match FaultSpec::parse(&spec) {
-                    Ok(s) => faults = Some(s),
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return usage();
-                    }
+            "--telemetry-out" => telemetry_out = Some(args.next()?.into()),
+            "--sample-interval" => setup.telemetry.sample_interval = args.next()?.parse().ok()?,
+            "--faults" => match FaultSpec::parse(&args.next()?) {
+                Ok(s) => faults = Some(s),
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    return None;
                 }
-            }
-            "--soak" => {
-                let Some(n) = args.next().and_then(|v| v.parse().ok()) else {
-                    return usage();
-                };
-                soak_schedules = n;
-            }
-            "--help" | "-h" => return usage(),
+            },
+            "--soak" => soak_schedules = args.next()?.parse().ok()?,
+            "--help" | "-h" => return None,
             name => targets.push(name.to_string()),
         }
     }
     setup.threads = threads;
     if targets.is_empty() && telemetry_out.is_none() && faults.is_none() {
-        return usage();
+        return None;
     }
     if targets.iter().any(|t| t == "all") {
         targets = EXPERIMENTS.iter().map(|s| (*s).to_string()).collect();
     }
-    for t in &targets {
-        if !EXPERIMENTS.contains(&t.as_str()) {
-            eprintln!("unknown experiment {t:?}");
-            return usage();
-        }
-    }
-    for t in targets {
+    Some(Args {
+        setup,
+        targets,
+        json,
+        telemetry_out,
+        faults,
+        soak_schedules,
+    })
+}
+
+fn main() -> ExitCode {
+    let Some(args) = parse(std::env::args().skip(1)) else {
+        return usage();
+    };
+    let setup = &args.setup;
+    if !args.targets.is_empty() {
+        // One campaign: every distinct simulation of every requested
+        // experiment runs once, then each experiment renders from it.
         let started = std::time::Instant::now();
-        let rendered = if json {
-            run_experiment_json(&t, &setup)
-        } else {
-            run_experiment(&t, &setup).map(|out| format!("=== {t} ===\n{out}"))
-        };
-        match rendered {
-            Ok(out) => println!("{out}"),
+        let names: Vec<&str> = args.targets.iter().map(String::as_str).collect();
+        let campaign = match experiments::run(&names, setup) {
+            Ok(c) => c,
             Err(e) => {
                 eprintln!("error: {e}");
                 return usage();
             }
-        }
-        eprintln!("[{t}: {:.1}s]", started.elapsed().as_secs_f64());
-    }
-    if let Some(dir) = telemetry_out {
-        let started = std::time::Instant::now();
-        match export_telemetry(&setup, &dir) {
-            Ok(files) => {
-                for f in files {
-                    eprintln!("wrote {}", f.display());
-                }
+        };
+        for (name, output) in &campaign.outputs {
+            if args.json {
+                println!("{}", output.to_json(name));
+            } else {
+                println!("=== {name} ===\n{}", output.text());
             }
+        }
+        eprintln!(
+            "[{} jobs ({} unique): {:.1}s]",
+            campaign.jobs,
+            campaign.unique_jobs,
+            started.elapsed().as_secs_f64()
+        );
+    }
+    if let Some(dir) = &args.telemetry_out {
+        let started = std::time::Instant::now();
+        match export_telemetry(setup, dir) {
+            Ok(files) => files
+                .iter()
+                .for_each(|f| eprintln!("wrote {}", f.display())),
             Err(e) => {
                 eprintln!("error: telemetry export failed: {e}");
                 return ExitCode::FAILURE;
@@ -147,9 +131,9 @@ fn main() -> ExitCode {
         }
         eprintln!("[telemetry: {:.1}s]", started.elapsed().as_secs_f64());
     }
-    if let Some(spec) = faults {
+    if let Some(spec) = args.faults {
         let started = std::time::Instant::now();
-        let report = run_faults_soak(&setup, spec, soak_schedules);
+        let report = run_faults_soak(setup, spec, args.soak_schedules);
         // The JSON report is the machine-readable contract (see
         // tools/check_soak.py); human-readable failure lines go to stderr.
         println!("{}", report.to_json());

@@ -29,81 +29,8 @@ use br_sim::experiments::{self, ExperimentSetup};
 use br_sim::{run_jobs, SimConfig, SimError, TelemetryRun};
 use br_telemetry::export;
 
-/// Names accepted by the `figures` binary.
-pub const EXPERIMENTS: &[&str] = &[
-    "table1",
-    "table2",
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig5",
-    "fig10",
-    "fig11-top",
-    "fig11-bottom",
-    "fig12",
-    "fig13",
-    "fig14",
-    "merge-point",
-    "ablations",
-    "area",
-];
-
-/// Runs one named experiment and returns its JSON rendering (tables and
-/// static reports are wrapped as a string field). Every object carries a
-/// `"seconds"` field: the wall-clock time the experiment took.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the experiment (e.g. an unknown workload
-/// name in the setup), and reports an unknown *experiment* name as
-/// [`SimError::InvalidConfig`] listing [`EXPERIMENTS`].
-pub fn run_experiment_json(name: &str, setup: &ExperimentSetup) -> Result<String, SimError> {
-    let started = std::time::Instant::now();
-    let body = match name {
-        "table1" | "table2" | "area" => {
-            let text = run_experiment(name, setup)?
-                .replace('\n', "\\n")
-                .replace('"', "\\\"");
-            format!("\"name\": \"{name}\", \"text\": \"{text}\"")
-        }
-        "fig10" => {
-            let (mpki, ipc) = experiments::fig10(setup)?;
-            format!(
-                "\"name\": \"fig10\", \"mpki\": {}, \"ipc\": {}",
-                mpki.to_json(),
-                ipc.to_json()
-            )
-        }
-        other => {
-            let t = match other {
-                "fig1" => experiments::fig1(setup)?,
-                "fig2" => experiments::fig2(setup)?,
-                "fig3" => experiments::fig3(setup)?,
-                "fig5" => experiments::fig5(setup)?,
-                "fig11-top" => experiments::fig11_top(setup)?,
-                "fig11-bottom" => experiments::fig11_bottom(setup)?,
-                "fig12" => experiments::fig12(setup)?,
-                "fig13" => experiments::fig13(setup)?,
-                "fig14" => experiments::fig14(setup)?,
-                "merge-point" => experiments::merge_point(setup)?,
-                "ablations" => experiments::ablations(setup)?,
-                _ => return Err(unknown_experiment(other)),
-            };
-            format!("\"name\": \"{other}\", \"table\": {}", t.to_json())
-        }
-    };
-    Ok(format!(
-        "{{{body}, \"seconds\": {:.3}}}",
-        started.elapsed().as_secs_f64()
-    ))
-}
-
-/// Reports an unknown experiment name as a typed, actionable error.
-fn unknown_experiment(name: &str) -> SimError {
-    SimError::InvalidConfig(format!(
-        "unknown experiment {name:?}; known: {EXPERIMENTS:?}"
-    ))
-}
+/// Names accepted by the `figures` binary, in `figures all` order.
+pub use br_sim::experiments::EXPERIMENTS;
 
 /// Runs one named experiment and returns its rendered output.
 ///
@@ -113,27 +40,9 @@ fn unknown_experiment(name: &str) -> SimError {
 /// name in the setup), and reports an unknown *experiment* name as
 /// [`SimError::InvalidConfig`] listing [`EXPERIMENTS`].
 pub fn run_experiment(name: &str, setup: &ExperimentSetup) -> Result<String, SimError> {
-    Ok(match name {
-        "table1" => br_sim::SimConfig::baseline().render_table1(),
-        "table2" => br_sim::render_table2(),
-        "fig1" => experiments::fig1(setup)?.to_string(),
-        "fig2" => experiments::fig2(setup)?.to_string(),
-        "fig3" => experiments::fig3(setup)?.to_string(),
-        "fig5" => experiments::fig5(setup)?.to_string(),
-        "fig10" => {
-            let (mpki, ipc) = experiments::fig10(setup)?;
-            format!("{mpki}\n{ipc}")
-        }
-        "fig11-top" => experiments::fig11_top(setup)?.to_string(),
-        "fig11-bottom" => experiments::fig11_bottom(setup)?.to_string(),
-        "fig12" => experiments::fig12(setup)?.to_string(),
-        "fig13" => experiments::fig13(setup)?.to_string(),
-        "fig14" => experiments::fig14(setup)?.to_string(),
-        "merge-point" => experiments::merge_point(setup)?.to_string(),
-        "ablations" => experiments::ablations(setup)?.to_string(),
-        "area" => experiments::area_report(),
-        other => return Err(unknown_experiment(other)),
-    })
+    let mut campaign = experiments::run(&[name], setup)?;
+    let (_, output) = campaign.outputs.pop().expect("one name renders one output");
+    Ok(output.text())
 }
 
 /// Runs the setup's workloads under Mini Branch Runahead with telemetry
@@ -157,12 +66,7 @@ pub fn export_telemetry(setup: &ExperimentSetup, dir: &Path) -> Result<Vec<PathB
     };
     let mut setup = setup.clone();
     setup.telemetry.enabled = true;
-    let jobs: Vec<br_sim::SimJob> = setup
-        .workloads
-        .clone()
-        .iter()
-        .flat_map(|w| setup.jobs(&SimConfig::mini_br(), w))
-        .collect();
+    let jobs = mini_jobs(&setup);
     let results = run_jobs(&jobs, setup.threads)?;
     let runs: Vec<(String, TelemetryRun)> = jobs
         .iter()
@@ -197,13 +101,17 @@ pub fn run_faults_soak(
     spec: br_sim::FaultSpec,
     schedules: u32,
 ) -> br_sim::SoakReport {
-    let jobs: Vec<br_sim::SimJob> = setup
+    br_sim::run_soak(&mini_jobs(setup), spec, schedules, setup.threads)
+}
+
+/// The setup's jobs under Mini Branch Runahead, workload by workload.
+fn mini_jobs(setup: &ExperimentSetup) -> Vec<br_sim::SimJob> {
+    let mini = SimConfig::mini_br();
+    setup
         .workloads
-        .clone()
         .iter()
-        .flat_map(|w| setup.jobs(&SimConfig::mini_br(), w))
-        .collect();
-    br_sim::run_soak(&jobs, spec, schedules, setup.threads)
+        .flat_map(|w| setup.jobs(&mini, w))
+        .collect()
 }
 
 #[cfg(test)]
@@ -219,11 +127,36 @@ mod tests {
         }
     }
 
+    /// Every experiment's `--json` object is well-formed: balanced outside
+    /// strings, and no raw control character inside them.
     #[test]
-    fn json_carries_timing() {
-        let setup = ExperimentSetup::quick();
-        let out = run_experiment_json("table1", &setup).unwrap();
-        assert!(out.contains("\"seconds\": "), "missing timing: {out}");
+    fn json_is_well_formed_for_every_experiment() {
+        fn well_formed(json: &str) -> bool {
+            let (mut depth, mut in_string, mut escaped) = (0i32, false, false);
+            let ok = json.chars().all(|c| {
+                match (in_string, escaped, c) {
+                    (true, true, _) => escaped = false,
+                    (true, false, '\\') => escaped = true,
+                    (true, false, '"') => in_string = false,
+                    (true, false, c) => return c >= ' ',
+                    (false, _, '"') => in_string = true,
+                    (false, _, '{' | '[') => depth += 1,
+                    (false, _, '}' | ']') => depth -= 1,
+                    _ => {}
+                }
+                depth >= 0
+            });
+            ok && depth == 0 && !in_string
+        }
+        let mut setup = ExperimentSetup::quick();
+        setup.workloads = vec!["leela_17".into()];
+        setup.max_retired = 4_000;
+        let campaign = experiments::run(EXPERIMENTS, &setup).unwrap();
+        assert_eq!(campaign.outputs.len(), EXPERIMENTS.len());
+        for (name, output) in &campaign.outputs {
+            let (json, head) = (output.to_json(name), format!("{{\"name\": \"{name}\", "));
+            assert!(json.starts_with(&head) && well_formed(&json), "{json}");
+        }
     }
 
     #[test]
@@ -237,11 +170,9 @@ mod tests {
 
     #[test]
     fn unknown_name_is_a_typed_error() {
-        for f in [run_experiment, run_experiment_json] {
-            let err = f("fig99", &ExperimentSetup::quick()).unwrap_err();
-            assert!(matches!(err, SimError::InvalidConfig(_)), "{err:?}");
-            assert!(err.to_string().contains("fig99"), "{err}");
-            assert!(err.to_string().contains("fig10"), "lists known: {err}");
-        }
+        let err = run_experiment("fig99", &ExperimentSetup::quick()).unwrap_err();
+        assert!(matches!(err, SimError::InvalidConfig(_)), "{err:?}");
+        assert!(err.to_string().contains("fig99"), "{err}");
+        assert!(err.to_string().contains("fig10"), "lists known: {err}");
     }
 }

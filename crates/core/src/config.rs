@@ -23,7 +23,7 @@ impl InitiationMode {
 }
 
 /// Parameters of the Branch Runahead hardware (Table 2 presets below).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BranchRunaheadConfig {
     /// Display name.
     pub name: &'static str,
@@ -135,20 +135,25 @@ impl BranchRunaheadConfig {
 
     /// Validates internal consistency.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on zero-sized structures or a chain length above 64.
-    pub fn validate(&self) {
-        assert!(self.chain_cache_entries > 0);
-        assert!(self.window_instances > 0);
-        assert!(self.num_queues > 0 && self.queue_entries > 0);
-        assert!(self.hbt_entries > 0 && self.ceb_entries > 0);
-        assert!(
-            (1..=128).contains(&self.max_chain_len),
-            "chain length cap out of range"
-        );
-        assert!(self.local_regs >= 2 && self.local_regs <= 32);
-        assert!(self.wpb_entries.is_multiple_of(self.wpb_ways));
+    /// Names the first zero-sized structure, a chain length cap outside
+    /// `1..=128`, a local register count outside `2..=32`, or a WPB whose
+    /// entries do not divide into its ways.
+    pub fn validate(&self) -> Result<(), String> {
+        let ensure = |ok: bool, what: &str| if ok { Ok(()) } else { Err(what.to_string()) };
+        let chain_len_ok = (1..=128).contains(&self.max_chain_len);
+        let regs_ok = (2..=32).contains(&self.local_regs);
+        let wpb_ok = self.wpb_entries.is_multiple_of(self.wpb_ways);
+        ensure(self.chain_cache_entries > 0, "chain cache must be nonzero")?;
+        ensure(self.window_instances > 0, "window must be nonzero")?;
+        ensure(self.num_queues > 0, "queues must be nonzero")?;
+        ensure(self.queue_entries > 0, "queues must be nonzero")?;
+        ensure(self.hbt_entries > 0, "HBT must be nonzero")?;
+        ensure(self.ceb_entries > 0, "CEB must be nonzero")?;
+        ensure(chain_len_ok, "chain length cap out of range")?;
+        ensure(regs_ok, "local registers out of range")?;
+        ensure(wpb_ok, "WPB entries must divide into its ways")
     }
 }
 
@@ -163,7 +168,7 @@ mod tests {
             BranchRunaheadConfig::mini(),
             BranchRunaheadConfig::big(),
         ] {
-            cfg.validate();
+            assert_eq!(cfg.validate(), Ok(()));
         }
         let co = BranchRunaheadConfig::core_only().storage_kib();
         let mini = BranchRunaheadConfig::mini().storage_kib();

@@ -131,9 +131,13 @@ impl std::fmt::Debug for BranchRunahead {
 impl BranchRunahead {
     /// Creates a Branch Runahead system. `retire_width` models the ROB
     /// walk copy rate into the WPB (footnote 14).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` fails [`BranchRunaheadConfig::validate`].
     #[must_use]
     pub fn new(cfg: BranchRunaheadConfig, retire_width: usize) -> Self {
-        cfg.validate();
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         BranchRunahead {
             retire_width,
             hbt: HardBranchTable::new(cfg.hbt_entries),

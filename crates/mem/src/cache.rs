@@ -3,7 +3,7 @@
 use crate::line_of;
 
 /// Geometry and policy for a [`Cache`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,

@@ -7,7 +7,7 @@
 //! at the paper's 3.2 GHz.
 
 /// Timing and geometry for [`Dram`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DramConfig {
     /// Number of banks.
     pub banks: usize,

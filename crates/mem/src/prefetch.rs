@@ -4,7 +4,7 @@
 use crate::LINE_BYTES;
 
 /// Configuration for [`StreamPrefetcher`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StreamPrefetcherConfig {
     /// Maximum concurrently tracked streams.
     pub streams: usize,

@@ -52,7 +52,7 @@ pub struct MemResp {
 }
 
 /// Configuration for [`MemorySystem`] (defaults = paper Table 1).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MemoryConfig {
     /// L1 data cache geometry.
     pub l1: CacheConfig,

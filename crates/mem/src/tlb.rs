@@ -6,7 +6,7 @@
 //! simulator is physically-mapped, so the TLB models *timing only*.
 
 /// Configuration for [`Tlb`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TlbConfig {
     /// Number of entries.
     pub entries: usize,

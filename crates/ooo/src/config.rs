@@ -1,7 +1,7 @@
 //! Core configuration (paper Table 1 defaults).
 
 /// Parameters of the out-of-order core.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CoreConfig {
     /// Instruction-cache size in bytes (Table 1: 32 KB); 0 disables the
     /// I-cache model (perfect instruction supply).
@@ -56,21 +56,21 @@ impl Default for CoreConfig {
 impl CoreConfig {
     /// Validates internal consistency.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if any width or capacity is zero or the RS exceeds the ROB.
-    pub fn validate(&self) {
-        assert!(self.fetch_width > 0, "fetch width must be nonzero");
-        assert!(self.issue_width > 0, "issue width must be nonzero");
-        assert!(self.retire_width > 0, "retire width must be nonzero");
-        assert!(self.rob_entries > 0, "ROB must be nonzero");
-        assert!(self.rs_entries > 0, "RS must be nonzero");
-        assert!(
-            self.rs_entries <= self.rob_entries,
-            "RS larger than ROB makes no sense"
-        );
-        assert!(self.num_alus > 0, "need at least one ALU");
-        assert!(self.load_ports > 0, "need at least one load port");
+    /// Names the first zero width or capacity, or an RS larger than the
+    /// ROB.
+    pub fn validate(&self) -> Result<(), String> {
+        let ensure = |ok: bool, what: &str| if ok { Ok(()) } else { Err(what.to_string()) };
+        let rs_fits = self.rs_entries <= self.rob_entries;
+        ensure(self.fetch_width > 0, "fetch width must be nonzero")?;
+        ensure(self.issue_width > 0, "issue width must be nonzero")?;
+        ensure(self.retire_width > 0, "retire width must be nonzero")?;
+        ensure(self.rob_entries > 0, "ROB must be nonzero")?;
+        ensure(self.rs_entries > 0, "RS must be nonzero")?;
+        ensure(rs_fits, "RS larger than ROB makes no sense")?;
+        ensure(self.num_alus > 0, "need at least one ALU")?;
+        ensure(self.load_ports > 0, "need at least one load port")
     }
 }
 
@@ -81,19 +81,20 @@ mod tests {
     #[test]
     fn default_matches_table1() {
         let c = CoreConfig::default();
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
         assert_eq!(c.issue_width, 4);
         assert_eq!(c.rob_entries, 256);
         assert_eq!(c.rs_entries, 92);
     }
 
     #[test]
-    #[should_panic(expected = "RS larger than ROB")]
     fn rs_bigger_than_rob_rejected() {
-        CoreConfig {
+        let err = CoreConfig {
             rs_entries: 300,
             ..CoreConfig::default()
         }
-        .validate();
+        .validate()
+        .unwrap_err();
+        assert!(err.contains("RS larger than ROB"), "{err}");
     }
 }

@@ -191,7 +191,7 @@ impl Core {
         predictor: Box<dyn ConditionalPredictor>,
     ) -> Self {
         let program = program.into();
-        cfg.validate();
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         let icache = (cfg.icache_bytes > 0).then(|| {
             Cache::new(CacheConfig {
                 size_bytes: cfg.icache_bytes,

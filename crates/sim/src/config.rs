@@ -48,7 +48,7 @@ impl PredictorKind {
 }
 
 /// A complete system configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SimConfig {
     /// Core parameters (Table 1 defaults).
     pub core: CoreConfig,
@@ -239,7 +239,7 @@ mod tests {
             SimConfig::big_br(),
             SimConfig::mtage_plus_big_br(),
         ] {
-            cfg.core.validate();
+            assert_eq!(cfg.core.validate(), Ok(()));
             let _ = cfg.predictor.build();
         }
     }

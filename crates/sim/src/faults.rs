@@ -29,6 +29,7 @@ use br_core::BranchRunahead;
 use br_isa::{CpuState, Pc};
 use br_mem::MemResp;
 use br_ooo::{BranchOutcome, CoreHooks, FetchedBranch, MispredictInfo, RetiredUop, WrongPathUop};
+use br_telemetry::export::escape_json;
 
 use crate::job::{SimError, SimJob};
 use crate::runner::run_jobs_partial;
@@ -437,7 +438,6 @@ impl SoakReport {
     /// [...]}`. Parsed by `tools/check_soak.py`.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
         let seed = |s: Option<u64>| s.map_or("null".to_string(), |v| v.to_string());
         let failures: Vec<String> = self
             .failures
@@ -445,10 +445,10 @@ impl SoakReport {
             .map(|f| {
                 format!(
                     "{{\"job\": \"{}\", \"fault_seed\": {}, \"kind\": \"{}\", \"error\": \"{}\"}}",
-                    escape(&f.job),
+                    escape_json(&f.job),
                     seed(f.fault_seed),
                     f.error.kind(),
-                    escape(&f.error.to_string())
+                    escape_json(&f.error.to_string())
                 )
             })
             .collect();
@@ -460,14 +460,14 @@ impl SoakReport {
                     "{{\"job\": \"{}\", \"fault_seed\": {}, \"fingerprint\": {}, \
                      \"ipc\": {:.4}, \"mpki\": {:.4}, \"faults_injected\": {}, \
                      \"status\": \"{}\"}}",
-                    escape(&r.job),
+                    escape_json(&r.job),
                     seed(r.fault_seed),
                     r.retire_fingerprint
                         .map_or("null".to_string(), |f| f.to_string()),
                     r.ipc,
                     r.mpki,
                     r.faults.total(),
-                    escape(&r.status)
+                    escape_json(&r.status)
                 )
             })
             .collect();
@@ -685,9 +685,19 @@ mod tests {
             fault_seed: Some(7),
             error: SimError::InvalidConfig("x \"quoted\"".into()),
         });
+        report.failures.push(SoakFailure {
+            job: "a/b/r1".into(),
+            fault_seed: None,
+            error: SimError::JobPanicked {
+                job: "a/b/r1".into(),
+                message: "assertion `left == right` failed\n  left: 1\n\tright: 2".into(),
+            },
+        });
         let json = report.to_json();
         assert!(json.contains("\"passed\": false"));
         assert!(json.contains("\"kind\": \"invalid_config\""));
         assert!(json.contains("\\\"quoted\\\""), "quotes escaped: {json}");
+        let raw_control = json.chars().any(|c| c < ' ');
+        assert!(!raw_control, "raw control character: {json}");
     }
 }

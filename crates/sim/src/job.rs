@@ -4,7 +4,7 @@
 //! configuration, the workload name, the region's seed salt and SimPoint
 //! weight, and the retired-uop budget — into a self-contained value that
 //! is `Send`, independently executable, and hashable (for caching and
-//! run-log identification). Experiment drivers *enumerate* jobs up front
+//! run-log identification). Experiments *enumerate* jobs up front
 //! and hand them to a runner (sequential or the sharded thread pool in
 //! [`crate::runner`]); they never interleave enumeration with execution,
 //! which is what makes the parallel and sequential paths bit-identical.
@@ -188,10 +188,16 @@ impl SimJob {
         }
     }
 
-    /// Executes the job against an already built image, surfacing
-    /// machine-check violations as [`SimError::InvariantViolation`] with
-    /// this job's label.
+    /// Executes the job against an already built image, surfacing an
+    /// invalid core or Branch Runahead configuration as
+    /// [`SimError::InvalidConfig`] and machine-check violations as
+    /// [`SimError::InvariantViolation`], both with this job's label.
     pub fn try_execute(&self, image: &WorkloadImage) -> Result<RunResult, SimError> {
+        self.config
+            .core
+            .validate()
+            .and_then(|()| self.config.runahead.map_or(Ok(()), |rc| rc.validate()))
+            .map_err(|what| SimError::InvalidConfig(format!("job {}: {what}", self.label())))?;
         let mut cfg = self.config.clone();
         cfg.max_retired = self.max_retired;
         System::new(cfg, image).try_run().map_err(|e| match e {

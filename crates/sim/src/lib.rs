@@ -1,4 +1,4 @@
-//! # br-sim — full-system composition and experiment drivers
+//! # br-sim — full-system composition and the experiment registry
 //!
 //! Assembles the substrates into the paper's evaluated system: the
 //! out-of-order core (`br-ooo`, Table 1), the shared memory hierarchy
@@ -8,8 +8,8 @@
 //!
 //! The [`experiments`] module regenerates every table and figure of the
 //! paper's evaluation (§5): run
-//! `cargo run --release -p br-bench --bin figures -- <exp>` or call the
-//! per-figure functions directly.
+//! `cargo run --release -p br-bench --bin figures -- <exp>` or call
+//! [`experiments::run`] with the experiment names.
 //!
 //! ```no_run
 //! use br_sim::{SimConfig, System};

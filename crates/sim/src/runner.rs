@@ -250,7 +250,9 @@ mod tests {
     fn worker_panic_names_the_job() {
         let mut batch = jobs(2);
         let mut cfg = SimConfig::mini_br();
-        cfg.runahead.as_mut().unwrap().hbt_entries = 0;
+        // Passes validation (96 entries divide into 4 ways) but 24 WPB
+        // sets are not a power of two, which the WPB asserts on.
+        cfg.runahead.as_mut().unwrap().wpb_entries = 96;
         batch[1].config = cfg;
         let err = run_jobs(&batch, 2).unwrap_err();
         match err {
@@ -258,12 +260,24 @@ mod tests {
                 assert!(job.contains("leela_17"), "label names the workload: {job}");
                 assert!(job.contains("r1"), "label names the region: {job}");
                 assert!(
-                    message.contains("hbt_entries"),
+                    message.contains("power of two"),
                     "payload preserved: {message}"
                 );
             }
             other => panic!("expected JobPanicked, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn invalid_config_is_a_typed_error_not_a_panic() {
+        let mut batch = jobs(2);
+        let mut cfg = SimConfig::mini_br();
+        cfg.runahead.as_mut().unwrap().window_instances = 0;
+        batch[1].config = cfg;
+        let err = run_jobs(&batch, 2).unwrap_err();
+        assert!(matches!(err, SimError::InvalidConfig(_)), "{err:?}");
+        let what = err.to_string();
+        assert!(what.contains(&batch[1].label()) && what.contains("window"));
     }
 
     #[test]

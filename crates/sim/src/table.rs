@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use br_telemetry::export::escape_json;
+
 /// How the summary row aggregates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MeanKind {
@@ -78,9 +80,6 @@ impl ExpTable {
     /// JSON dependency): `{"title", "series", "rows": {wl: [..]}, "mean"}`.
     #[must_use]
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
         fn num(v: f64) -> String {
             if v.is_finite() {
                 format!("{v:.4}")
@@ -91,20 +90,20 @@ impl ExpTable {
         let series: Vec<String> = self
             .series
             .iter()
-            .map(|s| format!("\"{}\"", esc(s)))
+            .map(|s| format!("\"{}\"", escape_json(s)))
             .collect();
         let rows: Vec<String> = self
             .rows
             .iter()
             .map(|(w, vals)| {
                 let vs: Vec<String> = vals.iter().map(|v| num(*v)).collect();
-                format!("\"{}\": [{}]", esc(w), vs.join(", "))
+                format!("\"{}\": [{}]", escape_json(w), vs.join(", "))
             })
             .collect();
         let mean: Vec<String> = self.mean_row().iter().map(|v| num(*v)).collect();
         format!(
             "{{\"title\": \"{}\", \"series\": [{}], \"rows\": {{{}}}, \"mean\": [{}]}}",
-            esc(&self.title),
+            escape_json(&self.title),
             series.join(", "),
             rows.join(", "),
             mean.join(", ")

@@ -3,7 +3,7 @@
 //! deterministic, so any thread count must produce bit-identical tables.
 
 use branch_runahead::sim::experiments::{self, ExperimentSetup};
-use branch_runahead::sim::{run_jobs, SimConfig};
+use branch_runahead::sim::{run_jobs, ExpTable, SimConfig};
 use branch_runahead::workloads::WorkloadParams;
 
 fn tiny(threads: usize) -> ExperimentSetup {
@@ -19,19 +19,41 @@ fn tiny(threads: usize) -> ExperimentSetup {
     s
 }
 
-/// The tentpole acceptance check: `--threads 4` produces bit-identical
-/// `ExpTable` output to the sequential path on the quick setup.
+/// `--threads 4` produces bit-identical experiment output to the
+/// sequential path on the quick setup.
 #[test]
 fn threads_4_matches_sequential_tables() {
-    let seq = tiny(1);
-    let par = tiny(4);
-    let t1 = experiments::fig2(&seq).unwrap();
-    let t4 = experiments::fig2(&par).unwrap();
-    assert_eq!(t1.to_json(), t4.to_json(), "fig2 diverged across threads");
-    let (m1, i1) = experiments::fig10(&seq).unwrap();
-    let (m4, i4) = experiments::fig10(&par).unwrap();
-    assert_eq!(m1.to_json(), m4.to_json(), "fig10 MPKI diverged");
-    assert_eq!(i1.to_json(), i4.to_json(), "fig10 IPC diverged");
+    // fig2's table, then fig10's MPKI and IPC tables.
+    let render = |threads| -> Vec<String> {
+        let campaign = experiments::run(&["fig2", "fig10"], &tiny(threads)).unwrap();
+        let tables = campaign.outputs.iter().flat_map(|(_, out)| out.tables());
+        tables.map(ExpTable::to_json).collect()
+    };
+    let (t1, t4) = (render(1), render(4));
+    assert_eq!(t1.len(), 3);
+    assert_eq!(t1[0], t4[0], "fig2 diverged across threads");
+    assert_eq!(t1[1], t4[1], "fig10 MPKI diverged");
+    assert_eq!(t1[2], t4[2], "fig10 IPC diverged");
+}
+
+/// A union campaign, which simulates each shared spec once, renders every
+/// experiment byte-identically to running it alone, at 1 and 4 threads.
+#[test]
+fn union_matches_each_experiment_alone() {
+    let names = ["fig3", "fig10", "fig13", "ablations"];
+    for threads in [1, 4] {
+        let setup = tiny(threads);
+        let union = experiments::run(&names, &setup).unwrap();
+        assert!(union.unique_jobs < union.jobs, "shared specs deduplicated");
+        for (name, output) in &union.outputs {
+            let alone = experiments::run(&[name], &setup).unwrap();
+            assert_eq!(
+                output.text(),
+                alone.outputs[0].1.text(),
+                "{name} diverged in the union at {threads} threads"
+            );
+        }
+    }
 }
 
 /// Same property through the multi-region weighted-aggregation path.

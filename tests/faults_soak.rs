@@ -135,14 +135,15 @@ fn multi_panic_batch_reports_each_job_and_keeps_the_rest() {
         .iter()
         .map(|w| mini_job(w, 4_000))
         .collect();
-    // Two jobs panic concurrently (zero-sized HBT asserts in BR setup).
+    // Two jobs panic concurrently: 96 WPB entries pass validation but
+    // make 24 sets, and the WPB asserts a power-of-two set count.
     for i in [1, 4] {
         batch[i]
             .config
             .runahead
             .as_mut()
             .expect("mini config has BR")
-            .hbt_entries = 0;
+            .wpb_entries = 96;
     }
     let partial = run_jobs_partial(&batch, 4);
     assert_eq!(partial.len(), batch.len());
@@ -151,7 +152,7 @@ fn multi_panic_batch_reports_each_job_and_keeps_the_rest() {
             match result {
                 Err(SimError::JobPanicked { job, message }) => {
                     assert_eq!(*job, batch[i].label(), "each panic names its own job");
-                    assert!(message.contains("hbt_entries"), "payload kept: {message}");
+                    assert!(message.contains("power of two"), "payload kept: {message}");
                 }
                 other => panic!("job {i}: expected JobPanicked, got {other:?}"),
             }

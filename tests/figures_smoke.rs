@@ -1,8 +1,9 @@
-//! Shape checks over the experiment drivers: the reproduction target is
+//! Shape checks over the experiment registry: the reproduction target is
 //! the *shape* of each figure (who wins, rough factors, crossovers), so
 //! these tests pin exactly that on a reduced setup.
 
 use branch_runahead::sim::experiments::{self, ExperimentSetup};
+use branch_runahead::sim::ExpTable;
 use branch_runahead::workloads::WorkloadParams;
 
 fn setup() -> ExperimentSetup {
@@ -20,9 +21,15 @@ fn setup() -> ExperimentSetup {
     }
 }
 
+/// Renders one experiment through the registry; returns its first table.
+fn table(name: &str, setup: &ExperimentSetup) -> ExpTable {
+    let campaign = experiments::run(&[name], setup).unwrap();
+    campaign.outputs[0].1.tables()[0].clone()
+}
+
 #[test]
 fn fig1_shape_chains_beat_history_predictors() {
-    let t = experiments::fig1(&setup()).unwrap();
+    let t = table("fig1", &setup());
     let mean = t.mean_row();
     let (tage, mtage, chains) = (mean[0], mean[1], mean[2]);
     assert!(
@@ -41,7 +48,7 @@ fn fig1_shape_chains_beat_history_predictors() {
 
 #[test]
 fn fig2_chains_short() {
-    let t = experiments::fig2(&setup()).unwrap();
+    let t = table("fig2", &setup());
     let mean = t.mean_row()[0];
     assert!(
         mean > 1.0 && mean <= 16.0,
@@ -51,7 +58,7 @@ fn fig2_chains_short() {
 
 #[test]
 fn fig3_overhead_bounded() {
-    let t = experiments::fig3(&setup()).unwrap();
+    let t = table("fig3", &setup());
     let uops = t.mean_row()[0];
     // The DCE adds uops, but Branch Runahead also removes wrong-path work
     // (fewer mispredictions → fewer squashes), so the *net* change can be
@@ -69,7 +76,7 @@ fn fig3_overhead_bounded() {
 
 #[test]
 fn fig5_guard_chains_exist() {
-    let t = experiments::fig5(&setup()).unwrap();
+    let t = table("fig5", &setup());
     // leela has an explicit guard structure; its chains must reflect it.
     let leela = t.value("leela_17", "with-ag").expect("leela row");
     assert!(
@@ -80,7 +87,7 @@ fn fig5_guard_chains_exist() {
 
 #[test]
 fn fig11_bottom_initiation_ordering() {
-    let t = experiments::fig11_bottom(&setup()).unwrap();
+    let t = table("fig11-bottom", &setup());
     let m = t.mean_row();
     let (nonspec, indep, pred) = (m[0], m[1], m[2]);
     // The paper's ordering: predictive ≥ independent-early ≥ non-spec
@@ -97,7 +104,7 @@ fn fig11_bottom_initiation_ordering() {
 
 #[test]
 fn fig12_fractions_partition() {
-    let t = experiments::fig12(&setup()).unwrap();
+    let t = table("fig12", &setup());
     for (w, vals) in &t.rows {
         let sum: f64 = vals.iter().sum();
         assert!(
@@ -117,7 +124,7 @@ fn fig12_fractions_partition() {
 
 #[test]
 fn fig14_energy_not_catastrophic() {
-    let t = experiments::fig14(&setup()).unwrap();
+    let t = table("fig14", &setup());
     let m = t.mean_row();
     // Figure 14: BR decreases energy on average (run-time savings); allow
     // modest increases on reduced runs but nothing catastrophic.
@@ -130,7 +137,7 @@ fn fig14_energy_not_catastrophic() {
 
 #[test]
 fn ablations_do_not_beat_the_full_design_badly() {
-    let t = experiments::ablations(&setup()).unwrap();
+    let t = table("ablations", &setup());
     let m = t.mean_row();
     let (full, inorder, noag) = (m[0], m[1], m[2]);
     // The full design should be at least competitive with each ablation
@@ -156,7 +163,7 @@ fn fig10_stable_across_seeds() {
     for seed in [0x1111u64, 0x2222, 0x3333] {
         let mut s = setup();
         s.params.seed = seed;
-        let (mpki, _) = experiments::fig10(&s).unwrap();
+        let mpki = table("fig10", &s);
         means.push(mpki.mean_row()[2]); // mini column
     }
     let min = means.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -170,7 +177,7 @@ fn fig10_stable_across_seeds() {
 
 #[test]
 fn merge_point_accuracy_high() {
-    let t = experiments::merge_point(&setup()).unwrap();
+    let t = table("merge-point", &setup());
     for (w, vals) in &t.rows {
         let (acc, validated) = (vals[0], vals[1]);
         if validated >= 3.0 {
