@@ -47,8 +47,8 @@ pub fn run_experiment(name: &str, setup: &ExperimentSetup) -> Result<String, Sim
 
 /// Runs the setup's workloads under Mini Branch Runahead with telemetry
 /// enabled and writes every exporter's output into `dir`:
-/// `trace.json` (Chrome trace viewer), `samples.jsonl` / `samples.csv`
-/// (interval samples), `events.jsonl` (the event ring), and
+/// `trace.json` (Chrome trace viewer), `samples.jsonl` (interval
+/// samples), `events.jsonl` (the event ring), and
 /// `counters.json` (final counter/gauge/histogram values). Jobs execute
 /// on `setup.threads` workers; the files are assembled from results in
 /// job order, so output is byte-identical for any thread count. Returns
@@ -74,10 +74,9 @@ pub fn export_telemetry(setup: &ExperimentSetup, dir: &Path) -> Result<Vec<PathB
         .filter_map(|(job, r)| r.telemetry.map(|t| (job.label(), t)))
         .collect();
     std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
-    let files: [(&str, String); 5] = [
+    let files: [(&str, String); 4] = [
         ("trace.json", export::chrome_trace(&runs)),
         ("samples.jsonl", export::samples_jsonl(&runs)),
-        ("samples.csv", export::samples_csv(&runs)),
         ("events.jsonl", export::events_jsonl(&runs)),
         ("counters.json", export::counters_json(&runs)),
     ];

@@ -1295,7 +1295,7 @@ impl DependenceChainEngine {
 mod tests {
     use super::*;
     use crate::chain::{ChainOp, ChainSrc, ChainTag};
-    use br_isa::{reg, Cond, JournaledMemory, MemoryImage};
+    use br_isa::{reg, Cond, MemoryImage};
     use br_mem::MemoryConfig;
 
     /// A self-triggering chain like leela's branch A:
@@ -1434,7 +1434,6 @@ mod tests {
 
     #[test]
     fn flush_all_clears_engine() {
-        let machine = machine_with(&[]);
         let mut cache = DependenceChainCache::new(8);
         let mut queues = PredictionQueues::new(4, 16);
         let mut stats = BrStats::default();
@@ -1445,7 +1444,6 @@ mod tests {
         assert!(dce.active_instances() > 0);
         dce.flush_all(&mut queues, &mut stats);
         assert_eq!(dce.active_instances(), 0);
-        let _ = machine;
     }
 
     #[test]
@@ -1499,11 +1497,6 @@ mod tests {
         assert!(matches!(view.srcs[0].as_slice()[0], SrcRef::LiveIn(r) if r == reg::R3));
         assert_eq!(view.flags_op, 2);
         assert!(matches!(view.outs[0], (r, SrcRef::Op(0)) if r == reg::R3));
-    }
-
-    #[test]
-    fn mem_values_read_functionally() {
-        let _ = JournaledMemory::new();
     }
 
     /// A guarded chain like leela's branch B: triggered by `<0x50, NT>`,

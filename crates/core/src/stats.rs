@@ -51,7 +51,8 @@ pub struct BrStats {
     pub extraction_attempts: u64,
     /// Chains successfully extracted and installed.
     pub chains_extracted: u64,
-    /// Extractions rejected, by coarse reason.
+    /// Extractions rejected, for any reason (one counter: the
+    /// [`ExtractOutcome`](crate::ExtractOutcome) reason is not kept).
     pub extraction_rejects: u64,
     /// Sum of installed chain lengths (uops), for Figure 2.
     pub chain_len_sum: u64,

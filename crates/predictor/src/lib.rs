@@ -12,7 +12,7 @@
 //!   per-history bias tables that can veto a low-confidence TAGE output,
 //! * [`TageScl`] — the composition, with 64 KB / 80 KB presets and an
 //!   MTAGE-like unlimited preset ([`TageSclConfig`]),
-//! * [`Gshare`] and [`Bimodal`] — simple baselines used by tests.
+//! * [`Bimodal`] — a per-PC 2-bit counter baseline used by tests.
 //!
 //! All predictors implement [`ConditionalPredictor`], which models the
 //! fetch-time protocol of a real front end: predict, *speculatively* update
@@ -37,68 +37,19 @@
 #![warn(missing_docs)]
 
 mod bimodal;
-mod gshare;
 mod history;
 mod inline_vec;
 mod loop_pred;
-mod perceptron;
 mod sc;
 mod tage;
 mod tagescl;
 mod traits;
 
 pub use bimodal::Bimodal;
-pub use gshare::Gshare;
 pub use history::{FoldedHistory, GlobalHistory, HistoryCheckpoint};
 pub use inline_vec::InlineVec;
 pub use loop_pred::{LoopPredictor, LoopPredictorConfig};
-pub use perceptron::{Perceptron, PerceptronConfig, MAX_PERCEPTRON_TABLES};
 pub use sc::{StatisticalCorrector, StatisticalCorrectorConfig, MAX_SC_TABLES};
 pub use tage::{Tage, TageConfig, TageMeta, MAX_TAGE_TABLES};
 pub use tagescl::{TageScl, TageSclConfig};
 pub use traits::{ConditionalPredictor, PredMeta, Prediction, PredictorCheckpoint};
-
-/// Constructs a predictor by name. Recognised names: `"tage-sc-l-64kb"`,
-/// `"tage-sc-l-80kb"`, `"mtage-unlimited"`, `"gshare"`, `"bimodal"`.
-///
-/// # Panics
-///
-/// Panics on an unrecognised name (configs are programmer-supplied).
-#[must_use]
-pub fn build_predictor(name: &str) -> Box<dyn ConditionalPredictor> {
-    match name {
-        "tage-sc-l-64kb" => Box::new(TageScl::new(TageSclConfig::kb64())),
-        "tage-sc-l-80kb" => Box::new(TageScl::new(TageSclConfig::kb80())),
-        "mtage-unlimited" => Box::new(TageScl::new(TageSclConfig::unlimited())),
-        "perceptron" => Box::new(Perceptron::new(PerceptronConfig::default())),
-        "gshare" => Box::new(Gshare::new(16)),
-        "bimodal" => Box::new(Bimodal::new(14)),
-        other => panic!("unknown predictor {other:?}"),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn factory_builds_all() {
-        for name in [
-            "tage-sc-l-64kb",
-            "tage-sc-l-80kb",
-            "mtage-unlimited",
-            "perceptron",
-            "gshare",
-            "bimodal",
-        ] {
-            let p = build_predictor(name);
-            assert!(!p.name().is_empty());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown predictor")]
-    fn factory_rejects_unknown() {
-        let _ = build_predictor("neural-net");
-    }
-}

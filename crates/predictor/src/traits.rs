@@ -4,7 +4,6 @@ use br_isa::Pc;
 
 use crate::history::HistoryCheckpoint;
 use crate::inline_vec::InlineVec;
-use crate::perceptron::MAX_PERCEPTRON_TABLES;
 use crate::sc::MAX_SC_TABLES;
 use crate::tage::TageMeta;
 
@@ -21,21 +20,8 @@ pub enum PredMeta {
         /// Table index used.
         index: usize,
     },
-    /// Gshare index.
-    Gshare {
-        /// Table index used.
-        index: usize,
-    },
     /// TAGE metadata (see [`TageMeta`]).
     Tage(TageMeta),
-    /// Hashed-perceptron metadata: the table indices and the signed sum
-    /// at prediction time.
-    Perceptron {
-        /// Per-table row indices.
-        indices: InlineVec<u32, MAX_PERCEPTRON_TABLES>,
-        /// The weight sum (sign = direction).
-        sum: i32,
-    },
     /// TAGE-SC-L: TAGE metadata plus SC/loop decisions.
     TageScl {
         /// Inner TAGE metadata.

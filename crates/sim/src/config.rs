@@ -3,7 +3,7 @@
 use br_core::BranchRunaheadConfig;
 use br_mem::MemoryConfig;
 use br_ooo::CoreConfig;
-use br_predictor::{Bimodal, ConditionalPredictor, Gshare, TageScl, TageSclConfig};
+use br_predictor::{ConditionalPredictor, TageScl, TageSclConfig};
 use br_telemetry::TelemetryConfig;
 
 /// Which baseline predictor the core uses.
@@ -15,13 +15,16 @@ pub enum PredictorKind {
     TageScl80,
     /// MTAGE-SC analogue with unlimited storage (Figures 1 and 11).
     MtageUnlimited,
-    /// Gshare (diagnostics only).
-    Gshare,
-    /// Bimodal (diagnostics only).
-    Bimodal,
 }
 
 impl PredictorKind {
+    /// Every predictor the paper evaluates.
+    pub const ALL: [PredictorKind; 3] = [
+        PredictorKind::TageScl64,
+        PredictorKind::TageScl80,
+        PredictorKind::MtageUnlimited,
+    ];
+
     /// Instantiates the predictor.
     #[must_use]
     pub fn build(self) -> Box<dyn ConditionalPredictor> {
@@ -29,8 +32,6 @@ impl PredictorKind {
             PredictorKind::TageScl64 => Box::new(TageScl::new(TageSclConfig::kb64())),
             PredictorKind::TageScl80 => Box::new(TageScl::new(TageSclConfig::kb80())),
             PredictorKind::MtageUnlimited => Box::new(TageScl::new(TageSclConfig::unlimited())),
-            PredictorKind::Gshare => Box::new(Gshare::new(16)),
-            PredictorKind::Bimodal => Box::new(Bimodal::new(14)),
         }
     }
 
@@ -41,8 +42,6 @@ impl PredictorKind {
             PredictorKind::TageScl64 => "tage-sc-l-64kb",
             PredictorKind::TageScl80 => "tage-sc-l-80kb",
             PredictorKind::MtageUnlimited => "mtage-unlimited",
-            PredictorKind::Gshare => "gshare",
-            PredictorKind::Bimodal => "bimodal",
         }
     }
 }
@@ -241,6 +240,15 @@ mod tests {
         ] {
             assert_eq!(cfg.core.validate(), Ok(()));
             let _ = cfg.predictor.build();
+        }
+    }
+
+    /// `PredictorKind` is the one predictor name table: each kind's
+    /// display name is the name of the predictor it builds.
+    #[test]
+    fn every_kind_builds_the_predictor_it_names() {
+        for kind in PredictorKind::ALL {
+            assert_eq!(kind.build().name(), kind.name(), "{kind:?}");
         }
     }
 

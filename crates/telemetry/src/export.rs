@@ -1,4 +1,4 @@
-//! Deterministic exporters: Chrome `trace_event` JSON, JSONL, and CSV.
+//! Deterministic exporters: Chrome `trace_event` JSON and JSONL.
 //!
 //! Every function here is a pure `&[(label, TelemetryRun)] -> String`
 //! transform. File I/O lives with the callers (the bench harness); tests
@@ -104,21 +104,6 @@ pub fn samples_jsonl(runs: &[(String, TelemetryRun)]) -> String {
         let label = escape_json(label);
         for s in &run.samples {
             out.push_str(&format!("{{\"job\":\"{label}\",{}}}\n", s.json_fields()));
-        }
-    }
-    out
-}
-
-/// Renders every run's interval samples as one CSV document with a `job`
-/// label column.
-#[must_use]
-pub fn samples_csv(runs: &[(String, TelemetryRun)]) -> String {
-    let mut out = format!("job,{}\n", crate::Sample::CSV_HEADER);
-    for (label, run) in runs {
-        // CSV-quote the label; sample fields are all numeric.
-        let quoted = format!("\"{}\"", label.replace('"', "\"\""));
-        for s in &run.samples {
-            out.push_str(&format!("{quoted},{}\n", s.csv_row()));
         }
     }
     out
@@ -247,20 +232,6 @@ mod tests {
         }
         let e = events_jsonl(&[("a".into(), run())]);
         assert!(e.lines().all(|l| l.contains("\"kind\":\"chain_extract\"")));
-    }
-
-    #[test]
-    fn csv_has_header_plus_rows() {
-        let s = samples_csv(&[("a".into(), run())]);
-        let mut lines = s.lines();
-        let header = lines.next().unwrap();
-        assert!(header.starts_with("job,cycle,"));
-        let row = lines.next().unwrap();
-        assert_eq!(
-            row.split(',').count(),
-            header.split(',').count(),
-            "column mismatch"
-        );
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! into [`TelemetryRun::counters`] at the end of a run.
 //!
 //! Per-run output is folded into a [`TelemetryRun`], which the [`export`]
-//! module renders as Chrome `trace_event` JSON, JSONL, or CSV — all pure
+//! module renders as Chrome `trace_event` JSON or JSONL — all pure
 //! string transforms, so "byte-identical across worker-thread counts" is
 //! a testable property.
 //!

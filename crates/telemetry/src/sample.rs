@@ -54,34 +54,6 @@ pub fn json_f64(v: f64) -> String {
 }
 
 impl Sample {
-    /// CSV column names, matching [`Sample::csv_row`].
-    pub const CSV_HEADER: &'static str = "cycle,retired_uops,ipc,mpki,l1_miss_rate,mshr_in_use,\
-         dce_active,queue_slots,cached_chains,chain_cache_hit_rate,coverage_rate,late_rate,\
-         throttle_rate,correct_rate,incorrect_rate";
-
-    /// One CSV row (no trailing newline).
-    #[must_use]
-    pub fn csv_row(&self) -> String {
-        format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            self.cycle,
-            self.retired_uops,
-            json_f64(self.ipc),
-            json_f64(self.mpki),
-            json_f64(self.l1_miss_rate),
-            self.mshr_in_use,
-            self.dce_active,
-            self.queue_slots,
-            self.cached_chains,
-            json_f64(self.chain_cache_hit_rate),
-            json_f64(self.coverage_rate),
-            json_f64(self.late_rate),
-            json_f64(self.throttle_rate),
-            json_f64(self.correct_rate),
-            json_f64(self.incorrect_rate),
-        )
-    }
-
     /// The sample as a JSON object body (without a job label).
     #[must_use]
     pub fn json_fields(&self) -> String {
@@ -112,13 +84,6 @@ impl Sample {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn csv_row_matches_header_arity() {
-        let cols = Sample::CSV_HEADER.split(',').count();
-        let row = Sample::default().csv_row();
-        assert_eq!(row.split(',').count(), cols);
-    }
 
     #[test]
     fn json_f64_never_emits_nonfinite() {

@@ -8,10 +8,11 @@
 //! ```
 
 use branch_runahead::isa::Machine;
-use branch_runahead::predictor::{build_predictor, ConditionalPredictor};
+use branch_runahead::predictor::{Bimodal, ConditionalPredictor};
+use branch_runahead::sim::PredictorKind;
 use branch_runahead::workloads::{workload_by_name, WorkloadParams};
 
-fn measure(p: &mut dyn ConditionalPredictor, name: &str, workload: &str) {
+fn measure(p: &mut dyn ConditionalPredictor, workload: &str) {
     let w = workload_by_name(workload).expect("known workload");
     let image = w.build(&WorkloadParams {
         scale: 4096,
@@ -41,7 +42,7 @@ fn measure(p: &mut dyn ConditionalPredictor, name: &str, workload: &str) {
     }
     println!(
         "{:<18}{:>10.1} KiB{:>12} branches{:>9.2}% mispredicted",
-        name,
+        p.name(),
         p.storage_kib(),
         branches,
         wrong as f64 / branches.max(1) as f64 * 100.0
@@ -51,16 +52,9 @@ fn measure(p: &mut dyn ConditionalPredictor, name: &str, workload: &str) {
 fn main() {
     let workload = std::env::args().nth(1).unwrap_or_else(|| "leela_17".into());
     println!("functional branch stream: {workload}\n");
-    for name in [
-        "bimodal",
-        "gshare",
-        "perceptron",
-        "tage-sc-l-64kb",
-        "tage-sc-l-80kb",
-        "mtage-unlimited",
-    ] {
-        let mut p = build_predictor(name);
-        measure(p.as_mut(), name, &workload);
+    measure(&mut Bimodal::new(14), &workload);
+    for kind in PredictorKind::ALL {
+        measure(kind.build().as_mut(), &workload);
     }
     println!(
         "\nNote the saturation: unlimited storage barely moves the needle on\n\

@@ -14,7 +14,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`isa`] | `br-isa` | micro-op ISA, assembler, journaled emulator |
-//! | [`predictor`] | `br-predictor` | TAGE-SC-L, MTAGE, gshare, bimodal |
+//! | [`predictor`] | `br-predictor` | TAGE-SC-L, MTAGE, bimodal |
 //! | [`mem`] | `br-mem` | caches, MSHRs, prefetcher, DRAM |
 //! | [`ooo`] | `br-ooo` | out-of-order core with wrong-path execution |
 //! | [`runahead`] | `br-core` | the paper's contribution: HBT, CEB, WPB, DCE |

@@ -103,22 +103,15 @@ fn telemetry_exports_identical_across_thread_counts() {
         [
             export::chrome_trace(&runs),
             export::samples_jsonl(&runs),
-            export::samples_csv(&runs),
             export::events_jsonl(&runs),
             export::counters_json(&runs),
         ]
     };
     let seq = render(1);
     let par = render(4);
-    for (name, (a, b)) in [
-        "trace",
-        "samples.jsonl",
-        "samples.csv",
-        "events",
-        "counters",
-    ]
-    .iter()
-    .zip(seq.iter().zip(&par))
+    for (name, (a, b)) in ["trace", "samples.jsonl", "events", "counters"]
+        .iter()
+        .zip(seq.iter().zip(&par))
     {
         assert_eq!(a, b, "{name} export diverged across thread counts");
     }

@@ -1,15 +1,13 @@
 #!/usr/bin/env python3
 """Validate a figures --telemetry-out directory.
 
-Checks that every exporter's output parses (Chrome trace JSON, JSONL,
-CSV) and that the views agree with each other: same sample count in
-samples.jsonl and samples.csv, event lines covered by counters.json
-totals, and nonzero progress counters.
+Checks that every exporter's output parses (Chrome trace JSON, JSONL)
+and that the views agree with each other: typed sample columns, event
+lines covered by counters.json totals, and nonzero progress counters.
 
 Usage: check_telemetry.py DIR
 """
 
-import csv
 import json
 import sys
 from pathlib import Path
@@ -17,7 +15,6 @@ from pathlib import Path
 EXPECTED_FILES = [
     "trace.json",
     "samples.jsonl",
-    "samples.csv",
     "events.jsonl",
     "counters.json",
 ]
@@ -57,14 +54,10 @@ def main() -> None:
         missing = SAMPLE_KEYS - s.keys()
         if missing:
             fail(f"sample missing keys {missing}: {s}")
-
-    with (out / "samples.csv").open(newline="") as f:
-        rows = list(csv.DictReader(f))
-    if len(rows) != len(samples):
-        fail(f"samples.csv has {len(rows)} rows, samples.jsonl {len(samples)}")
-    for row in rows:
-        float(row["ipc"])
-        int(row["retired_uops"])
+        if type(s["ipc"]) not in (int, float):
+            fail(f"sample ipc is not numeric: {s}")
+        if type(s["retired_uops"]) is not int:
+            fail(f"sample retired_uops is not an integer: {s}")
 
     traced = [json.loads(l) for l in (out / "events.jsonl").read_text().splitlines()]
     for e in traced:
