@@ -33,17 +33,6 @@ enum SrcRef {
     Op(usize),
 }
 
-/// One byte per op: instances inline an op-state array, and a small state
-/// keeps them cheap to move. ALU completion times live in the engine's
-/// event list ([`DependenceChainEngine::alu_events`]), not here.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum OpState {
-    Waiting,
-    Issued,
-    MemPending,
-    Done,
-}
-
 /// An op's resolved source references: at most two per op, stored inline
 /// so a view never chases a per-op heap allocation.
 #[derive(Clone, Copy, Debug)]
@@ -66,8 +55,8 @@ struct DataflowView {
     srcs: Vec<OpSrcs>,
     /// For each live-out `(arch, _)`: where its final value comes from.
     outs: Vec<(ArchReg, SrcRef)>,
-    /// Index of the flag-producing cmp (the last one in the chain).
-    flags_op: usize,
+    /// The chain's live-in GPRs, bit per register index.
+    live_in_mask: u16,
 }
 
 /// Per-local-reg resolution state while building a view. Local regs are
@@ -104,7 +93,6 @@ fn build_dataflow(chain: &DependenceChain) -> DataflowView {
         t.live_in_of[usize::from(*l)] = Some(*a);
     }
     let mut srcs = Vec::with_capacity(chain.ops.len());
-    let mut flags_op = usize::MAX;
     for (i, op) in chain.ops.iter().enumerate() {
         let mut refs = OpSrcs {
             refs: [SrcRef::Imm(0); 2],
@@ -133,51 +121,50 @@ fn build_dataflow(chain: &DependenceChain) -> DataflowView {
         if let Some(d) = op.dst_reg() {
             t.writer[usize::from(d)] = i;
         }
-        if matches!(op, ChainOp::Cmp { .. }) {
-            flags_op = i;
-        }
     }
     let outs = chain
         .live_outs
         .iter()
         .map(|(a, b)| (*a, resolve_src(b, &t)))
         .collect();
+    let live_in_mask = ArchReg::gprs()
+        .filter(|r| chain.live_in_local(*r).is_some())
+        .fold(0, |m, r| m | (1 << r.index()));
     DataflowView {
         srcs,
         outs,
-        flags_op,
+        live_in_mask,
     }
 }
 
 /// Upper bound on ops per chain, sized for the largest `max-chain-len`
-/// the Figure 13 sweep explores (the paper's budget is 16). Keeping op
-/// state inline in the instance makes initiation allocation-free.
+/// the Figure 13 sweep explores (the paper's budget is 16). Op results
+/// live inline in the instance and op state in `u32` bitmasks, which
+/// makes initiation allocation-free.
 const MAX_CHAIN_OPS: usize = 32;
 
 struct Instance {
     id: u64,
     chain: Arc<DependenceChain>,
     view: Arc<DataflowView>,
-    op_state: [OpState; MAX_CHAIN_OPS],
     op_result: [u64; MAX_CHAIN_OPS],
-    /// Bitmasks mirroring `op_state` (bit per op): ops not yet `Done`,
-    /// ops still `Waiting`, ops in flight as `Issued`. They let the tick
-    /// loops visit only ops that can actually make progress.
+    /// Op state, bit per op: `undone` ops have no result yet, `waiting`
+    /// ops have not issued, `issued` ALU ops are in flight. An undone op
+    /// that is neither waiting nor issued is a load awaiting memory. The
+    /// tick loops visit only the ops that can make progress.
     undone: u32,
     waiting: u32,
     issued: u32,
     flags: Option<Flags>,
     /// Architectural context inherited from the producer (or the core at
-    /// a sync). `ctx_ready[r]` gates reads.
+    /// a sync). Bit `r` of `ctx_ready` gates reads of `ctx[r]`.
     ctx: [u64; 16],
-    ctx_ready: [bool; 16],
-    /// Number of `ctx` entries still not ready (cached to skip the pull
-    /// scan for satisfied instances — the Big window makes this hot).
-    ctx_missing: u8,
+    ctx_ready: u16,
     producer: Option<u64>,
     outcome: Option<bool>,
-    /// Prediction-queue slot this instance fills.
-    slot: Option<(Pc, u64)>,
+    /// Prediction-queue slot this instance fills in the queue of
+    /// `chain.branch_pc`.
+    slot: u64,
     /// Required producer outcome (predictive initiation); `None` when the
     /// initiation was unconditional (sync, wildcard, outcome-based).
     assumption: Option<bool>,
@@ -188,14 +175,13 @@ struct Instance {
     spawn_done: bool,
     /// Successor initiations deferred on window/queue pressure, with the
     /// cycle each entry was deferred at (entries time out individually).
-    pending_spawn: Vec<(Arc<DependenceChain>, Option<bool>, u64)>,
+    pending_spawn: Vec<(Arc<DependenceChain>, u64)>,
     /// Pre-allocated queue slots for non-wildcard successor chains,
     /// resolved when this instance's outcome is known: `(chain, slot,
     /// required outcome)`. Allocating at initiation keeps every queue in
     /// program order even though instances complete out of order (§4.2:
     /// "slots must be allocated at initiation").
     placeholders: Vec<(Arc<DependenceChain>, u64, bool)>,
-    dead: bool,
 }
 
 /// What happens to the queue slots of a killed instance.
@@ -230,12 +216,17 @@ impl Instance {
         Arc::as_ptr(c) as usize
     }
 
+    /// The inherited context value of arch reg `r`, if it has arrived.
+    fn ctx_value(&self, r: ArchReg) -> Option<u64> {
+        (self.ctx_ready & (1 << r.index()) != 0).then(|| self.ctx[r.index()])
+    }
+
     /// Resolves a source reference to a value, if available.
     fn value_of(&self, s: SrcRef) -> Option<u64> {
         match s {
             SrcRef::Imm(v) => Some(v as u64),
-            SrcRef::LiveIn(r) => self.ctx_ready[r.index()].then(|| self.ctx[r.index()]),
-            SrcRef::Op(i) => (self.op_state[i] == OpState::Done).then(|| self.op_result[i]),
+            SrcRef::LiveIn(r) => self.ctx_value(r),
+            SrcRef::Op(i) => (self.undone & (1 << i) == 0).then(|| self.op_result[i]),
         }
     }
 
@@ -245,7 +236,7 @@ impl Instance {
         if let Some((_, src)) = self.view.outs.iter().find(|(a, _)| *a == r) {
             return self.value_of(*src);
         }
-        self.ctx_ready[r.index()].then(|| self.ctx[r.index()])
+        self.ctx_value(r)
     }
 }
 
@@ -271,8 +262,9 @@ struct Scratch {
     stuck: Vec<u64>,
     /// Producers blocked from freeing by a context-starved dependent.
     blocked: Vec<u64>,
-    /// Work queue for `kill_recursive`.
+    /// Work stack and killed lineage for `kill_recursive`.
     kill_work: Vec<u64>,
+    killed: Vec<u64>,
     /// Work queue for `spawn_early`.
     spawn_work: Vec<u64>,
     /// Wildcard / non-wildcard successor chains in `spawn_early`.
@@ -288,20 +280,22 @@ struct Scratch {
     /// Newly spawned instance ids in `spawn_at_completion`.
     newly: Vec<u64>,
     /// Deferred-spawn entries being retried in tick phase 6.
-    pending: Vec<(Arc<DependenceChain>, Option<bool>, u64)>,
+    pending: Vec<(Arc<DependenceChain>, u64)>,
 }
 
 /// The three per-instance growable lists, recycled between activations so
 /// steady-state initiation performs no heap allocation.
 type InstanceVecs = (
     Vec<(usize, Option<bool>, u64)>,
-    Vec<(Arc<DependenceChain>, Option<bool>, u64)>,
+    Vec<(Arc<DependenceChain>, u64)>,
     Vec<(Arc<DependenceChain>, u64, bool)>,
 );
 
 /// The Dependence Chain Engine.
 pub struct DependenceChainEngine {
     cfg: BranchRunaheadConfig,
+    /// The live instances, in ascending id order: killed, flushed and
+    /// drained instances leave the vector at once.
     instances: Vec<Instance>,
     next_id: u64,
     /// Outstanding DCE loads: `(req id, instance id, op idx, addr)`.
@@ -313,9 +307,6 @@ pub struct DependenceChainEngine {
     /// Dataflow views built once per chain and shared by its instances,
     /// keyed by `Arc` identity (holding the `Arc` keeps the key stable).
     view_cache: Vec<(usize, Arc<DependenceChain>, Arc<DataflowView>)>,
-    /// Live (non-dead) instance count, maintained incrementally so the
-    /// per-initiation window check is O(1).
-    live: usize,
     /// In-flight ALU ops: `(done_at, instance id, op idx)`. Bounded by the
     /// ALU issue rate times the max op latency; scanning it beats storing
     /// a completion cycle per op per instance.
@@ -351,7 +342,6 @@ impl DependenceChainEngine {
             pending_mem: Vec::new(),
             init_counters: Vec::new(),
             view_cache: Vec::new(),
-            live: 0,
             alu_events: Vec::new(),
             vec_pool: Vec::new(),
             scratch: Scratch::default(),
@@ -381,11 +371,10 @@ impl DependenceChainEngine {
         }
     }
 
-    /// Live (non-dead) instance count.
+    /// Live instance count.
     #[must_use]
     pub fn active_instances(&self) -> usize {
-        debug_assert_eq!(self.live, self.instances.iter().filter(|i| !i.dead).count());
-        self.live
+        self.instances.len()
     }
 
     /// Whether memory request `id` is an outstanding DCE load (the fault
@@ -395,23 +384,36 @@ impl DependenceChainEngine {
         self.pending_mem.iter().any(|(r, ..)| *r == id)
     }
 
-    /// Validates structural invariants: the live-instance window bound,
-    /// the DCE MSHR bound on outstanding loads, and initiation counters
-    /// within their 3-bit range.
+    /// Validates structural invariants: id-ordered instances, each with
+    /// consistent op-state masks and an outcome exactly when every op is
+    /// done; the live-instance window bound; the DCE MSHR bound on
+    /// outstanding loads; and initiation counters within their 3-bit
+    /// range.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let recount = self.instances.iter().filter(|i| !i.dead).count();
-        if self.live != recount {
-            return Err(format!(
-                "dce: live counter {} disagrees with recount {}",
-                self.live, recount
-            ));
-        }
         if !self.instances.is_sorted_by_key(|i| i.id) {
             return Err("dce: instances not sorted by id".to_string());
+        }
+        for i in &self.instances {
+            let ops = i.chain.ops.len();
+            let what = if i.waiting & i.issued != 0 {
+                "an op both waiting and issued"
+            } else if (i.waiting | i.issued) & !i.undone != 0 {
+                "a done op waiting or issued"
+            } else if ops < 32 && i.undone >> ops != 0 {
+                "an undone op past the chain end"
+            } else if i.completed() != (i.undone == 0) {
+                "an outcome disagreeing with the undone ops"
+            } else {
+                continue;
+            };
+            return Err(format!(
+                "dce: instance {} has {what} (undone {:#x}, waiting {:#x}, issued {:#x})",
+                i.id, i.undone, i.waiting, i.issued
+            ));
         }
         if self.active_instances() > self.cfg.window_instances {
             return Err(format!(
@@ -466,22 +468,16 @@ impl DependenceChainEngine {
 
     /// Flushes every instance (synchronization).
     pub fn flush_all(&mut self, queues: &mut PredictionQueues, stats: &mut BrStats) {
-        for inst in &mut self.instances {
-            if !inst.dead {
-                inst.dead = true;
-                stats.instances_flushed += 1;
-                if let Some((pc, slot)) = inst.slot {
-                    queues.kill(pc, slot);
-                }
-                for (chain, slot, _) in &inst.placeholders {
-                    queues.kill(chain.branch_pc, *slot);
-                }
+        for inst in &self.instances {
+            stats.instances_flushed += 1;
+            queues.kill(inst.chain.branch_pc, inst.slot);
+            for (chain, slot, _) in &inst.placeholders {
+                queues.kill(chain.branch_pc, *slot);
             }
         }
         self.instances.clear();
         self.pending_mem.clear();
         self.alu_events.clear();
-        self.live = 0;
     }
 
     fn kill_recursive(
@@ -491,40 +487,39 @@ impl DependenceChainEngine {
         queues: &mut PredictionQueues,
         stats: &mut BrStats,
     ) {
+        // Depth-first over the lineage. A producer's id is smaller than
+        // its successors' ids, so each instance is reached exactly once;
+        // the lineage leaves `instances` in one pass at the end.
         let mut work = std::mem::take(&mut self.scratch.kill_work);
+        let mut killed = std::mem::take(&mut self.scratch.killed);
         work.clear();
+        killed.clear();
         work.push(id);
         while let Some(cur) = work.pop() {
+            killed.push(cur);
             let mut producer = None;
             if let Some(ci) = self.find(cur) {
-                let inst = &mut self.instances[ci];
-                if !inst.dead {
-                    inst.dead = true;
-                    self.live -= 1;
-                    stats.instances_flushed += 1;
-                    if let Some((pc, slot)) = inst.slot {
-                        match disposition {
-                            Disposition::Dead => queues.kill(pc, slot),
-                            Disposition::Cancelled => queues.cancel(pc, slot),
-                        }
+                let inst = &self.instances[ci];
+                stats.instances_flushed += 1;
+                // Placeholder slots of a cancelled lineage correspond to
+                // executions that will never happen; a flushed (Dead)
+                // lineage's placeholders stay consumable.
+                let own = (inst.chain.branch_pc, inst.slot);
+                let held = inst.placeholders.iter().map(|(c, s, _)| (c.branch_pc, *s));
+                for (pc, slot) in std::iter::once(own).chain(held) {
+                    match disposition {
+                        Disposition::Dead => queues.kill(pc, slot),
+                        Disposition::Cancelled => queues.cancel(pc, slot),
                     }
-                    // Placeholder slots of a cancelled lineage correspond
-                    // to executions that will never happen; a flushed
-                    // (Dead) lineage's placeholders stay consumable.
-                    for (chain, slot, _) in &inst.placeholders {
-                        match disposition {
-                            Disposition::Dead => queues.kill(chain.branch_pc, *slot),
-                            Disposition::Cancelled => queues.cancel(chain.branch_pc, *slot),
-                        }
-                    }
-                    producer = inst.producer;
                 }
+                producer = inst.producer;
             }
-            for inst in &self.instances {
-                if inst.producer == Some(cur) && !inst.dead {
-                    work.push(inst.id);
-                }
-            }
+            work.extend(
+                self.instances
+                    .iter()
+                    .filter(|i| i.producer == Some(cur))
+                    .map(|i| i.id),
+            );
             // Forget the killed instance in its producer's spawn record so
             // a later outcome can legitimately respawn the chain (only the
             // producer ever records `cur` in `spawned`).
@@ -532,14 +527,17 @@ impl DependenceChainEngine {
                 self.instances[pi].spawned.retain(|(_, _, sid)| *sid != cur);
             }
         }
+        killed.sort_unstable();
         let pool = &mut self.vec_pool;
         self.instances.retain_mut(|i| {
-            if i.dead {
+            let kill = killed.binary_search(&i.id).is_ok();
+            if kill {
                 pool.push(Instance::recycle_vecs(i));
             }
-            !i.dead
+            !kill
         });
         self.scratch.kill_work = work;
+        self.scratch.killed = killed;
     }
 
     /// Index of instance `id`. Instances are created with ascending ids
@@ -587,20 +585,15 @@ impl DependenceChainEngine {
         let n = chain.ops.len();
         assert!(n <= MAX_CHAIN_OPS, "chain exceeds MAX_CHAIN_OPS");
         let all_ops: u32 = if n == 32 { u32::MAX } else { (1 << n) - 1 };
-        let mut ctx = [0u64; 16];
-        let mut ctx_ready = [false; 16];
-        let mut ctx_missing = 16u8;
-        if let Some(cpu) = cpu {
-            ctx.copy_from_slice(&cpu.regs);
-            ctx_ready = [true; 16];
-            ctx_missing = 0;
-        }
+        let (ctx, ctx_ready) = match cpu {
+            Some(cpu) => (cpu.regs, u16::MAX),
+            None => ([0; 16], 0),
+        };
         let (spawned, pending_spawn, placeholders) = self.vec_pool.pop().unwrap_or_default();
         self.instances.push(Instance {
             id,
             chain: Arc::clone(chain),
             view,
-            op_state: [OpState::Waiting; MAX_CHAIN_OPS],
             op_result: [0; MAX_CHAIN_OPS],
             undone: all_ops,
             waiting: all_ops,
@@ -608,25 +601,16 @@ impl DependenceChainEngine {
             flags: None,
             ctx,
             ctx_ready,
-            ctx_missing,
             producer,
             outcome: None,
-            slot: Some((chain.branch_pc, slot)),
+            slot,
             assumption,
             spawned,
             spawn_done: false,
             pending_spawn,
             placeholders,
-            dead: false,
         });
-        self.live += 1;
         stats.instances_initiated += 1;
-        debug_assert!(
-            self.instances
-                .last()
-                .is_some_and(|i| i.assumption == assumption),
-            "assumption recorded on the new instance"
-        );
         Initiate::Ok(id)
     }
 
@@ -657,6 +641,58 @@ impl DependenceChainEngine {
     /// outcome-triggered spawns (guarded chains) can always enter.
     fn spawn_reserve(&self) -> usize {
         (self.cfg.window_instances / 8).max(2)
+    }
+
+    /// Records instance `nid`, initiated from `chain` under `assumption`,
+    /// in its producer `pid`'s spawn list.
+    fn record_spawn(
+        &mut self,
+        pid: u64,
+        chain: &Arc<DependenceChain>,
+        assumption: Option<bool>,
+        nid: u64,
+    ) {
+        if let Some(p) = self.find(pid) {
+            let key = Instance::chain_key(chain);
+            self.instances[p].spawned.push((key, assumption, nid));
+        }
+    }
+
+    /// Initiates `chain` as a successor of instance `pid` and records it.
+    /// A wildcard chain in a speculative mode keeps `spawn_reserve()`
+    /// window slots free. On window or queue pressure the spawn is
+    /// deferred on `pid`, unless it has waited 256 cycles since `since`,
+    /// the cycle it was first deferred: then it is dropped, and runahead
+    /// stops extending this lineage until the next synchronization.
+    fn spawn_successor(
+        &mut self,
+        pid: u64,
+        chain: Arc<DependenceChain>,
+        since: u64,
+        queues: &mut PredictionQueues,
+        stats: &mut BrStats,
+    ) -> Initiate {
+        let reserve =
+            if chain.tag.is_wildcard() && self.cfg.initiation != InitiationMode::NonSpeculative {
+                self.spawn_reserve()
+            } else {
+                0
+            };
+        let attempt = if self.active_instances() + reserve <= self.cfg.window_instances {
+            self.initiate(&chain, Some(pid), None, None, queues, stats)
+        } else {
+            Initiate::WindowFull
+        };
+        match attempt {
+            Initiate::Ok(nid) => self.record_spawn(pid, &chain, None, nid),
+            _ if self.cycle.saturating_sub(since) < 256 => {
+                if let Some(p) = self.find(pid) {
+                    self.instances[p].pending_spawn.push((chain, since));
+                }
+            }
+            _ => {}
+        }
+        attempt
     }
 
     /// Early (initiation-time) successor spawning for wildcard chains and,
@@ -710,26 +746,10 @@ impl DependenceChainEngine {
                 }
             }
             for chain in to_spawn.drain(..) {
-                let key = Instance::chain_key(&chain);
-                let room = self.active_instances() + reserve <= self.cfg.window_instances;
-                let attempt = if room {
-                    self.initiate(&chain, Some(pid), None, None, queues, stats)
-                } else {
-                    Initiate::WindowFull
-                };
-                match attempt {
-                    Initiate::Ok(nid) => {
-                        if let Some(pidx) = self.find(pid) {
-                            self.instances[pidx].spawned.push((key, None, nid));
-                        }
-                        work.push(nid);
-                    }
-                    Initiate::WindowFull | Initiate::QueueFull => {
-                        if let Some(pidx) = self.find(pid) {
-                            let at = self.cycle;
-                            self.instances[pidx].pending_spawn.push((chain, None, at));
-                        }
-                    }
+                if let Initiate::Ok(nid) =
+                    self.spawn_successor(pid, chain, self.cycle, queues, stats)
+                {
+                    work.push(nid);
                 }
             }
             // Non-wildcard successors get their queue slots NOW (program
@@ -737,7 +757,6 @@ impl DependenceChainEngine {
             // rest wait as placeholders for the trigger outcome.
             let predicted = self.predict_init(trigger_pc);
             for chain in non_wild.drain(..) {
-                let key = Instance::chain_key(&chain);
                 let required = chain.tag.outcome.expect("non-wildcard tag");
                 let Some(slot) = queues.allocate_slot(chain.branch_pc) else {
                     continue; // queue full: lose this iteration's coverage
@@ -746,24 +765,18 @@ impl DependenceChainEngine {
                     && required == predicted
                     && self.active_instances() + reserve <= self.cfg.window_instances;
                 if speculate {
-                    match self.initiate_with_slot(
+                    let attempt = self.initiate_with_slot(
                         &chain,
                         Some(pid),
                         None,
                         Some(required),
                         slot,
                         stats,
-                    ) {
-                        Initiate::Ok(nid) => {
-                            if let Some(pidx) = self.find(pid) {
-                                self.instances[pidx]
-                                    .spawned
-                                    .push((key, Some(required), nid));
-                            }
-                            work.push(nid);
-                            continue;
-                        }
-                        _ => { /* fall through to placeholder */ }
+                    );
+                    if let Initiate::Ok(nid) = attempt {
+                        self.record_spawn(pid, &chain, Some(required), nid);
+                        work.push(nid);
+                        continue;
                     }
                 }
                 if let Some(pidx) = self.find(pid) {
@@ -848,7 +861,6 @@ impl DependenceChainEngine {
                 queues.cancel(chain.branch_pc, slot);
                 continue;
             }
-            let key = Instance::chain_key(&chain);
             let mut attempt = self.initiate_with_slot(&chain, Some(id), None, None, slot, stats);
             if attempt == Initiate::WindowFull {
                 // Outcome-triggered successors are architecturally required
@@ -860,9 +872,7 @@ impl DependenceChainEngine {
             }
             match attempt {
                 Initiate::Ok(nid) => {
-                    if let Some(idx) = self.find(id) {
-                        self.instances[idx].spawned.push((key, None, nid));
-                    }
+                    self.record_spawn(id, &chain, None, nid);
                     newly.push(nid);
                 }
                 _ => queues.kill(chain.branch_pc, slot),
@@ -893,30 +903,14 @@ impl DependenceChainEngine {
                 let pending = self.instances[idx]
                     .pending_spawn
                     .iter()
-                    .any(|(c, _, _)| Instance::chain_key(c) == key);
+                    .any(|(c, _)| Instance::chain_key(c) == key);
                 if already || pending {
                     continue;
                 }
-                let room = self.cfg.initiation == InitiationMode::NonSpeculative
-                    || self.active_instances() + self.spawn_reserve() <= self.cfg.window_instances;
-                let attempt = if room {
-                    self.initiate(&chain, Some(id), None, None, queues, stats)
-                } else {
-                    Initiate::WindowFull
-                };
-                match attempt {
-                    Initiate::Ok(nid) => {
-                        if let Some(idx) = self.find(id) {
-                            self.instances[idx].spawned.push((key, None, nid));
-                        }
-                        newly.push(nid);
-                    }
-                    Initiate::WindowFull | Initiate::QueueFull => {
-                        if let Some(idx) = self.find(id) {
-                            let at = self.cycle;
-                            self.instances[idx].pending_spawn.push((chain, None, at));
-                        }
-                    }
+                if let Initiate::Ok(nid) =
+                    self.spawn_successor(id, chain, self.cycle, queues, stats)
+                {
+                    newly.push(nid);
                 }
             }
             self.scratch.lookup = looked;
@@ -944,15 +938,11 @@ impl DependenceChainEngine {
     ) -> bool {
         // Rare path (window-full outcome spawns): a quadratic scan over a
         // window-bounded set beats building a hash set per call.
-        let has_successor = |id: u64| {
-            self.instances
-                .iter()
-                .any(|i| !i.dead && i.producer == Some(id))
-        };
+        let has_successor = |id: u64| self.instances.iter().any(|i| i.producer == Some(id));
         let victim = self
             .instances
             .iter()
-            .filter(|i| !i.dead && !i.completed() && i.id != exclude && !has_successor(i.id))
+            .filter(|i| !i.completed() && i.id != exclude && !has_successor(i.id))
             .map(|i| i.id)
             .max();
         match victim {
@@ -987,14 +977,14 @@ impl DependenceChainEngine {
                 let (_, iid, op_idx, addr) = self.pending_mem.swap_remove(pos);
                 if let Some(idx) = self.find(iid) {
                     let inst = &mut self.instances[idx];
-                    if inst.op_state[op_idx] == OpState::MemPending {
+                    let mem_pending = inst.undone & !(inst.waiting | inst.issued);
+                    if mem_pending & (1 << op_idx) != 0 {
                         let (width, signed) = match inst.chain.ops[op_idx] {
                             ChainOp::Load { width, signed, .. } => (width, signed),
                             _ => (Width::B8, false),
                         };
                         let raw = machine.memory().read(addr, width);
                         inst.op_result[op_idx] = if signed { width.sign_extend(raw) } else { raw };
-                        inst.op_state[op_idx] = OpState::Done;
                         inst.undone &= !(1 << op_idx);
                     }
                 }
@@ -1008,35 +998,32 @@ impl DependenceChainEngine {
         let mut pulls = std::mem::take(&mut self.scratch.pulls); // (inst idx, reg, val)
         pulls.clear();
         for (i, inst) in self.instances.iter().enumerate() {
-            if inst.dead || inst.ctx_missing == 0 {
+            // Which regs do we still need? Live-ins always; all 16 once
+            // completed (so successors can pass through and the producer
+            // can be freed).
+            let wanted = if inst.completed() {
+                u16::MAX
+            } else {
+                inst.view.live_in_mask
+            };
+            let mut missing = wanted & !inst.ctx_ready;
+            if missing == 0 {
                 continue;
             }
             let Some(pid) = inst.producer else { continue };
             let Some(pidx) = self.find(pid) else { continue };
-            // Which regs do we still need? Live-ins always; all 16 once
-            // completed (so successors can pass through and the producer
-            // can be freed).
-            let want_all = inst.completed();
-            for r in ArchReg::gprs() {
-                if inst.ctx_ready[r.index()] {
-                    continue;
-                }
-                let needed = want_all || inst.chain.live_in_local(r).is_some();
-                if !needed {
-                    continue;
-                }
-                if let Some(v) = self.instances[pidx].arch_value(r) {
-                    pulls.push((i, r.index(), v));
+            while missing != 0 {
+                let r = missing.trailing_zeros() as usize;
+                missing &= missing - 1;
+                if let Some(v) = self.instances[pidx].arch_value(ArchReg::new(r as u8)) {
+                    pulls.push((i, r, v));
                 }
             }
         }
         for &(i, r, v) in &pulls {
             let inst = &mut self.instances[i];
-            if !inst.ctx_ready[r] {
-                inst.ctx[r] = v;
-                inst.ctx_ready[r] = true;
-                inst.ctx_missing -= 1;
-            }
+            inst.ctx[r] = v;
+            inst.ctx_ready |= 1 << r;
         }
         self.scratch.pulls = pulls;
 
@@ -1051,7 +1038,7 @@ impl DependenceChainEngine {
             if alu_budget == 0 && load_budget == 0 {
                 break;
             }
-            if self.instances[idx].dead || self.instances[idx].completed() {
+            if self.instances[idx].completed() {
                 continue;
             }
             let mut wm = self.instances[idx].waiting;
@@ -1104,7 +1091,6 @@ impl DependenceChainEngine {
                     match mem.request(addr, false, ReqSource::Dce, cycle) {
                         Ok(req) => {
                             self.pending_mem.push((req, iid, op_idx, addr));
-                            self.instances[idx].op_state[op_idx] = OpState::MemPending;
                             self.instances[idx].waiting &= !(1 << op_idx);
                             load_budget -= 1;
                             stats.dce_uops += 1;
@@ -1119,7 +1105,6 @@ impl DependenceChainEngine {
                     let lat = op.latency();
                     let iid = self.instances[idx].id;
                     self.alu_events.push((cycle + lat, iid, op_idx as u8));
-                    self.instances[idx].op_state[op_idx] = OpState::Issued;
                     self.instances[idx].waiting &= !(1 << op_idx);
                     self.instances[idx].issued |= 1 << op_idx;
                     alu_budget -= 1;
@@ -1129,7 +1114,8 @@ impl DependenceChainEngine {
         }
 
         // 4. Compute completions: drain due ALU events (stale events for
-        // killed/flushed instances fall out via the `find` miss).
+        // killed/flushed instances fall out via the `find` miss or the
+        // op's cleared `issued` bit).
         let mut ev = std::mem::take(&mut self.alu_events);
         let mut kept = 0;
         for k in 0..ev.len() {
@@ -1141,7 +1127,7 @@ impl DependenceChainEngine {
             }
             let op_idx = usize::from(op8);
             let Some(idx) = self.find(iid) else { continue };
-            if self.instances[idx].dead || self.instances[idx].op_state[op_idx] != OpState::Issued {
+            if self.instances[idx].issued & (1 << op_idx) == 0 {
                 continue;
             }
             let inst = &self.instances[idx];
@@ -1161,7 +1147,6 @@ impl DependenceChainEngine {
                 }
                 ChainOp::Load { .. } => unreachable!("loads complete via memory"),
             }
-            inst.op_state[op_idx] = OpState::Done;
             inst.issued &= !(1 << op_idx);
             inst.undone &= !(1 << op_idx);
         }
@@ -1173,28 +1158,16 @@ impl DependenceChainEngine {
         let mut completed_now = std::mem::take(&mut self.scratch.completed);
         completed_now.clear();
         for idx in 0..self.instances.len() {
-            let inst = &self.instances[idx];
-            if inst.dead || inst.completed() {
+            let inst = &mut self.instances[idx];
+            if inst.completed() || inst.undone != 0 {
                 continue;
             }
-            if inst.undone == 0 {
-                debug_assert_eq!(
-                    inst.op_state[inst.view.flags_op],
-                    OpState::Done,
-                    "flag producer must have executed"
-                );
-                let flags = inst.flags.expect("chains end in a cmp");
-                let outcome = inst.chain.cond.eval(flags);
-                let id = inst.id;
-                let slot = inst.slot;
-                let inst = &mut self.instances[idx];
-                inst.outcome = Some(outcome);
-                if let Some((pc, s)) = slot {
-                    queues.fill(pc, s, outcome);
-                }
-                stats.instances_completed += 1;
-                completed_now.push(id);
-            }
+            let flags = inst.flags.expect("chains end in a cmp");
+            let outcome = inst.chain.cond.eval(flags);
+            inst.outcome = Some(outcome);
+            queues.fill(inst.chain.branch_pc, inst.slot, outcome);
+            stats.instances_completed += 1;
+            completed_now.push(inst.id);
         }
         for &id in &completed_now {
             self.spawn_at_completion(id, cache, queues, stats);
@@ -1208,7 +1181,7 @@ impl DependenceChainEngine {
         stuck.extend(
             self.instances
                 .iter()
-                .filter(|i| !i.dead && !i.pending_spawn.is_empty())
+                .filter(|i| !i.pending_spawn.is_empty())
                 .map(|i| i.id),
         );
         let mut pending = std::mem::take(&mut self.scratch.pending);
@@ -1218,38 +1191,9 @@ impl DependenceChainEngine {
             // so requeued entries below don't reallocate it.
             pending.clear();
             pending.append(&mut self.instances[idx].pending_spawn);
-            for (chain, assumption, since) in pending.drain(..) {
-                let key = Instance::chain_key(&chain);
-                let room = if chain.tag.is_wildcard()
-                    && self.cfg.initiation != InitiationMode::NonSpeculative
-                {
-                    self.active_instances() + self.spawn_reserve() <= self.cfg.window_instances
-                } else {
-                    true
-                };
-                let attempt = if room {
-                    self.initiate(&chain, Some(id), None, assumption, queues, stats)
-                } else {
-                    Initiate::WindowFull
-                };
-                match attempt {
-                    Initiate::Ok(nid) => {
-                        if let Some(idx) = self.find(id) {
-                            self.instances[idx].spawned.push((key, assumption, nid));
-                        }
-                        self.spawn_early(nid, cache, queues, stats);
-                    }
-                    _ => {
-                        if cycle.saturating_sub(since) < 256 {
-                            if let Some(idx) = self.find(id) {
-                                self.instances[idx]
-                                    .pending_spawn
-                                    .push((chain, assumption, since));
-                            }
-                        }
-                        // else: dropped — runahead simply stops extending
-                        // this lineage until the next synchronization.
-                    }
+            for (chain, since) in pending.drain(..) {
+                if let Initiate::Ok(nid) = self.spawn_successor(id, chain, since, queues, stats) {
+                    self.spawn_early(nid, cache, queues, stats);
                 }
             }
         }
@@ -1262,18 +1206,13 @@ impl DependenceChainEngine {
         self.scratch.blocked.extend(
             self.instances
                 .iter()
-                .filter(|s| !s.dead && s.ctx_missing > 0)
+                .filter(|s| s.ctx_ready != u16::MAX)
                 .filter_map(|s| s.producer),
         );
         self.scratch.blocked.sort_unstable();
         let blocked = &self.scratch.blocked;
         let pool = &mut self.vec_pool;
-        let mut removed_live = 0usize;
         self.instances.retain_mut(|i| {
-            if i.dead {
-                pool.push(Instance::recycle_vecs(i));
-                return false;
-            }
             let drained = i.completed()
                 && i.spawn_done
                 // An unvalidated assumption means the producer hasn't
@@ -1281,13 +1220,11 @@ impl DependenceChainEngine {
                 && i.assumption.is_none()
                 && i.pending_spawn.is_empty()
                 && blocked.binary_search(&i.id).is_err();
-            removed_live += usize::from(drained);
             if drained {
                 pool.push(Instance::recycle_vecs(i));
             }
             !drained
         });
-        self.live -= removed_live;
     }
 }
 
@@ -1359,6 +1296,7 @@ mod tests {
         for c in 0..cycles {
             let resps = mem.tick(c);
             dce.tick(c, machine, mem, &resps, 2, 4, cache, queues, stats);
+            assert_eq!(dce.check_invariants(), Ok(()), "cycle {c}");
         }
     }
 
@@ -1447,6 +1385,21 @@ mod tests {
     }
 
     #[test]
+    fn machine_check_catches_inconsistent_op_masks() {
+        let mut cache = DependenceChainCache::new(8);
+        let mut queues = PredictionQueues::new(4, 16);
+        let mut stats = BrStats::default();
+        cache.install(self_chain());
+        let mut dce = DependenceChainEngine::new(BranchRunaheadConfig::mini());
+        let cpu = CpuState::new();
+        dce.sync_initiate(0x50, true, &cpu, &mut cache, &mut queues, &mut stats);
+        assert_eq!(dce.check_invariants(), Ok(()));
+        // Op 0 still waiting, yet marked in flight.
+        dce.instances[0].issued |= 1;
+        assert!(dce.check_invariants().is_err());
+    }
+
+    #[test]
     fn init_counter_predictions() {
         let mut dce = DependenceChainEngine::new(BranchRunaheadConfig::mini());
         for _ in 0..5 {
@@ -1495,7 +1448,7 @@ mod tests {
         assert!(matches!(view.srcs[1].as_slice()[0], SrcRef::Op(0)));
         assert!(matches!(view.srcs[2].as_slice()[0], SrcRef::Op(1)));
         assert!(matches!(view.srcs[0].as_slice()[0], SrcRef::LiveIn(r) if r == reg::R3));
-        assert_eq!(view.flags_op, 2);
+        assert_eq!(view.live_in_mask, 1 << reg::R3.index());
         assert!(matches!(view.outs[0], (r, SrcRef::Op(0)) if r == reg::R3));
     }
 
@@ -1587,6 +1540,7 @@ mod tests {
                 &mut queues,
                 &mut stats,
             );
+            assert_eq!(dce.check_invariants(), Ok(()), "cycle {c}");
         }
         // Consume B's queue: every *filled* slot must match the A-NT
         // subsequence at its position. Late slots (instances preempted by
@@ -1653,6 +1607,7 @@ mod tests {
                 &mut queues,
                 &mut stats,
             );
+            assert_eq!(dce.check_invariants(), Ok(()), "cycle {c}");
         }
         // A is always taken (mem is zero -> cmp 0 -> Eq -> taken), so B
         // never executes; every B slot must have been cancelled.
