@@ -72,6 +72,10 @@ pub struct BrStats {
     pub dce_uops: u64,
     /// DCE load uops issued to the memory system.
     pub dce_loads: u64,
+    /// Instances the DCE tick examined: list-walk entries and dependents
+    /// re-checked by events. A deterministic measure of tick work, which
+    /// `tests/dce_work_bound.rs` bounds.
+    pub dce_instance_visits: u64,
     /// Synchronizations (live-in copies from the core).
     pub syncs: u64,
     /// Whole-DCE flushes after a DCE-supplied misprediction (chain
@@ -123,6 +127,7 @@ br_mem::counters!(BrStats {
     instances_completed,
     dce_uops,
     dce_loads,
+    dce_instance_visits,
     syncs,
     dce_flushes,
     merge_points_found,
