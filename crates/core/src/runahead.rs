@@ -291,8 +291,8 @@ impl BranchRunahead {
 
     /// Runs a machine-check sweep over every structure's invariants:
     /// prediction-queue pointer ordering, chain-cache LRU consistency,
-    /// HBT counter saturation bounds, CEB circularity, and DCE window /
-    /// MSHR bounds.
+    /// HBT counter saturation bounds, CEB circularity, DCE window /
+    /// MSHR bounds, and the DCE's event bookkeeping recounted.
     ///
     /// # Errors
     ///
