@@ -66,6 +66,13 @@ pub struct CoreStats {
     pub indirect_mispredicts: u64,
     /// Wrong-path uops squashed across all recoveries.
     pub squashed_uops: u64,
+    /// Work of the event-driven issue logic: ready-list entries the
+    /// issue phase examined, stores the forwarding search examined, and
+    /// consumers the wakeups examined.
+    pub issue_visits: u64,
+    /// Cycles in which the core fetched, issued, completed and retired
+    /// nothing.
+    pub idle_cycles: u64,
     /// FNV-1a fold over the architectural content of every retired uop:
     /// PC, destination write (register + value), memory access (address,
     /// value, store bit), actual branch resolution, and the halt bit.
@@ -92,7 +99,9 @@ br_mem::counters!(CoreStats {
     icache_misses,
     indirect_jumps,
     indirect_mispredicts,
-    squashed_uops
+    squashed_uops,
+    issue_visits,
+    idle_cycles
 });
 
 impl Default for CoreStats {
@@ -111,6 +120,8 @@ impl Default for CoreStats {
             indirect_jumps: 0,
             indirect_mispredicts: 0,
             squashed_uops: 0,
+            issue_visits: 0,
+            idle_cycles: 0,
             // FNV-1a offset basis: a zero start would make the hash
             // insensitive to leading zero bytes.
             retire_fingerprint: 0xcbf2_9ce4_8422_2325,

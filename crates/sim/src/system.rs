@@ -371,18 +371,20 @@ impl System {
     }
 
     /// Runs periodic machine-check sweeps over the Branch Runahead
-    /// structures, surfacing the first violation as a typed error.
+    /// structures and the core, surfacing the first violation as a typed
+    /// error.
     fn check_machine(&mut self, cycle: u64) -> Result<(), SimError> {
-        let name = &self.config_name;
-        if let Some(br) = self.hooks.runahead_mut() {
-            br.check_invariants(cycle)
-                .map_err(|what| SimError::InvariantViolation {
-                    job: name.clone(),
-                    cycle,
-                    what,
-                })?;
-        }
-        Ok(())
+        let result = match self.hooks.runahead_mut() {
+            Some(br) => br.check_invariants(cycle),
+            None => Ok(()),
+        };
+        result
+            .and_then(|()| self.core.check_invariants())
+            .map_err(|what| SimError::InvariantViolation {
+                job: self.config_name.clone(),
+                cycle,
+                what,
+            })
     }
 
     /// Runs to completion (program halt, retired-uop budget, or the cycle
