@@ -18,7 +18,7 @@ fn usage() -> ExitCode {
         "usage: figures [--quick] [--json] [--threads N] [--retired N] [--regions K] [--workloads a,b,c] [--telemetry-out DIR] [--sample-interval N] [--faults SPEC [--soak N]] <experiment>|all\n\
          \x20 --threads N          run simulations on N worker threads (0 = one per CPU; default 1)\n\
          \x20 --telemetry-out DIR  also run the workloads with telemetry enabled and write\n\
-         \x20                      trace.json/samples.{{jsonl,csv}}/events.jsonl/counters.json to DIR\n\
+         \x20                      trace.json/samples.jsonl/events.jsonl/counters.json to DIR\n\
          \x20 --sample-interval N  telemetry sample cadence in retired uops (default 10000)\n\
          \x20 --faults SPEC        run the fault-injection soak: \"default\" or key=value list\n\
          \x20                      (flip/drop/evict/decay/delaymem=<prob>, delay/period/seed=<int>,\n\
@@ -40,24 +40,21 @@ struct Args {
     soak_schedules: u32,
 }
 
-/// Parses the command line; `None` means "print usage".
+/// Parses the command line; `None` means "print usage". `--quick` picks
+/// the base setup, and the other setup flags apply on top of it in the
+/// order given, wherever `--quick` stands.
 fn parse(mut args: impl Iterator<Item = String>) -> Option<Args> {
-    let mut setup = ExperimentSetup::default();
+    let (mut quick, mut edits) = (false, Vec::new());
     let (mut targets, mut json, mut telemetry_out, mut faults) = (Vec::new(), false, None, None);
-    let (mut threads, mut soak_schedules) = (setup.threads, 4);
+    let mut soak_schedules = 4;
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--quick" => setup = ExperimentSetup::quick(),
+            "--quick" => quick = true,
             "--json" => json = true,
-            "--threads" => threads = args.next()?.parse().ok()?,
-            "--retired" => setup.max_retired = args.next()?.parse().ok()?,
-            // Paper-style 1..=5 regions with decaying weights.
-            "--regions" => setup = setup.with_regions(args.next()?.parse().ok()?),
-            "--workloads" => {
-                setup.workloads = args.next()?.split(',').map(str::to_string).collect();
+            "--threads" | "--retired" | "--regions" | "--workloads" | "--sample-interval" => {
+                edits.push((a, args.next()?));
             }
             "--telemetry-out" => telemetry_out = Some(args.next()?.into()),
-            "--sample-interval" => setup.telemetry.sample_interval = args.next()?.parse().ok()?,
             "--faults" => match FaultSpec::parse(&args.next()?) {
                 Ok(s) => faults = Some(s),
                 Err(e) => {
@@ -70,7 +67,21 @@ fn parse(mut args: impl Iterator<Item = String>) -> Option<Args> {
             name => targets.push(name.to_string()),
         }
     }
-    setup.threads = threads;
+    let mut setup = if quick {
+        ExperimentSetup::quick()
+    } else {
+        ExperimentSetup::default()
+    };
+    for (flag, value) in edits {
+        match flag.as_str() {
+            "--threads" => setup.threads = value.parse().ok()?,
+            "--retired" => setup.max_retired = value.parse().ok()?,
+            // Paper-style 1..=5 regions with decaying weights.
+            "--regions" => setup = setup.with_regions(value.parse().ok()?),
+            "--workloads" => setup.workloads = value.split(',').map(str::to_string).collect(),
+            _ => setup.telemetry.sample_interval = value.parse().ok()?,
+        }
+    }
     if targets.is_empty() && telemetry_out.is_none() && faults.is_none() {
         return None;
     }
@@ -151,4 +162,33 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_line(line: &str) -> ExperimentSetup {
+        parse(line.split_whitespace().map(str::to_string))
+            .expect("parses")
+            .setup
+    }
+
+    #[test]
+    fn setup_flags_survive_quick_in_either_order() {
+        let flags = "--workloads leela_17 --retired 5000 --regions 2 --sample-interval 7";
+        for line in [
+            format!("{flags} --quick fig2"),
+            format!("--quick {flags} fig2"),
+        ] {
+            let setup = parse_line(&line);
+            assert_eq!(setup.params, ExperimentSetup::quick().params, "{line}");
+            assert_eq!(setup.workloads, ["leela_17"], "{line}");
+            assert_eq!(setup.max_retired, 5000, "{line}");
+            assert_eq!(setup.regions.len(), 2, "{line}");
+            assert_eq!(setup.telemetry.sample_interval, 7, "{line}");
+        }
+        assert_eq!(parse_line("--threads 3 fig2").threads, 3);
+        assert_eq!(parse_line("fig2").params, ExperimentSetup::default().params);
+    }
 }

@@ -206,24 +206,16 @@ mod tests {
     use br_isa::Cond;
 
     fn chain(tag_pc: Pc, outcome: Option<bool>, branch_pc: Pc) -> DependenceChain {
-        DependenceChain {
-            tag: ChainTag {
-                pc: tag_pc,
-                outcome,
-            },
-            branch_pc,
-            cond: Cond::Eq,
-            ops: vec![ChainOp::Cmp {
-                src1: ChainSrc::Reg(0),
-                src2: ChainSrc::Imm(0),
-            }],
-            live_ins: vec![(br_isa::reg::R1, 0)],
-            live_outs: vec![],
-            num_local_regs: 1,
-            guard_terminated: false,
-            eliminated_uops: 0,
-            source_pcs: std::collections::BTreeSet::new(),
-        }
+        let tag = ChainTag {
+            pc: tag_pc,
+            outcome,
+        };
+        let r1 = br_isa::reg::R1;
+        let ops = vec![ChainOp::Cmp {
+            src1: ChainSrc::LiveIn(r1),
+            src2: ChainSrc::Imm(0),
+        }];
+        DependenceChain::new(tag, branch_pc, Cond::Eq, ops, 1 << r1.index(), vec![])
     }
 
     #[test]

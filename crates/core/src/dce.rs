@@ -12,158 +12,16 @@
 //! core left idle this cycle; the Core-Only variant additionally executes
 //! compute ops only in the core's idle issue slots.
 
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 use br_isa::{ArchReg, CpuState, Flags, Machine, Pc, Width};
 use br_mem::{MemResp, MemorySystem, ReqId, ReqSource};
 
-use crate::chain::{ChainOp, ChainSrc, DependenceChain};
+use crate::chain::{ChainOp, ChainSrc, DependenceChain, MAX_CHAIN_OPS};
 use crate::chain_cache::DependenceChainCache;
 use crate::config::{BranchRunaheadConfig, InitiationMode};
 use crate::pqueue::PredictionQueues;
 use crate::stats::BrStats;
-
-/// Where an op's source value comes from after dataflow analysis.
-#[derive(Clone, Copy, Debug)]
-enum SrcRef {
-    Imm(i64),
-    /// The chain's live-in value of an architectural register.
-    LiveIn(ArchReg),
-    /// The result of an earlier op in the same instance.
-    Op(usize),
-}
-
-/// An op's dataflow: its resolved source references (at most two, stored
-/// inline so a view never chases a per-op heap allocation) and the ops
-/// that read its result.
-#[derive(Clone, Copy, Debug)]
-struct OpFlow {
-    refs: [SrcRef; 2],
-    n: u8,
-    /// Bit `j`: op `j` reads this op's result.
-    consumers: u32,
-}
-
-impl OpFlow {
-    fn srcs(&self) -> &[SrcRef] {
-        &self.refs[..usize::from(self.n)]
-    }
-}
-
-/// Dataflow view of a chain: per-op sources and consumers and live-out
-/// resolution, precomputed once per *chain* and shared by every instance
-/// of it (the view cache keys on the chain's `Arc` identity).
-#[derive(Clone, Debug)]
-struct DataflowView {
-    ops: Vec<OpFlow>,
-    /// For each live-out `(arch, _)`: where its final value comes from.
-    outs: Vec<(ArchReg, SrcRef)>,
-    /// The chain's live-in GPRs, bit per register index.
-    live_in_mask: u16,
-    /// Bit `j` of `live_in_consumers[r]`: op `j` reads live-in `r`.
-    live_in_consumers: [u32; 16],
-    /// The ops whose results are live-outs.
-    out_ops: u32,
-}
-
-/// Per-local-reg resolution state while building a view. Local regs are
-/// `u8`-indexed, so direct-indexed tables replace hash maps.
-struct ResolveTables {
-    /// Op index of the latest writer of each local, or `usize::MAX`.
-    writer: [usize; 256],
-    /// The live-in arch reg bound to each unwritten local, if any.
-    live_in_of: [Option<ArchReg>; 256],
-}
-
-fn resolve_src(s: &ChainSrc, t: &ResolveTables) -> SrcRef {
-    match s {
-        ChainSrc::Imm(v) => SrcRef::Imm(*v),
-        ChainSrc::Reg(l) => {
-            let w = t.writer[usize::from(*l)];
-            if w != usize::MAX {
-                SrcRef::Op(w)
-            } else {
-                SrcRef::LiveIn(
-                    t.live_in_of[usize::from(*l)].expect("unwritten local must be a live-in"),
-                )
-            }
-        }
-    }
-}
-
-fn build_dataflow(chain: &DependenceChain) -> DataflowView {
-    let mut t = ResolveTables {
-        writer: [usize::MAX; 256],
-        live_in_of: [None; 256],
-    };
-    for (a, l) in &chain.live_ins {
-        t.live_in_of[usize::from(*l)] = Some(*a);
-    }
-    let mut ops: Vec<OpFlow> = Vec::with_capacity(chain.ops.len());
-    let mut live_in_consumers = [0u32; 16];
-    for (i, op) in chain.ops.iter().enumerate() {
-        let mut refs = OpFlow {
-            refs: [SrcRef::Imm(0); 2],
-            n: 0,
-            consumers: 0,
-        };
-        let push = |r: SrcRef, refs: &mut OpFlow| {
-            refs.refs[usize::from(refs.n)] = r;
-            refs.n += 1;
-        };
-        match op {
-            ChainOp::Alu { src1, src2, .. } | ChainOp::Cmp { src1, src2 } => {
-                push(resolve_src(src1, &t), &mut refs);
-                push(resolve_src(src2, &t), &mut refs);
-            }
-            ChainOp::Mov { src, .. } => push(resolve_src(src, &t), &mut refs),
-            ChainOp::Load { base, index, .. } => {
-                if let Some(b) = base {
-                    push(resolve_src(b, &t), &mut refs);
-                }
-                if let Some(x) = index {
-                    push(resolve_src(x, &t), &mut refs);
-                }
-            }
-        }
-        for r in refs.srcs() {
-            match r {
-                SrcRef::Imm(_) => {}
-                SrcRef::LiveIn(a) => live_in_consumers[a.index()] |= 1 << i,
-                SrcRef::Op(p) => ops[*p].consumers |= 1 << i,
-            }
-        }
-        ops.push(refs);
-        if let Some(d) = op.dst_reg() {
-            t.writer[usize::from(d)] = i;
-        }
-    }
-    let outs: Vec<_> = chain
-        .live_outs
-        .iter()
-        .map(|(a, b)| (*a, resolve_src(b, &t)))
-        .collect();
-    let out_ops = outs.iter().fold(0, |m, (_, s)| match s {
-        SrcRef::Op(i) => m | 1 << i,
-        _ => m,
-    });
-    let live_in_mask = ArchReg::gprs()
-        .filter(|r| chain.live_in_local(*r).is_some())
-        .fold(0, |m, r| m | (1 << r.index()));
-    DataflowView {
-        ops,
-        outs,
-        live_in_mask,
-        live_in_consumers,
-        out_ops,
-    }
-}
-
-/// Upper bound on ops per chain, sized for the largest `max-chain-len`
-/// the Figure 13 sweep explores (the paper's budget is 16). Op results
-/// live inline in the instance and op state in `u32` bitmasks, which
-/// makes initiation allocation-free.
-const MAX_CHAIN_OPS: usize = 32;
 
 /// The id of a free slab slot. Instance ids count up from 0 and are never
 /// reused, so no instance ever has it.
@@ -182,7 +40,7 @@ struct Instance {
     /// The instance id, or [`FREE`] when the slot holds no instance.
     id: u64,
     chain: Arc<DependenceChain>,
-    view: Arc<DataflowView>,
+    /// Op results, inline so initiation allocates nothing.
     op_result: [u64; MAX_CHAIN_OPS],
     /// Op state, bit per op: `undone` ops have no result yet, `waiting`
     /// ops have not issued, `issued` ALU ops are in flight. An undone op
@@ -267,7 +125,7 @@ impl Instance {
         let wanted = if self.completed() {
             u16::MAX
         } else {
-            self.view.live_in_mask
+            self.chain.live_ins
         };
         wanted & !self.ctx_ready
     }
@@ -277,19 +135,29 @@ impl Instance {
         (self.ctx_ready & (1 << r.index()) != 0).then(|| self.ctx[r.index()])
     }
 
-    /// Resolves a source reference to a value, if available.
-    fn value_of(&self, s: SrcRef) -> Option<u64> {
+    /// Resolves a source to a value, if available.
+    fn value_of(&self, s: ChainSrc) -> Option<u64> {
         match s {
-            SrcRef::Imm(v) => Some(v as u64),
-            SrcRef::LiveIn(r) => self.ctx_value(r),
-            SrcRef::Op(i) => (self.undone & (1 << i) == 0).then(|| self.op_result[i]),
+            ChainSrc::Imm(v) => Some(v as u64),
+            ChainSrc::LiveIn(r) => self.ctx_value(r),
+            ChainSrc::Op(i) => {
+                let i = usize::from(i);
+                (self.undone & (1 << i) == 0).then(|| self.op_result[i])
+            }
         }
+    }
+
+    /// The source values of `op`, which must be ready (0 for a load's
+    /// absent base or index).
+    fn operands(&self, op: &ChainOp) -> [u64; 2] {
+        op.srcs()
+            .map(|s| s.map_or(0, |s| self.value_of(s).expect("ready")))
     }
 
     /// This instance's end-of-chain value for arch reg `r`, if known:
     /// chain live-out if written, else the inherited context.
     fn arch_value(&self, r: ArchReg) -> Option<u64> {
-        if let Some((_, src)) = self.view.outs.iter().find(|(a, _)| *a == r) {
+        if let Some((_, src)) = self.chain.live_outs.iter().find(|(a, _)| *a == r) {
             return self.value_of(*src);
         }
         self.ctx_value(r)
@@ -311,10 +179,11 @@ impl Instance {
         while m != 0 {
             let op = m.trailing_zeros() as usize;
             m &= m - 1;
-            if self.view.ops[op]
+            if self.chain.ops[op]
                 .srcs()
-                .iter()
-                .all(|s| self.value_of(*s).is_some())
+                .into_iter()
+                .flatten()
+                .all(|s| self.value_of(s).is_some())
             {
                 ready |= 1 << op;
             }
@@ -426,11 +295,6 @@ pub struct DependenceChainEngine {
     /// PC. Every retired conditional branch trains one, so the list holds
     /// every static conditional branch seen: a linear scan, no hashing.
     init_counters: Vec<(Pc, u8)>,
-    /// Dataflow views built once per chain and shared by its instances,
-    /// keyed by `Arc` identity. The `Weak` keeps the chain's allocation,
-    /// so no other chain can take its address (the key) while the entry
-    /// lives, yet a chain nothing else holds drops its contents.
-    view_cache: Vec<(usize, Weak<DependenceChain>, Arc<DataflowView>)>,
     /// In-flight ALU ops: `(done_at, instance, op idx)`. Bounded by the
     /// ALU issue rate times the max op latency; scanning it beats storing
     /// a completion cycle per op per instance.
@@ -438,10 +302,6 @@ pub struct DependenceChainEngine {
     scratch: Scratch,
     cycle: u64,
 }
-
-/// Cap on cached dataflow views; on overflow the cache resets (views are
-/// cheap to rebuild and the big config's chain cache holds 1024 chains).
-const VIEW_CACHE_CAP: usize = 2048;
 
 impl std::fmt::Debug for DependenceChainEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -469,32 +329,9 @@ impl DependenceChainEngine {
             next_id: 0,
             pending_mem: Vec::new(),
             init_counters: Vec::new(),
-            view_cache: Vec::new(),
             alu_events: Vec::new(),
             scratch: Scratch::default(),
             cycle: 0,
-        }
-    }
-
-    /// The (cached) dataflow view for `chain`. The cache is sorted by key
-    /// for binary-search hits; a view is a pure function of its chain, so
-    /// cache resets never change observable behaviour.
-    fn dataflow_view(&mut self, chain: &Arc<DependenceChain>) -> Arc<DataflowView> {
-        let key = Instance::chain_key(chain);
-        match self.view_cache.binary_search_by_key(&key, |(k, _, _)| *k) {
-            Ok(i) => Arc::clone(&self.view_cache[i].2),
-            Err(i) => {
-                let view = Arc::new(build_dataflow(chain));
-                if self.view_cache.len() >= VIEW_CACHE_CAP {
-                    self.view_cache.clear();
-                    self.view_cache
-                        .push((key, Arc::downgrade(chain), Arc::clone(&view)));
-                } else {
-                    self.view_cache
-                        .insert(i, (key, Arc::downgrade(chain), Arc::clone(&view)));
-                }
-                view
-            }
         }
     }
 
@@ -796,9 +633,7 @@ impl DependenceChainEngine {
         }
         let id = self.next_id;
         self.next_id += 1;
-        let view = self.dataflow_view(chain);
         let n = chain.ops.len();
-        assert!(n <= MAX_CHAIN_OPS, "chain exceeds MAX_CHAIN_OPS");
         let all_ops: u32 = if n == 32 { u32::MAX } else { (1 << n) - 1 };
         let (ctx, ctx_ready) = match cpu {
             Some(cpu) => (cpu.regs, u16::MAX),
@@ -807,7 +642,6 @@ impl DependenceChainEngine {
         let mut inst = Instance {
             id,
             chain: Arc::clone(chain),
-            view,
             op_result: [0; MAX_CHAIN_OPS],
             undone: all_ops,
             waiting: all_ops,
@@ -1207,14 +1041,14 @@ impl DependenceChainEngine {
     /// instance's completion once it was the last op.
     fn op_done(&mut self, h: Handle, op: usize, stats: &mut BrStats) {
         let inst = &mut self.slots[h.slot as usize];
-        let consumers = inst.view.ops[op].consumers;
+        let consumers = inst.chain.consumers[op];
         if inst.wake(consumers) {
             insert_sorted(&mut self.ready, h);
         }
         if inst.undone == 0 {
             self.completing.push(h);
         }
-        if inst.view.out_ops & (1 << op) != 0 {
+        if inst.chain.out_ops & (1 << op) != 0 {
             self.wake_dependents(h, stats);
         }
     }
@@ -1307,7 +1141,7 @@ impl DependenceChainEngine {
             let inst = &mut self.slots[h.slot as usize];
             inst.ctx[r] = v;
             inst.ctx_ready |= 1 << r;
-            if inst.wake(inst.view.live_in_consumers[r]) {
+            if inst.wake(inst.chain.live_in_consumers[r]) {
                 insert_sorted(&mut self.ready, h);
             }
             if inst.ctx_ready == u16::MAX {
@@ -1350,27 +1184,10 @@ impl DependenceChainEngine {
                     if load_budget == 0 || self.pending_mem.len() >= self.cfg.dce_mshrs {
                         continue;
                     }
-                    let ChainOp::Load {
-                        base,
-                        index,
-                        scale,
-                        disp,
-                        ..
-                    } = op
-                    else {
+                    let ChainOp::Load { scale, disp, .. } = op else {
                         unreachable!()
                     };
-                    let flow = inst.view.ops[op_idx];
-                    let mut it = flow.srcs().iter();
-                    let b = base
-                        .map(|_| inst.value_of(*it.next().expect("base ref")).expect("ready"))
-                        .unwrap_or(0);
-                    let x = index
-                        .map(|_| {
-                            inst.value_of(*it.next().expect("index ref"))
-                                .expect("ready")
-                        })
-                        .unwrap_or(0);
+                    let [b, x] = inst.operands(&op);
                     let addr = b
                         .wrapping_add(x.wrapping_mul(u64::from(scale)))
                         .wrapping_add(disp as u64);
@@ -1426,18 +1243,11 @@ impl DependenceChainEngine {
                 continue;
             }
             stats.dce_instance_visits += 1;
-            let mut vals = [0u64; 2];
-            for (j, s) in inst.view.ops[op_idx].srcs().iter().enumerate() {
-                vals[j] = inst.value_of(*s).expect("issued implies ready");
-            }
-            match inst.chain.ops[op_idx] {
-                ChainOp::Alu { op, .. } => {
-                    inst.op_result[op_idx] = op.eval(vals[0], vals[1]);
-                }
-                ChainOp::Mov { .. } => inst.op_result[op_idx] = vals[0],
-                ChainOp::Cmp { .. } => {
-                    inst.flags = Some(Flags::from_cmp(vals[0], vals[1]));
-                }
+            let op = inst.chain.ops[op_idx];
+            let [a, b] = inst.operands(&op);
+            match op {
+                ChainOp::Alu { op, .. } => inst.op_result[op_idx] = op.eval(a, b),
+                ChainOp::Cmp { .. } => inst.flags = Some(Flags::from_cmp(a, b)),
                 ChainOp::Load { .. } => unreachable!("loads complete via memory"),
             }
             inst.issued &= !(1 << op_idx);
@@ -1547,44 +1357,34 @@ mod tests {
     use br_mem::MemoryConfig;
 
     /// A self-triggering chain like leela's branch A:
-    ///   l0 = live-in r3; op0: add l1 = l0 + 8; op1: load l2 = [l1];
-    ///   op2: cmp l2, 0 -> branch Eq; live-out r3 = l1.
+    ///   op0: add r3 + 8; op1: load [op0]; op2: cmp op1, 0 -> branch Eq;
+    ///   live-out r3 = op0.
     fn self_chain() -> DependenceChain {
-        DependenceChain {
-            tag: ChainTag {
-                pc: 0x50,
-                outcome: None,
+        let tag = ChainTag {
+            pc: 0x50,
+            outcome: None,
+        };
+        let ops = vec![
+            ChainOp::Alu {
+                op: br_isa::AluOp::Add,
+                src1: ChainSrc::LiveIn(reg::R3),
+                src2: ChainSrc::Imm(8),
             },
-            branch_pc: 0x50,
-            cond: Cond::Eq,
-            ops: vec![
-                ChainOp::Alu {
-                    op: br_isa::AluOp::Add,
-                    dst: 1,
-                    src1: ChainSrc::Reg(0),
-                    src2: ChainSrc::Imm(8),
-                },
-                ChainOp::Load {
-                    dst: 2,
-                    base: Some(ChainSrc::Reg(1)),
-                    index: None,
-                    scale: 1,
-                    disp: 0,
-                    width: Width::B8,
-                    signed: false,
-                },
-                ChainOp::Cmp {
-                    src1: ChainSrc::Reg(2),
-                    src2: ChainSrc::Imm(0),
-                },
-            ],
-            live_ins: vec![(reg::R3, 0)],
-            live_outs: vec![(reg::R3, ChainSrc::Reg(1))],
-            num_local_regs: 3,
-            guard_terminated: false,
-            eliminated_uops: 0,
-            source_pcs: std::collections::BTreeSet::new(),
-        }
+            ChainOp::Load {
+                base: Some(ChainSrc::Op(0)),
+                index: None,
+                scale: 1,
+                disp: 0,
+                width: Width::B8,
+                signed: false,
+            },
+            ChainOp::Cmp {
+                src1: ChainSrc::Op(1),
+                src2: ChainSrc::Imm(0),
+            },
+        ];
+        let live_outs = vec![(reg::R3, ChainSrc::Op(0))];
+        DependenceChain::new(tag, 0x50, Cond::Eq, ops, 1 << reg::R3.index(), live_outs)
     }
 
     fn machine_with(data: &[(u64, u64)]) -> Machine {
@@ -1769,57 +1569,33 @@ mod tests {
         assert!(stats.instances_completed >= 2, "successors follow serially");
     }
 
-    #[test]
-    fn dataflow_view_wires_dependencies() {
-        let chain = self_chain();
-        let view = build_dataflow(&chain);
-        // op1 (load) reads op0's result; op2 (cmp) reads op1's.
-        assert!(matches!(view.ops[1].srcs()[0], SrcRef::Op(0)));
-        assert!(matches!(view.ops[2].srcs()[0], SrcRef::Op(1)));
-        assert!(matches!(view.ops[0].srcs()[0], SrcRef::LiveIn(r) if r == reg::R3));
-        assert_eq!(view.live_in_mask, 1 << reg::R3.index());
-        assert!(matches!(view.outs[0], (r, SrcRef::Op(0)) if r == reg::R3));
-        // Consumers mirror the sources; op 0 alone feeds the live-out.
-        let consumers: Vec<u32> = view.ops.iter().map(|o| o.consumers).collect();
-        assert_eq!(consumers, [0b010, 0b100, 0]);
-        assert_eq!(view.live_in_consumers[reg::R3.index()], 0b001);
-        assert_eq!(view.out_ops, 0b001);
-    }
-
     /// A guarded chain like leela's branch B: triggered by `<0x50, NT>`,
     /// reads the probe index the A-chain produced.
-    ///   op0: load l2 = [l0 + 0x1000]; op1: cmp l2, 0 -> branch Eq @ 0x60.
+    ///   op0: load [r3 + 0x1000]; op1: cmp op0, 0 -> branch Eq @ 0x60.
     /// Live-in r3 (the A-chain's live-out pointer).
     fn guarded_chain() -> DependenceChain {
-        DependenceChain {
-            tag: ChainTag {
-                pc: 0x50,
-                outcome: Some(false),
+        let tag = ChainTag {
+            pc: 0x50,
+            outcome: Some(false),
+        };
+        let ops = vec![
+            ChainOp::Load {
+                base: Some(ChainSrc::LiveIn(reg::R3)),
+                index: None,
+                scale: 1,
+                disp: 0x1000,
+                width: Width::B8,
+                signed: false,
             },
-            branch_pc: 0x60,
-            cond: Cond::Eq,
-            ops: vec![
-                ChainOp::Load {
-                    dst: 2,
-                    base: Some(ChainSrc::Reg(0)),
-                    index: None,
-                    scale: 1,
-                    disp: 0x1000,
-                    width: Width::B8,
-                    signed: false,
-                },
-                ChainOp::Cmp {
-                    src1: ChainSrc::Reg(2),
-                    src2: ChainSrc::Imm(0),
-                },
-            ],
-            live_ins: vec![(reg::R3, 0)],
-            live_outs: vec![],
-            num_local_regs: 3,
-            guard_terminated: true,
-            eliminated_uops: 0,
-            source_pcs: std::collections::BTreeSet::new(),
-        }
+            ChainOp::Cmp {
+                src1: ChainSrc::Op(0),
+                src2: ChainSrc::Imm(0),
+            },
+        ];
+        let mut chain =
+            DependenceChain::new(tag, 0x60, Cond::Eq, ops, 1 << reg::R3.index(), vec![]);
+        chain.guard_terminated = true;
+        chain
     }
 
     /// End-to-end ordering check for the guarded-chain machinery: B's

@@ -9,7 +9,9 @@
 //!   relationships with bias filtering,
 //! * [`ChainExtractionBuffer`] + [`extract_chain`] (§4.3, Figure 9) — a
 //!   512-entry retired-uop ring searched by a backwards dataflow walk,
-//!   with store→load and move elimination and local rename,
+//!   with store→load and move elimination and a one-time local rename
+//!   into the [`DependenceChain`] the DCE runs, whose sources name op
+//!   results and live-in registers,
 //! * [`WrongPathBuffer`] (§4.4) — merge-point prediction by intersecting
 //!   wrong-path PCs (captured by a ROB walk at flush) with the retired
 //!   correct path; supplies both-path dest sets,
@@ -88,7 +90,7 @@ mod wpb;
 
 pub use agdetect::PoisonDetector;
 pub use ceb::{CebRecord, ChainExtractionBuffer};
-pub use chain::{ChainOp, ChainSrc, ChainTag, DependenceChain, LocalReg};
+pub use chain::{ChainOp, ChainSrc, ChainTag, DependenceChain};
 pub use chain_cache::DependenceChainCache;
 pub use config::{BranchRunaheadConfig, InitiationMode};
 pub use dce::DependenceChainEngine;
