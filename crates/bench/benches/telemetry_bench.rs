@@ -23,39 +23,31 @@ fn bench<R>(name: &str, iters: u32, mut f: impl FnMut() -> R) -> f64 {
     per_iter
 }
 
-/// The disabled facade versus the enabled path on the raw primitives:
-/// gauge sets, histogram records, and event pushes.
+/// The disabled facade versus the enabled path on the one primitive, an
+/// event push.
 fn bench_facade() {
     let mut off = Telemetry::off();
-    let off_gauge = off.gauge("bench.gauge");
-    let off_hist = off.histogram("bench.hist");
     let mut i = 0u64;
-    let disabled = bench("telemetry_off_set_record_event", 1_000_000, || {
+    let disabled = bench("telemetry_off_event", 1_000_000, || {
         i = i.wrapping_add(1);
-        off.set_gauge(off_gauge, i as i64);
-        off.record(off_hist, i & 0xff);
         off.event(i, EventKind::Recovery, i, 0);
         i
     });
 
     let mut on = Telemetry::on(65_536);
-    let on_gauge = on.gauge("bench.gauge");
-    let on_hist = on.histogram("bench.hist");
     let mut j = 0u64;
-    bench("telemetry_on_set_record_event", 1_000_000, || {
+    bench("telemetry_on_event", 1_000_000, || {
         j = j.wrapping_add(1);
-        on.set_gauge(on_gauge, j as i64);
-        on.record(on_hist, j & 0xff);
         on.event(j, EventKind::Recovery, j, 0);
         j
     });
 
-    // The disabled path must stay in no-op territory. 50 ns for three
-    // calls is already ~100x a branch-on-None; this is a tripwire for
+    // The disabled path must stay in no-op territory. 50 ns for one call
+    // is already hundreds of times a branch-on-None; this is a tripwire for
     // accidentally de-inlining the facade, not a precise budget.
     assert!(
         disabled < 0.05,
-        "disabled telemetry path costs {disabled:.4} us per 3 ops; expected a no-op"
+        "disabled telemetry path costs {disabled:.4} us per event; expected a no-op"
     );
 }
 

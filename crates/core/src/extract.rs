@@ -24,26 +24,29 @@ use br_isa::{ArchReg, Operand, Pc, RegSet, UopKind, NUM_ARCH_REGS};
 use crate::ceb::{CebRecord, ChainExtractionBuffer};
 use crate::chain::{ChainOp, ChainSrc, ChainTag, DependenceChain, MAX_CHAIN_OPS};
 
-/// Why extraction produced no chain.
+/// Why extraction produced no chain. The discriminants are stable codes:
+/// a rejection is traced as `EventKind::ChainReject` with its code in the
+/// event's `arg`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(u8)]
 pub enum ExtractOutcome {
     /// A chain was produced (paired with the chain itself by the caller).
-    Ok,
+    Ok = 0,
     /// The walk ran off the CEB without finding a terminator.
-    NoTermination,
+    NoTermination = 1,
     /// The chain would exceed the uop cap (or the 32 ops a DCE instance
     /// holds).
-    TooLong,
+    TooLong = 2,
     /// The chain needs more local registers than a local register file has.
-    TooManyRegs,
+    TooManyRegs = 3,
     /// The slice contains an operation the DCE cannot execute (§1: no
     /// divides / floating point).
-    ForbiddenOp,
+    ForbiddenOp = 4,
     /// No flag-producing compare was found (the outcome would depend on
     /// live-in condition codes — not a computable chain).
-    NoCmp,
+    NoCmp = 5,
     /// The target branch was not found in the CEB.
-    TargetMissing,
+    TargetMissing = 6,
 }
 
 /// Limits applied during extraction.

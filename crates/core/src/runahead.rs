@@ -11,7 +11,7 @@ use br_mem::{MemResp, MemorySystem};
 use br_ooo::{
     BranchOutcome, CoreHooks, CycleReport, FetchedBranch, MispredictInfo, RetiredUop, WrongPathUop,
 };
-use br_telemetry::{EventKind, GaugeId, HistId, Telemetry};
+use br_telemetry::{EventKind, Telemetry};
 
 use crate::agdetect::PoisonDetector;
 use crate::ceb::{CebRecord, ChainExtractionBuffer};
@@ -52,24 +52,6 @@ struct MergeValidation {
     seen: [Option<(bool, bool)>; 2],
     /// Active scan: (direction, remaining uops, wpb found, static found).
     tracking: Option<(bool, usize, bool, bool)>,
-}
-
-/// Pre-registered telemetry ids for the engine's instrumentation sites
-/// (inert defaults when the sink is disabled). Event counts are not
-/// telemetry: they live in [`BrStats`].
-#[derive(Clone, Copy, Debug, Default)]
-struct BrTeleIds {
-    chain_len: HistId,
-    cached_chains: GaugeId,
-}
-
-impl BrTeleIds {
-    fn register(tele: &mut Telemetry) -> Self {
-        BrTeleIds {
-            chain_len: tele.histogram("br.chain_len"),
-            cached_chains: tele.gauge("br.cached_chains"),
-        }
-    }
 }
 
 /// Point-in-time occupancy of the Branch Runahead structures, read by the
@@ -116,7 +98,6 @@ pub struct BranchRunahead {
     extract_scratch: ExtractScratch,
 
     tele: Telemetry,
-    tids: BrTeleIds,
 }
 
 impl std::fmt::Debug for BranchRunahead {
@@ -156,15 +137,13 @@ impl BranchRunahead {
             finished_scans: Vec::new(),
             extract_scratch: ExtractScratch::default(),
             tele: Telemetry::off(),
-            tids: BrTeleIds::default(),
             cfg,
         }
     }
 
-    /// Attaches a telemetry sink; the engine registers its metrics against
-    /// it and records into it until [`BranchRunahead::take_telemetry`].
-    pub fn attach_telemetry(&mut self, mut tele: Telemetry) {
-        self.tids = BrTeleIds::register(&mut tele);
+    /// Attaches a telemetry sink; the engine traces its events into it
+    /// until [`BranchRunahead::take_telemetry`].
+    pub fn attach_telemetry(&mut self, tele: Telemetry) {
         self.tele = tele;
     }
 
@@ -334,16 +313,14 @@ impl BranchRunahead {
                     self.stats.chains_with_ag += 1;
                 }
                 self.stats.uops_eliminated += chain.eliminated_uops as u64;
-                self.tele.record(self.tids.chain_len, chain.len() as u64);
                 self.tele
                     .event(cycle, EventKind::ChainExtract, pc, chain.len() as u64);
                 self.cache.install(chain);
-                self.tele
-                    .set_gauge(self.tids.cached_chains, self.cache.len() as i64);
             }
-            Err(_) => {
+            Err(outcome) => {
                 self.stats.extraction_rejects += 1;
-                self.tele.event(cycle, EventKind::ChainReject, pc, 0);
+                self.tele
+                    .event(cycle, EventKind::ChainReject, pc, outcome as u64);
             }
         }
     }

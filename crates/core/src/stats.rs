@@ -51,8 +51,9 @@ pub struct BrStats {
     pub extraction_attempts: u64,
     /// Chains successfully extracted and installed.
     pub chains_extracted: u64,
-    /// Extractions rejected, for any reason (one counter: the
-    /// [`ExtractOutcome`](crate::ExtractOutcome) reason is not kept).
+    /// Extractions rejected, for any reason. Each rejection's
+    /// [`ExtractOutcome`](crate::ExtractOutcome) code is kept in the
+    /// `ChainReject` trace event, not here.
     pub extraction_rejects: u64,
     /// Sum of installed chain lengths (uops), for Figure 2.
     pub chain_len_sum: u64,

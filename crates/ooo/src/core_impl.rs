@@ -7,7 +7,7 @@ use std::sync::Arc;
 use br_isa::{ExecRecord, Force, Machine, MachineCheckpoint, Program, Uop, UopKind, NUM_ARCH_REGS};
 use br_mem::{Cache, CacheConfig, MemResp, MemorySystem, ReqId, ReqSource, RequestError};
 use br_predictor::{ConditionalPredictor, Prediction, PredictorCheckpoint};
-use br_telemetry::{EventKind, HistId, Telemetry};
+use br_telemetry::{EventKind, Telemetry};
 
 use crate::config::CoreConfig;
 use crate::hooks::{
@@ -100,22 +100,6 @@ pub struct CycleReport {
     pub done: bool,
 }
 
-/// Pre-registered telemetry ids for the core's instrumentation sites
-/// (inert defaults when the sink is disabled). Event counts are not
-/// telemetry: they live in [`CoreStats`].
-#[derive(Clone, Copy, Debug, Default)]
-struct CoreTeleIds {
-    squash_len: HistId,
-}
-
-impl CoreTeleIds {
-    fn register(tele: &mut Telemetry) -> Self {
-        CoreTeleIds {
-            squash_len: tele.histogram("core.squash_len"),
-        }
-    }
-}
-
 /// The out-of-order core. Construct with [`Core::new`], then call
 /// [`Core::tick`] once per cycle, passing the shared memory system's
 /// responses for this cycle.
@@ -159,7 +143,6 @@ pub struct Core {
     stats: CoreStats,
     max_retired: u64,
     tele: Telemetry,
-    tids: CoreTeleIds,
 }
 
 impl std::fmt::Debug for Core {
@@ -223,14 +206,12 @@ impl Core {
             stats: CoreStats::default(),
             max_retired: u64::MAX,
             tele: Telemetry::off(),
-            tids: CoreTeleIds::default(),
         }
     }
 
-    /// Attaches a telemetry sink; the core registers its metrics against
-    /// it and records into it until [`Core::take_telemetry`].
-    pub fn attach_telemetry(&mut self, mut tele: Telemetry) {
-        self.tids = CoreTeleIds::register(&mut tele);
+    /// Attaches a telemetry sink; the core traces its events into it
+    /// until [`Core::take_telemetry`].
+    pub fn attach_telemetry(&mut self, tele: Telemetry) {
         self.tele = tele;
     }
 
@@ -567,8 +548,6 @@ impl Core {
         }
 
         self.fetch_stall_until = now + self.cfg.redirect_latency;
-        self.tele
-            .record(self.tids.squash_len, wrong_path.len() as u64);
         self.tele
             .event(now, EventKind::Recovery, info.pc, wrong_path.len() as u64);
         hooks.on_mispredict(&info, &wrong_path, self.machine.cpu());

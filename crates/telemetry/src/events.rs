@@ -15,7 +15,11 @@ pub enum EventKind {
     /// A dependence chain was extracted and installed. `pc` = target
     /// branch, `arg` = chain length in uops.
     ChainExtract,
-    /// A chain extraction attempt was rejected. `pc` = target branch.
+    /// A chain extraction attempt was rejected. `pc` = target branch,
+    /// `arg` = the reason, as `br_core::ExtractOutcome`'s stable code:
+    /// 1 no terminator in the CEB, 2 too long, 3 too many local
+    /// registers, 4 an op the DCE cannot run, 5 no flag-producing
+    /// compare, 6 target branch not in the CEB (0, `Ok`, never appears).
     ChainReject,
     /// A branch was allocated into the Hard Branch Table. `pc` = the
     /// retiring branch that triggered the poll (allocation attribution is

@@ -3,18 +3,17 @@
 //! The paper's evaluation is about *when* things happen — predictions
 //! arriving too late, throttled windows, DCE occupancy under contention —
 //! but end-of-run statistics flatten all of it. This crate adds the
-//! missing time axis with three primitives:
+//! missing time axis with two collectors:
 //!
-//! * a [`Metrics`] registry — named gauges and log2-bucketed
-//!   [`Histogram`]s — behind the [`Telemetry`] facade, whose disabled
-//!   path is a single predictable branch (no trait objects, no generics
-//!   leaking into component types; verified by `telemetry_bench`),
 //! * an interval time series of [`Sample`]s (IPC, MPKI, coverage/late/
 //!   throttle rates, queue depths, chain-cache hit rate every N retired
 //!   uops), driven by the `br-sim` system loop,
 //! * a bounded [`EventRing`] of discrete [`TraceEvent`]s (chain
 //!   extraction/rejection, HBT churn, WPB merge hits, DCE flush/sync,
-//!   recoveries).
+//!   recoveries), each stamped with its cycle and PC, filled through the
+//!   [`Telemetry`] sink, whose disabled path is a single predictable
+//!   branch (no trait objects, no generics leaking into component types;
+//!   verified by `telemetry_bench`).
 //!
 //! Event counts are deliberately absent: the simulator's statistics
 //! structs already count every event once, and the simulator copies them
@@ -29,11 +28,8 @@
 //! use br_telemetry::{EventKind, Telemetry};
 //!
 //! let mut t = Telemetry::on(1024);
-//! let squash = t.histogram("core.squash_len");
-//! t.record(squash, 12);
 //! t.event(100, EventKind::Recovery, 0x40, 12);
-//! let (metrics, events) = t.drain().unwrap();
-//! assert_eq!(metrics.histograms().next().unwrap().1.sum(), 12);
+//! let events = t.drain().unwrap();
 //! assert_eq!(events.len(), 1);
 //!
 //! let off = Telemetry::off();          // all updates are no-ops
@@ -44,11 +40,9 @@
 
 mod events;
 pub mod export;
-mod metrics;
 mod sample;
 
 pub use events::{EventKind, EventRing, TraceEvent};
-pub use metrics::{GaugeId, HistId, Histogram, Metrics, HIST_BUCKETS};
 pub use sample::{json_f64, Sample};
 
 /// Telemetry collection knobs, carried inside the simulation
@@ -75,12 +69,6 @@ impl Default for TelemetryConfig {
     }
 }
 
-#[derive(Clone, Debug)]
-struct Inner {
-    metrics: Metrics,
-    events: EventRing,
-}
-
 /// A telemetry sink owned by an instrumented component (the core, the
 /// Branch Runahead engine). Everything is a no-op when constructed with
 /// [`Telemetry::off`] — updates cost one branch on a `None` discriminant
@@ -88,24 +76,21 @@ struct Inner {
 /// generics or feature gates for it.
 #[derive(Clone, Debug, Default)]
 pub struct Telemetry {
-    inner: Option<Box<Inner>>,
+    ring: Option<Box<EventRing>>,
 }
 
 impl Telemetry {
     /// A disabled sink: every operation is a no-op.
     #[must_use]
     pub fn off() -> Self {
-        Telemetry { inner: None }
+        Telemetry { ring: None }
     }
 
     /// An enabled sink whose event ring holds `event_capacity` events.
     #[must_use]
     pub fn on(event_capacity: usize) -> Self {
         Telemetry {
-            inner: Some(Box::new(Inner {
-                metrics: Metrics::default(),
-                events: EventRing::new(event_capacity),
-            })),
+            ring: Some(Box::new(EventRing::new(event_capacity))),
         }
     }
 
@@ -123,45 +108,14 @@ impl Telemetry {
     #[inline]
     #[must_use]
     pub fn is_on(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Registers (or finds) a gauge. On a disabled sink the returned id
-    /// is inert (updates through it are dropped with the rest).
-    pub fn gauge(&mut self, name: &'static str) -> GaugeId {
-        self.inner
-            .as_mut()
-            .map_or(GaugeId::default(), |i| i.metrics.gauge(name))
-    }
-
-    /// Registers (or finds) a histogram.
-    pub fn histogram(&mut self, name: &'static str) -> HistId {
-        self.inner
-            .as_mut()
-            .map_or(HistId::default(), |i| i.metrics.histogram(name))
-    }
-
-    /// Sets a gauge (no-op when disabled).
-    #[inline]
-    pub fn set_gauge(&mut self, id: GaugeId, value: i64) {
-        if let Some(i) = &mut self.inner {
-            i.metrics.set_gauge(id, value);
-        }
-    }
-
-    /// Records a histogram value (no-op when disabled).
-    #[inline]
-    pub fn record(&mut self, id: HistId, value: u64) {
-        if let Some(i) = &mut self.inner {
-            i.metrics.record(id, value);
-        }
+        self.ring.is_some()
     }
 
     /// Traces a discrete event (no-op when disabled).
     #[inline]
     pub fn event(&mut self, cycle: u64, kind: EventKind, pc: u64, arg: u64) {
-        if let Some(i) = &mut self.inner {
-            i.events.push(TraceEvent {
+        if let Some(ring) = &mut self.ring {
+            ring.push(TraceEvent {
                 cycle,
                 kind,
                 pc,
@@ -170,17 +124,17 @@ impl Telemetry {
         }
     }
 
-    /// Consumes the sink, returning its registry and event ring (None for
-    /// a disabled sink).
+    /// Consumes the sink, returning its event ring (None for a disabled
+    /// sink).
     #[must_use]
-    pub fn drain(self) -> Option<(Metrics, EventRing)> {
-        self.inner.map(|i| (i.metrics, i.events))
+    pub fn drain(self) -> Option<EventRing> {
+        self.ring.map(|ring| *ring)
     }
 }
 
 /// The collected telemetry of one simulation run: the interval time
-/// series plus the merged metrics and event traces of every sink that
-/// observed the run.
+/// series plus the merged event traces of every sink that observed the
+/// run.
 #[derive(Clone, Debug, Default)]
 pub struct TelemetryRun {
     /// Interval samples in time order.
@@ -193,20 +147,15 @@ pub struct TelemetryRun {
     /// `mem.<path>` after the simulator's statistics lists (filled by the
     /// simulator, not by the sinks).
     pub counters: Vec<(String, u64)>,
-    /// Final gauge values, in sink order then registration order.
-    pub gauges: Vec<(String, i64)>,
-    /// Final histograms, in sink order then registration order.
-    pub histograms: Vec<(String, Histogram)>,
 }
 
 impl TelemetryRun {
     /// Folds the interval time series and the drained sinks into one run
     /// record (with no counters yet). Sink order is significant and must
-    /// be deterministic (callers pass e.g. `[core_sink, br_sink]`): gauges
-    /// and histograms concatenate in that order and event streams — each
-    /// already nondecreasing in
-    /// cycle, since components observe cycles monotonically — are
-    /// stably merged by cycle with earlier sinks winning ties.
+    /// be deterministic (callers pass e.g. `[core_sink, br_sink]`): event
+    /// streams — each already nondecreasing in cycle, since components
+    /// observe cycles monotonically — are stably merged by cycle with
+    /// earlier sinks winning ties.
     #[must_use]
     pub fn collect(samples: Vec<Sample>, sinks: Vec<Telemetry>) -> Self {
         let mut run = TelemetryRun {
@@ -214,15 +163,9 @@ impl TelemetryRun {
             ..TelemetryRun::default()
         };
         for sink in sinks {
-            let Some((metrics, ring)) = sink.drain() else {
+            let Some(ring) = sink.drain() else {
                 continue;
             };
-            for (name, v) in metrics.gauges() {
-                run.gauges.push((name.to_string(), v));
-            }
-            for (name, h) in metrics.histograms() {
-                run.histograms.push((name.to_string(), h.clone()));
-            }
             let (events, dropped) = ring.into_parts();
             run.dropped_events += dropped;
             run.events = merge_by_cycle(std::mem::take(&mut run.events), events);
@@ -274,10 +217,6 @@ mod tests {
     #[test]
     fn disabled_sink_is_inert() {
         let mut t = Telemetry::off();
-        let g = t.gauge("g");
-        let h = t.histogram("h");
-        t.set_gauge(g, 5);
-        t.record(h, 9);
         t.event(1, EventKind::Recovery, 0, 0);
         assert!(!t.is_on());
         assert!(t.drain().is_none());
@@ -294,19 +233,14 @@ mod tests {
     #[test]
     fn collect_merges_sinks_deterministically() {
         let mut a = Telemetry::on(16);
-        let ga = a.gauge("a.n");
-        a.set_gauge(ga, 1);
         a.event(5, EventKind::Recovery, 1, 0);
         a.event(9, EventKind::Recovery, 2, 0);
 
         let mut b = Telemetry::on(16);
-        let gb = b.gauge("b.n");
-        b.set_gauge(gb, 2);
         b.event(5, EventKind::ChainExtract, 3, 0);
         b.event(7, EventKind::ChainExtract, 4, 0);
 
         let run = TelemetryRun::collect(Vec::new(), vec![a, b]);
-        assert_eq!(run.gauges, [("a.n".to_string(), 1), ("b.n".to_string(), 2)]);
         let cycles: Vec<u64> = run.events.iter().map(|e| e.cycle).collect();
         assert_eq!(cycles, vec![5, 5, 7, 9]);
         // Tie at cycle 5: the first sink's event comes first.
@@ -323,22 +257,5 @@ mod tests {
         assert_eq!(run.dropped_events, 1);
         assert_eq!(run.events.len(), 1);
         assert_eq!(run.events[0].cycle, 2, "ring keeps the newest event");
-    }
-
-    #[test]
-    fn registration_ids_work_across_reattach() {
-        // The same site can register against successive sinks (attach,
-        // drain, attach again) and ids stay valid for the current sink.
-        let mut t = Telemetry::on(4);
-        let h1 = t.histogram("n");
-        t.record(h1, 1);
-        let (m, _) = t.drain().unwrap();
-        assert_eq!(m.histograms().next().map(|(_, h)| h.sum()), Some(1));
-
-        let mut t2 = Telemetry::on(4);
-        let h2 = t2.histogram("n");
-        t2.record(h2, 7);
-        let (m2, _) = t2.drain().unwrap();
-        assert_eq!(m2.histograms().next().map(|(_, h)| h.sum()), Some(7));
     }
 }

@@ -21,7 +21,7 @@
 //! | [`workloads`] | `br-workloads` | 18 SPEC/GAP-like synthetic kernels |
 //! | [`energy`] | `br-energy` | McPAT-substitute energy/area models |
 //! | [`sim`] | `br-sim` | system composition + per-figure experiments |
-//! | [`telemetry`] | `br-telemetry` | metrics, interval samples, event traces, exporters |
+//! | [`telemetry`] | `br-telemetry` | interval samples, event traces, exporters |
 //!
 //! ## Quick start
 //!

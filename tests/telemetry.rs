@@ -1,10 +1,12 @@
 //! Telemetry acceptance: the exported counters must be the end-of-run
 //! statistics, one name per listed counter; traced events must match the
-//! counts of the events they trace; the interval samples must advance
+//! counts of the events they trace, and their payloads the totals and
+//! reasons of those events; the interval samples must advance
 //! monotonically; and a run with telemetry disabled must be
 //! byte-identical to one that never heard of the subsystem.
 
 use branch_runahead::mem::Counters;
+use branch_runahead::runahead::ExtractOutcome;
 use branch_runahead::sim::{SimConfig, System, TelemetryConfig};
 use branch_runahead::telemetry::EventKind;
 use branch_runahead::workloads::{workload_by_name, WorkloadParams};
@@ -20,7 +22,10 @@ fn image() -> branch_runahead::workloads::WorkloadImage {
 }
 
 fn run_with_telemetry() -> branch_runahead::sim::RunResult {
-    let mut cfg = SimConfig::mini_br();
+    run_with_telemetry_on(SimConfig::mini_br())
+}
+
+fn run_with_telemetry_on(mut cfg: SimConfig) -> branch_runahead::sim::RunResult {
     cfg.max_retired = 60_000;
     cfg.telemetry = TelemetryConfig {
         enabled: true,
@@ -34,7 +39,6 @@ fn run_with_telemetry() -> branch_runahead::sim::RunResult {
 fn counters_reconcile_with_run_stats() {
     let r = run_with_telemetry();
     let t = r.telemetry.as_ref().expect("telemetry enabled");
-    let br = r.br.as_ref().expect("BR enabled");
 
     let mut listed = 0;
     r.for_each_counter(&mut |name, value| {
@@ -49,15 +53,6 @@ fn counters_reconcile_with_run_stats() {
     });
     assert_eq!(t.counters.len(), listed, "only listed counters exported");
     assert!(t.counter("br.prediction_breakdown.correct").unwrap_or(0) > 0);
-
-    // The chain-length histogram shadows the stats' sum.
-    let (_, hist) = t
-        .histograms
-        .iter()
-        .find(|(n, _)| n == "br.chain_len")
-        .expect("chain_len histogram");
-    assert_eq!(hist.sum(), br.chain_len_sum);
-    assert_eq!(hist.count(), br.chains_extracted);
 }
 
 #[test]
@@ -84,8 +79,50 @@ fn events_reconcile_with_counters() {
             kind.name()
         );
     }
+    // The payloads carry the same totals: squash lengths sum to the
+    // squashed uops, chain lengths to the installed chain lengths.
+    assert!(t.counter("br.chains_extracted") > Some(0));
+    let arg_sum = |kind| -> u64 {
+        t.events
+            .iter()
+            .filter(|e| e.kind == kind)
+            .map(|e| e.arg)
+            .sum()
+    };
+    assert_eq!(
+        arg_sum(EventKind::Recovery),
+        t.counter("core.squashed_uops").expect("listed counter")
+    );
+    assert_eq!(
+        arg_sum(EventKind::ChainExtract),
+        t.counter("br.chain_len_sum").expect("listed counter")
+    );
     // Events arrive merged in nondecreasing cycle order.
     assert!(t.events.windows(2).all(|w| w[0].cycle <= w[1].cycle));
+}
+
+#[test]
+fn rejected_chains_keep_their_reason() {
+    // Budgets tight enough that leela's chains get rejected, each for
+    // one known reason.
+    for (max_chain_len, local_regs, expected) in [
+        (4, 8, ExtractOutcome::TooLong),
+        (16, 2, ExtractOutcome::TooManyRegs),
+    ] {
+        let mut cfg = SimConfig::mini_br();
+        let br = cfg.runahead.as_mut().expect("BR enabled");
+        br.max_chain_len = max_chain_len;
+        br.local_regs = local_regs;
+        let r = run_with_telemetry_on(cfg);
+        let t = r.telemetry.as_ref().expect("telemetry enabled");
+        assert_eq!(t.dropped_events, 0, "ring too small for this run");
+        let rejects = t.counter("br.extraction_rejects").expect("listed counter");
+        assert!(rejects > 0, "{expected:?}: no extraction was rejected");
+        assert_eq!(t.event_count(EventKind::ChainReject) as u64, rejects);
+        for e in t.events.iter().filter(|e| e.kind == EventKind::ChainReject) {
+            assert_eq!(e.arg, expected as u64, "{expected:?}: reject reason");
+        }
+    }
 }
 
 #[test]

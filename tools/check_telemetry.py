@@ -2,14 +2,18 @@
 """Validate a figures --telemetry-out directory.
 
 Checks that every exporter's output parses (Chrome trace JSON, JSONL)
-and that the views agree with each other: typed sample columns, event
-lines covered by counters.json totals, and nonzero progress counters.
+and that the views agree with each other: typed sample columns, nonzero
+progress counters and, for every job that dropped no events, traced
+events that reconcile with its counters.json totals (one line per
+counted event of each traced kind; recovery args summing to the
+squashed uops and chain_extract args to the installed chain lengths).
 
 Usage: check_telemetry.py DIR
 """
 
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 EXPECTED_FILES = [
@@ -21,6 +25,23 @@ EXPECTED_FILES = [
 
 SAMPLE_KEYS = {"job", "cycle", "retired_uops", "ipc", "mpki", "coverage_rate"}
 EVENT_KEYS = {"job", "cycle", "kind", "pc", "arg"}
+
+# Traced event kind -> the counter that counts the same events.
+KIND_COUNTERS = {
+    "recovery": "core.recoveries",
+    "chain_extract": "br.chains_extracted",
+    "chain_reject": "br.extraction_rejects",
+    "dce_sync": "br.syncs",
+    "dce_flush": "br.dce_flushes",
+    "wpb_merge": "br.merge_points_found",
+    "hbt_insert": "br.hbt_inserts",
+    "hbt_evict": "br.hbt_evicts",
+}
+# Traced event kind -> the counter its args sum to.
+ARG_SUMS = {
+    "recovery": "core.squashed_uops",
+    "chain_extract": "br.chain_len_sum",
+}
 
 
 def fail(msg: str) -> None:
@@ -73,14 +94,31 @@ def main() -> None:
     if retired <= 0:
         fail("no retired uops recorded across jobs")
     dropped = sum(j.get("dropped_events", 0) for j in jobs)
-    extracted = sum(j["counters"].get("br.chains_extracted", 0) for j in jobs)
-    event_kinds = {e["kind"] for e in traced}
-    if extracted > 0 and dropped == 0 and "chain_extract" not in event_kinds:
-        fail("chains extracted but no chain_extract events traced")
+
+    lines = Counter()  # (job, kind) -> traced event count
+    arg_sums = Counter()  # (job, kind) -> sum of traced args
+    for e in traced:
+        lines[(e["job"], e["kind"])] += 1
+        arg_sums[(e["job"], e["kind"])] += e["arg"]
+    reconciled = 0
+    for j in jobs:
+        if j.get("dropped_events", 0) != 0:
+            continue
+        reconciled += 1
+        job, counts = j["job"], j["counters"]
+        for table, seen, what in [
+            (KIND_COUNTERS, lines, "lines"),
+            (ARG_SUMS, arg_sums, "arg sum"),
+        ]:
+            for kind, counter in table.items():
+                got, want = seen[(job, kind)], counts.get(counter, 0)
+                if got != want:
+                    fail(f"{job}: {kind} {what} {got} != {counter} {want}")
 
     print(
         f"check_telemetry: OK: {len(jobs)} jobs, {len(samples)} samples, "
-        f"{len(traced)} events ({dropped} dropped), {retired} retired uops"
+        f"{len(traced)} events ({dropped} dropped), {retired} retired uops, "
+        f"{reconciled} jobs reconciled"
     )
 
 
