@@ -5,6 +5,9 @@
 //! * [`JournaledMemory`] against a plain `HashMap<u64, u8>` reference
 //!   model, under random interleavings of writes, checkpoints, rollbacks
 //!   and releases;
+//! * [`MemoryImage`]'s width, byte and slice writes against the same
+//!   model, at addresses that straddle pages, and the journaled memory
+//!   built from the image;
 //! * [`RegSet`] against a `BTreeSet<usize>` reference model;
 //! * emulator determinism: re-running a program from a checkpoint must
 //!   reproduce the identical execution.
@@ -150,6 +153,95 @@ fn journaled_memory_matches_model() {
             }
         }
     }
+}
+
+/// Random width, byte and slice writes into a [`MemoryImage`], clustered
+/// at page edges so that values and slices straddle pages: the image, its
+/// page list and the journaled memory built from it hold exactly the
+/// model's bytes.
+#[test]
+fn image_writes_match_model() {
+    const PAGE: u64 = 4096;
+    let mut straddles = 0;
+    for case in 0..64u64 {
+        let mut rng = Rng::new(0x1a6e_5eed ^ (case << 40) ^ case);
+        let mut img = MemoryImage::new();
+        let mut model = MemModel::default();
+        for _ in 0..1 + rng.below(24) {
+            let off = if rng.below(2) == 0 {
+                PAGE - 1 - rng.below(16)
+            } else {
+                rng.below(PAGE)
+            };
+            let addr = rng.below(4) * PAGE + off;
+            let len = match rng.below(5) {
+                0 => {
+                    let w = width_of(rng.below(4) as u8);
+                    let v = rng.next();
+                    img.write(addr, w, v);
+                    model.write(addr, w, v);
+                    w.bytes()
+                }
+                1 => {
+                    let b = rng.next() as u8;
+                    img.write_byte(addr, b);
+                    model.write(addr, Width::B1, u64::from(b));
+                    1
+                }
+                2 => {
+                    let values: Vec<u64> = (0..rng.below(700)).map(|_| rng.next()).collect();
+                    img.write_u64_slice(addr, &values);
+                    for (i, v) in values.iter().enumerate() {
+                        model.write(addr + 8 * i as u64, Width::B8, *v);
+                    }
+                    8 * values.len() as u64
+                }
+                3 => {
+                    let values: Vec<u32> =
+                        (0..rng.below(1400)).map(|_| rng.next() as u32).collect();
+                    img.write_u32_slice(addr, &values);
+                    for (i, v) in values.iter().enumerate() {
+                        model.write(addr + 4 * i as u64, Width::B4, u64::from(*v));
+                    }
+                    4 * values.len() as u64
+                }
+                _ => {
+                    let bytes: Vec<u8> = (0..rng.below(5000)).map(|_| rng.next() as u8).collect();
+                    img.write_bytes(addr, &bytes);
+                    for (i, b) in bytes.iter().enumerate() {
+                        model.write(addr + i as u64, Width::B1, u64::from(*b));
+                    }
+                    bytes.len() as u64
+                }
+            };
+            straddles += u64::from(len > 0 && addr / PAGE != (addr + len - 1) / PAGE);
+        }
+
+        let mut touched: Vec<u64> = model.bytes.keys().map(|a| a / PAGE).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        let pages: Vec<(u64, Vec<u8>)> = img.pages().map(|(n, p)| (n, p.to_vec())).collect();
+        let numbers: Vec<u64> = pages.iter().map(|&(n, _)| n).collect();
+        assert_eq!(numbers, touched, "case {case}: touched pages");
+        assert_eq!(img.page_count(), touched.len(), "case {case}");
+        let mem = img.to_memory();
+        for (n, bytes) in &pages {
+            for (i, b) in bytes.iter().enumerate() {
+                let addr = n * PAGE + i as u64;
+                let want = model.read(addr, Width::B1);
+                assert_eq!(u64::from(*b), want, "case {case}: page byte {addr:#x}");
+                assert_eq!(img.read(addr, Width::B1), want, "case {case}: {addr:#x}");
+                assert_eq!(mem.read(addr, Width::B1), want, "case {case}: {addr:#x}");
+            }
+        }
+        for _ in 0..256 {
+            let (addr, w) = (rng.below(6 * PAGE), width_of(rng.below(4) as u8));
+            let want = model.read(addr, w);
+            assert_eq!(img.read(addr, w), want, "case {case}: read {addr:#x}");
+            assert_eq!(mem.read(addr, w), want, "case {case}: memory {addr:#x}");
+        }
+    }
+    assert!(straddles > 100, "only {straddles} writes straddled a page");
 }
 
 #[test]

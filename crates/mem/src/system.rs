@@ -72,6 +72,19 @@ pub struct MemoryConfig {
     pub tlb: TlbConfig,
 }
 
+impl MemoryConfig {
+    /// Validates the cache geometries.
+    ///
+    /// # Errors
+    ///
+    /// Names the first cache whose geometry [`CacheConfig::validate`]
+    /// rejects.
+    pub fn validate(&self) -> Result<(), String> {
+        self.l1.validate().map_err(|e| format!("L1: {e}"))?;
+        self.l2.validate().map_err(|e| format!("L2: {e}"))
+    }
+}
+
 impl Default for MemoryConfig {
     fn default() -> Self {
         MemoryConfig {

@@ -1,5 +1,7 @@
 //! Core configuration (paper Table 1 defaults).
 
+use br_mem::CacheConfig;
+
 /// Parameters of the out-of-order core.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CoreConfig {
@@ -54,13 +56,27 @@ impl Default for CoreConfig {
 }
 
 impl CoreConfig {
+    /// The I-cache geometry (64 B lines), or `None` when the I-cache model
+    /// is disabled.
+    #[must_use]
+    pub fn icache(&self) -> Option<CacheConfig> {
+        (self.icache_bytes > 0).then_some(CacheConfig {
+            size_bytes: self.icache_bytes,
+            ways: self.icache_ways,
+            line_bytes: 64,
+        })
+    }
+
     /// Validates internal consistency.
     ///
     /// # Errors
     ///
-    /// Names the first zero width or capacity, or an RS larger than the
-    /// ROB.
+    /// Names the first zero width or capacity, an RS larger than the ROB,
+    /// or a bad I-cache geometry.
     pub fn validate(&self) -> Result<(), String> {
+        if let Some(icache) = self.icache() {
+            icache.validate().map_err(|e| format!("I-cache: {e}"))?;
+        }
         let ensure = |ok: bool, what: &str| if ok { Ok(()) } else { Err(what.to_string()) };
         let rs_fits = self.rs_entries <= self.rob_entries;
         ensure(self.fetch_width > 0, "fetch width must be nonzero")?;
@@ -96,5 +112,20 @@ mod tests {
         .validate()
         .unwrap_err();
         assert!(err.contains("RS larger than ROB"), "{err}");
+    }
+
+    #[test]
+    fn zero_icache_ways_rejected_unless_icache_disabled() {
+        let zero_ways = CoreConfig {
+            icache_ways: 0,
+            ..CoreConfig::default()
+        };
+        let err = zero_ways.validate().unwrap_err();
+        assert!(err.contains("I-cache"), "{err}");
+        let disabled = CoreConfig {
+            icache_bytes: 0,
+            ..zero_ways
+        };
+        assert_eq!(disabled.validate(), Ok(()));
     }
 }

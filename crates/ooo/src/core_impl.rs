@@ -5,7 +5,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 use br_isa::{ExecRecord, Force, Machine, MachineCheckpoint, Program, Uop, UopKind, NUM_ARCH_REGS};
-use br_mem::{Cache, CacheConfig, MemResp, MemorySystem, ReqId, ReqSource, RequestError};
+use br_mem::{Cache, MemResp, MemorySystem, ReqId, ReqSource, RequestError};
 use br_predictor::{ConditionalPredictor, Prediction, PredictorCheckpoint};
 use br_telemetry::{EventKind, Telemetry};
 
@@ -173,13 +173,7 @@ impl Core {
     ) -> Self {
         let program = program.into();
         cfg.validate().unwrap_or_else(|e| panic!("{e}"));
-        let icache = (cfg.icache_bytes > 0).then(|| {
-            Cache::new(CacheConfig {
-                size_bytes: cfg.icache_bytes,
-                ways: cfg.icache_ways,
-                line_bytes: 64,
-            })
-        });
+        let icache = cfg.icache().map(Cache::new);
         let rob_entries = cfg.rob_entries;
         Core {
             icache,

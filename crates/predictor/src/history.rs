@@ -68,9 +68,11 @@ pub struct HistoryCheckpoint {
 #[derive(Clone, Debug)]
 pub struct GlobalHistory {
     bits: Vec<bool>,
-    /// Monotonic count of bits ever inserted; `head % bits.len()` is the
-    /// slot the *next* bit will occupy.
+    /// Monotonic count of bits ever inserted; `head & mask` is the slot
+    /// the *next* bit will occupy.
     head: u64,
+    /// `bits.len() - 1`; the ring's length is a power of two.
+    mask: u64,
     path: u64,
     folded: Vec<FoldedHistory>,
 }
@@ -90,6 +92,7 @@ impl GlobalHistory {
         GlobalHistory {
             bits: vec![false; capacity],
             head: 0,
+            mask: capacity as u64 - 1,
             path: 0,
             folded: Vec::new(),
         }
@@ -119,7 +122,7 @@ impl GlobalHistory {
         let mut v = 0u64;
         for i in 0..u64::from(n) {
             if self.head > i {
-                let idx = ((self.head - 1 - i) % self.bits.len() as u64) as usize;
+                let idx = ((self.head - 1 - i) & self.mask) as usize;
                 v |= u64::from(self.bits[idx]) << i;
             }
         }
@@ -134,16 +137,15 @@ impl GlobalHistory {
 
     /// Pushes a branch outcome (and its PC into path history).
     pub fn push(&mut self, pc: u64, taken: bool) {
-        let cap = self.bits.len() as u64;
         for f in &mut self.folded {
             let out_idx = self.head.checked_sub(u64::from(f.history_length()));
             let out_bit = match out_idx {
-                Some(i) => self.bits[(i % cap) as usize],
+                Some(i) => self.bits[(i & self.mask) as usize],
                 None => false,
             };
             f.update(taken, out_bit);
         }
-        self.bits[(self.head % cap) as usize] = taken;
+        self.bits[(self.head & self.mask) as usize] = taken;
         self.head += 1;
         self.path = (self.path << 1) ^ (pc & 0x3f);
     }

@@ -151,6 +151,9 @@ pub struct Tage {
     idx_fold: Vec<usize>,
     tag_fold0: Vec<usize>,
     tag_fold1: Vec<usize>,
+    /// Per table, the mask of the path-history bits its index mixes in:
+    /// the low `min(history length, 16)` bits.
+    path_mask: Vec<u64>,
     use_alt_on_na: i8, // 4-bit signed counter
     lfsr: u32,
     updates: u64,
@@ -177,11 +180,13 @@ impl Tage {
         let mut idx_fold = Vec::new();
         let mut tag_fold0 = Vec::new();
         let mut tag_fold1 = Vec::new();
+        let mut path_mask = Vec::new();
         for i in 0..cfg.num_tables {
             let hl = cfg.history_length(i);
             idx_fold.push(hist.add_folded(hl, cfg.table_log2));
             tag_fold0.push(hist.add_folded(hl, cfg.tag_bits));
             tag_fold1.push(hist.add_folded(hl, cfg.tag_bits - 1));
+            path_mask.push((1 << hl.min(16)) - 1);
         }
         Tage {
             bimodal: vec![2; 1 << cfg.bimodal_log2], // weakly taken
@@ -190,6 +195,7 @@ impl Tage {
             idx_fold,
             tag_fold0,
             tag_fold1,
+            path_mask,
             use_alt_on_na: 0,
             lfsr: 0xace1,
             updates: 0,
@@ -209,9 +215,8 @@ impl Tage {
 
     fn table_index(&self, pc: Pc, i: usize) -> usize {
         let mask = (1usize << self.cfg.table_log2) - 1;
-        let hl = self.cfg.history_length(i) as u64;
         let folded = u64::from(self.hist.folded(self.idx_fold[i]));
-        let path = self.hist.path() & ((1 << hl.min(16)) - 1);
+        let path = self.hist.path() & self.path_mask[i];
         ((pc ^ (pc >> (self.cfg.table_log2 as u64 - i as u64 % 4))
             ^ folded
             ^ (path >> (i as u64 & 3))) as usize)

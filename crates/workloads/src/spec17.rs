@@ -176,9 +176,8 @@ impl Workload for Xz17 {
         let mut mem = MemoryImage::new();
         // Byte data with ~50% chance of matching at equal offsets: use a
         // 2-symbol alphabet so match runs are geometric.
-        for i in 0..n {
-            mem.write_byte(TABLE_A + i, (rng.next_u64() & 1) as u8);
-        }
+        let data: Vec<u8> = (0..n).map(|_| (rng.next_u64() & 1) as u8).collect();
+        mem.write_bytes(TABLE_A, &data);
 
         let mut b = ProgramBuilder::new();
         let outer_end = b.new_label();
@@ -253,14 +252,10 @@ impl Workload for Deepsjeng17 {
         let mut rng = XorShift64::new(params.seed ^ 0x646a_3137);
         let mut mem = MemoryImage::new();
         // Entries: [flag (0..3), score (signed)] interleaved, 16B apart.
-        for i in 0..n {
-            mem.write(TABLE_A + i * 16, Width::B8, rng.below(4));
-            mem.write(
-                TABLE_A + i * 16 + 8,
-                Width::B8,
-                (rng.next_u64() as i64 >> 1) as u64,
-            );
-        }
+        let entries: Vec<u64> = (0..n)
+            .flat_map(|_| [rng.below(4), (rng.next_u64() as i64 >> 1) as u64])
+            .collect();
+        mem.write_u64_slice(TABLE_A, &entries);
 
         let mut b = ProgramBuilder::new();
         let skip = b.new_label();
