@@ -343,17 +343,9 @@ pub fn extract_chain_with(
                 cmp_found = true;
                 (op, None)
             }
-            // Calls write their link register; if that feeds the branch
-            // (rare), treat the link value as a constant of the slice.
-            UopKind::Call { link, .. } => {
-                rn.write(link, ChainSrc::Imm((r.uop.pc + 1) as i64));
-                eliminated += 1;
-                continue;
-            }
             UopKind::Store { .. }
             | UopKind::Branch { .. }
             | UopKind::Jump { .. }
-            | UopKind::JumpInd { .. }
             | UopKind::Nop
             | UopKind::Halt => continue,
         };

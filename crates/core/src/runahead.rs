@@ -444,14 +444,9 @@ impl CoreHooks for BranchRunahead {
         self.checkpoint_pool
             .extend(self.checkpoints.drain(keep..).map(|(_, cp)| cp));
 
-        // Merge-point prediction: capture the wrong path. Only
-        // conditional branches have merge points / guard semantics;
-        // indirect-target mispredictions still rewind the queues above
-        // but must not pollute the HBT's affector/guard lists.
-        if info.conditional {
-            self.wpb
-                .arm(info.pc, info.seq, wrong_path, info.cycle, self.retire_width);
-        }
+        // Merge-point prediction: capture the wrong path.
+        self.wpb
+            .arm(info.pc, info.seq, wrong_path, info.cycle, self.retire_width);
 
         // Synchronization policy (§3, §4.1): chains run asynchronously
         // "until a misprediction from the dependence chains is detected".
@@ -516,14 +511,6 @@ impl CoreHooks for BranchRunahead {
 
     fn on_retire(&mut self, u: &RetiredUop) {
         let churn = self.hbt.churn();
-        // Indirect jumps get queue-pointer checkpoints at fetch (any flush
-        // must rewind the queues) but no branch-retire callback; clean
-        // their checkpoints here.
-        if u.uop.is_indirect() {
-            if let Ok(i) = self.checkpoints.binary_search_by_key(&u.seq, |e| e.0) {
-                self.checkpoint_pool.push(self.checkpoints.remove(i).1);
-            }
-        }
         self.ceb.push(CebRecord::from_retired(u));
 
         if let Some(ev) = self.wpb.on_correct_retire(u) {

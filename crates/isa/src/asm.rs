@@ -224,30 +224,6 @@ impl ProgramBuilder {
         pc
     }
 
-    /// Emits a direct call to `label`, writing the return address into
-    /// `link`.
-    pub fn call(&mut self, label: Label, link: ArchReg) -> Pc {
-        let pc = self.emit(UopKind::Call { target: 0, link });
-        self.fixups.push((pc as usize, label));
-        pc
-    }
-
-    /// Emits a function return through `link`.
-    pub fn ret(&mut self, link: ArchReg) -> Pc {
-        self.emit(UopKind::JumpInd {
-            src: link,
-            is_return: true,
-        })
-    }
-
-    /// Emits a general indirect jump through `src` (BTB-predicted).
-    pub fn jmp_reg(&mut self, src: ArchReg) -> Pc {
-        self.emit(UopKind::JumpInd {
-            src,
-            is_return: false,
-        })
-    }
-
     /// Emits a no-op.
     pub fn nop(&mut self) -> Pc {
         self.emit(UopKind::Nop)
@@ -280,9 +256,7 @@ impl ProgramBuilder {
         for (idx, label) in std::mem::take(&mut self.fixups) {
             let target = self.labels[label.0].ok_or(IsaError::UnboundLabel { label: label.0 })?;
             match &mut self.uops[idx] {
-                UopKind::Branch { target: t, .. }
-                | UopKind::Jump { target: t }
-                | UopKind::Call { target: t, .. } => *t = target,
+                UopKind::Branch { target: t, .. } | UopKind::Jump { target: t } => *t = target,
                 _ => unreachable!("fixups only attach to control uops"),
             }
         }

@@ -60,7 +60,7 @@ mod uop;
 
 pub use asm::{Label, ProgramBuilder};
 pub use error::IsaError;
-pub use machine::{BranchExec, CpuState, ExecRecord, Force, Machine, MachineCheckpoint, MemExec};
+pub use machine::{BranchExec, CpuState, ExecRecord, Machine, MachineCheckpoint, MemExec};
 pub use memory::{JournalMark, JournaledMemory, MemoryImage};
 pub use program::Program;
 pub use reg::{ArchReg, RegSet, FLAGS, NUM_ARCH_REGS};

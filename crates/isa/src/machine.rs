@@ -81,12 +81,10 @@ pub struct BranchExec {
     pub actual_taken: bool,
     /// The direction the machine *followed* (the forced/predicted one).
     pub followed_taken: bool,
-    /// The taken-target PC of the branch. For indirect jumps this is the
-    /// *actual* (register-resolved) target.
+    /// The taken-target PC of the branch.
     pub target: Pc,
     /// The PC execution would actually continue at (`target` or the
-    /// fall-through for conditional branches; the register value for
-    /// indirect jumps). `rec.next_pc` is the *followed* next PC, which
+    /// fall-through). `rec.next_pc` is the *followed* next PC, which
     /// differs under a forced (mispredicted) fetch.
     pub actual_next: Pc,
 }
@@ -120,44 +118,6 @@ pub struct ExecRecord {
     pub dst: Option<(ArchReg, u64)>,
     /// Whether this uop was `halt`.
     pub halt: bool,
-}
-
-/// A fetch-time steering directive for [`Machine::step`]: which way the
-/// speculative front end sends execution.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Force {
-    /// Follow the architecturally correct path.
-    #[default]
-    None,
-    /// Force a conditional branch's direction (the predictor's choice).
-    Direction(bool),
-    /// Force an indirect jump's target (the RAS/BTB's choice).
-    Target(Pc),
-}
-
-impl Force {
-    fn direction(self) -> Option<bool> {
-        match self {
-            Force::Direction(d) => Some(d),
-            _ => None,
-        }
-    }
-
-    fn target(self) -> Option<Pc> {
-        match self {
-            Force::Target(t) => Some(t),
-            _ => None,
-        }
-    }
-}
-
-impl From<Option<bool>> for Force {
-    fn from(o: Option<bool>) -> Self {
-        match o {
-            Some(d) => Force::Direction(d),
-            None => Force::None,
-        }
-    }
 }
 
 /// The functional emulator: [`CpuState`] + [`JournaledMemory`].
@@ -281,21 +241,15 @@ impl Machine {
 
     /// Executes the uop at the current PC.
     ///
-    /// `force` steers speculation: [`Force::Direction`] overrides a
-    /// conditional branch's direction, [`Force::Target`] overrides an
-    /// indirect jump's target (the fetch unit's predictions). Other uops
-    /// ignore it. `Option<bool>` converts into `Force` for convenience.
+    /// `force` steers speculation: `Some(direction)` overrides a
+    /// conditional branch's direction (the fetch unit's prediction).
+    /// Other uops ignore it.
     ///
     /// # Errors
     ///
     /// Returns [`IsaError::Halted`] if the machine already halted, or
     /// [`IsaError::PcOutOfRange`] if the PC fell off the program.
-    pub fn step(
-        &mut self,
-        prog: &Program,
-        force: impl Into<Force>,
-    ) -> Result<ExecRecord, IsaError> {
-        let force: Force = force.into();
+    pub fn step(&mut self, prog: &Program, force: Option<bool>) -> Result<ExecRecord, IsaError> {
         if self.cpu.halted {
             return Err(IsaError::Halted);
         }
@@ -367,7 +321,7 @@ impl Machine {
             }
             UopKind::Branch { cond, target } => {
                 let actual = cond.eval(self.cpu.flags);
-                let followed = force.direction().unwrap_or(actual);
+                let followed = force.unwrap_or(actual);
                 rec.next_pc = if followed { target } else { pc + 1 };
                 rec.branch = Some(BranchExec {
                     actual_taken: actual,
@@ -383,28 +337,6 @@ impl Machine {
                     followed_taken: true,
                     target,
                     actual_next: target,
-                });
-            }
-            UopKind::Call { target, link } => {
-                self.cpu.set_reg(link, pc + 1);
-                rec.dst = Some((link, pc + 1));
-                rec.next_pc = target;
-                rec.branch = Some(BranchExec {
-                    actual_taken: true,
-                    followed_taken: true,
-                    target,
-                    actual_next: target,
-                });
-            }
-            UopKind::JumpInd { src, .. } => {
-                let actual = self.cpu.reg(src);
-                let followed = force.target().unwrap_or(actual);
-                rec.next_pc = followed;
-                rec.branch = Some(BranchExec {
-                    actual_taken: true,
-                    followed_taken: true,
-                    target: actual,
-                    actual_next: actual,
                 });
             }
             UopKind::Nop => {}
@@ -427,7 +359,7 @@ impl Machine {
     pub fn run(&mut self, prog: &Program, max_steps: u64) -> Result<u64, IsaError> {
         let start = self.steps;
         while !self.cpu.halted && self.steps - start < max_steps {
-            self.step(prog, Force::None)?;
+            self.step(prog, None)?;
         }
         Ok(self.steps - start)
     }

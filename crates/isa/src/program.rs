@@ -25,9 +25,7 @@ impl Program {
         let len = uops.len() as Pc;
         for u in &uops {
             let target = match u.kind {
-                UopKind::Branch { target, .. }
-                | UopKind::Jump { target }
-                | UopKind::Call { target, .. } => Some(target),
+                UopKind::Branch { target, .. } | UopKind::Jump { target } => Some(target),
                 _ => None,
             };
             if let Some(t) = target {

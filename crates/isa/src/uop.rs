@@ -404,23 +404,6 @@ pub enum UopKind {
         /// Target PC.
         target: Pc,
     },
-    /// Direct call: writes the return address (`pc + 1`) into `link` and
-    /// jumps to `target`.
-    Call {
-        /// Callee entry PC.
-        target: Pc,
-        /// Register receiving the return address.
-        link: ArchReg,
-    },
-    /// Indirect jump through a register. `is_return` marks
-    /// link-register returns so the fetch unit predicts the target with
-    /// its return-address stack instead of the BTB.
-    JumpInd {
-        /// Register holding the target PC.
-        src: ArchReg,
-        /// Whether this is a function return.
-        is_return: bool,
-    },
     /// No operation.
     Nop,
     /// Stops the machine.
@@ -448,7 +431,6 @@ impl Uop {
                 RegSet::single(dst)
             }
             UopKind::Cmp { .. } => RegSet::single(FLAGS),
-            UopKind::Call { link, .. } => RegSet::single(link),
             _ => RegSet::empty(),
         }
     }
@@ -488,10 +470,7 @@ impl Uop {
             UopKind::Branch { .. } => {
                 s.insert(FLAGS);
             }
-            UopKind::JumpInd { src, .. } => {
-                s.insert(src);
-            }
-            UopKind::Jump { .. } | UopKind::Call { .. } | UopKind::Nop | UopKind::Halt => {}
+            UopKind::Jump { .. } | UopKind::Nop | UopKind::Halt => {}
         }
         s
     }
@@ -505,20 +484,7 @@ impl Uop {
     /// Whether this uop is any control-flow instruction.
     #[must_use]
     pub fn is_control(&self) -> bool {
-        matches!(
-            self.kind,
-            UopKind::Branch { .. }
-                | UopKind::Jump { .. }
-                | UopKind::Call { .. }
-                | UopKind::JumpInd { .. }
-        )
-    }
-
-    /// Whether this uop's next PC comes from a register (its target must
-    /// be *predicted* at fetch: RAS for returns, BTB otherwise).
-    #[must_use]
-    pub fn is_indirect(&self) -> bool {
-        matches!(self.kind, UopKind::JumpInd { .. })
+        matches!(self.kind, UopKind::Branch { .. } | UopKind::Jump { .. })
     }
 
     /// Whether this uop reads memory.
@@ -583,14 +549,6 @@ impl fmt::Display for Uop {
                 write!(f, "b{name} {target:#06x}")
             }
             UopKind::Jump { target } => write!(f, "jmp {target:#06x}"),
-            UopKind::Call { target, link } => write!(f, "call {target:#06x}, link {link}"),
-            UopKind::JumpInd { src, is_return } => {
-                if is_return {
-                    write!(f, "ret {src}")
-                } else {
-                    write!(f, "jmpr {src}")
-                }
-            }
             UopKind::Nop => write!(f, "nop"),
             UopKind::Halt => write!(f, "halt"),
         }

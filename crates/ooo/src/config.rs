@@ -5,8 +5,7 @@ use br_mem::CacheConfig;
 /// Parameters of the out-of-order core.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CoreConfig {
-    /// Instruction-cache size in bytes (Table 1: 32 KB); 0 disables the
-    /// I-cache model (perfect instruction supply).
+    /// Instruction-cache size in bytes (Table 1: 32 KB).
     pub icache_bytes: u64,
     /// I-cache associativity.
     pub icache_ways: usize,
@@ -56,15 +55,14 @@ impl Default for CoreConfig {
 }
 
 impl CoreConfig {
-    /// The I-cache geometry (64 B lines), or `None` when the I-cache model
-    /// is disabled.
+    /// The I-cache geometry (64 B lines).
     #[must_use]
-    pub fn icache(&self) -> Option<CacheConfig> {
-        (self.icache_bytes > 0).then_some(CacheConfig {
+    pub fn icache(&self) -> CacheConfig {
+        CacheConfig {
             size_bytes: self.icache_bytes,
             ways: self.icache_ways,
             line_bytes: 64,
-        })
+        }
     }
 
     /// Validates internal consistency.
@@ -74,9 +72,9 @@ impl CoreConfig {
     /// Names the first zero width or capacity, an RS larger than the ROB,
     /// or a bad I-cache geometry.
     pub fn validate(&self) -> Result<(), String> {
-        if let Some(icache) = self.icache() {
-            icache.validate().map_err(|e| format!("I-cache: {e}"))?;
-        }
+        self.icache()
+            .validate()
+            .map_err(|e| format!("I-cache: {e}"))?;
         let ensure = |ok: bool, what: &str| if ok { Ok(()) } else { Err(what.to_string()) };
         let rs_fits = self.rs_entries <= self.rob_entries;
         ensure(self.fetch_width > 0, "fetch width must be nonzero")?;
@@ -115,17 +113,19 @@ mod tests {
     }
 
     #[test]
-    fn zero_icache_ways_rejected_unless_icache_disabled() {
-        let zero_ways = CoreConfig {
-            icache_ways: 0,
-            ..CoreConfig::default()
-        };
-        let err = zero_ways.validate().unwrap_err();
-        assert!(err.contains("I-cache"), "{err}");
-        let disabled = CoreConfig {
-            icache_bytes: 0,
-            ..zero_ways
-        };
-        assert_eq!(disabled.validate(), Ok(()));
+    fn zero_icache_size_or_ways_rejected() {
+        for c in [
+            CoreConfig {
+                icache_bytes: 0,
+                ..CoreConfig::default()
+            },
+            CoreConfig {
+                icache_ways: 0,
+                ..CoreConfig::default()
+            },
+        ] {
+            let err = c.validate().unwrap_err();
+            assert!(err.contains("I-cache"), "{err}");
+        }
     }
 }

@@ -4,7 +4,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
-use br_isa::{ExecRecord, Force, Machine, MachineCheckpoint, Program, Uop, UopKind, NUM_ARCH_REGS};
+use br_isa::{ExecRecord, Machine, MachineCheckpoint, Program, Uop, NUM_ARCH_REGS};
 use br_mem::{Cache, MemResp, MemorySystem, ReqId, ReqSource, RequestError};
 use br_predictor::{ConditionalPredictor, Prediction, PredictorCheckpoint};
 use br_telemetry::{EventKind, Telemetry};
@@ -14,7 +14,6 @@ use crate::hooks::{
     BranchOutcome, CoreHooks, FetchedBranch, MispredictInfo, PredictionProvenance, RetiredUop,
     WrongPathUop,
 };
-use crate::ras::{Btb, ReturnAddressStack};
 use crate::stats::CoreStats;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,10 +35,6 @@ struct BranchCtl {
     machine_cp: MachineCheckpoint,
     predictor_cp: PredictorCheckpoint,
     writer_cp: [Option<u64>; NUM_ARCH_REGS],
-    ras_cp: ReturnAddressStack,
-    /// Conditional branch (true) vs indirect jump (false): decides how
-    /// resolution and training treat the entry.
-    conditional: bool,
     mispredicted: bool,
 }
 
@@ -131,15 +126,13 @@ pub struct Core {
     /// Scratch for `recover`'s wrong-path summary (reused across squashes).
     wrong_path_scratch: Vec<WrongPathUop>,
     /// Recycled branch-control boxes: checkpoint buffers (predictor
-    /// history, RAS) are reused instead of reallocated per fetched branch.
+    /// history) are reused instead of reallocated per fetched branch.
     /// The boxes are deliberate — ROB entries store `Option<Box<BranchCtl>>`
     /// to stay small, and pooling the box itself is what avoids the
     /// per-branch heap round trip.
     #[allow(clippy::vec_box)]
     ctl_pool: Vec<Box<BranchCtl>>,
-    icache: Option<Cache>,
-    ras: ReturnAddressStack,
-    btb: Btb,
+    icache: Cache,
     stats: CoreStats,
     max_retired: u64,
     tele: Telemetry,
@@ -173,12 +166,10 @@ impl Core {
     ) -> Self {
         let program = program.into();
         cfg.validate().unwrap_or_else(|e| panic!("{e}"));
-        let icache = cfg.icache().map(Cache::new);
+        let icache = Cache::new(cfg.icache());
         let rob_entries = cfg.rob_entries;
         Core {
             icache,
-            ras: ReturnAddressStack::new(16),
-            btb: Btb::new(),
             cfg,
             program,
             machine,
@@ -437,9 +428,8 @@ impl Core {
             }
             self.mark_done(i, now);
             completed += 1;
-            // Branch resolution: any control uop whose followed next-PC
-            // differs from its actual next-PC mispredicted (wrong
-            // direction for conditionals, wrong target for indirects).
+            // Branch resolution: a conditional branch whose followed
+            // next-PC differs from its actual next-PC mispredicted.
             let mispredict = {
                 let e = &self.rob[i];
                 match (&e.branch, e.rec.branch) {
@@ -496,8 +486,7 @@ impl Core {
 
         let e = self.rob.back_mut().expect("branch entry present");
         let bx = e.rec.branch.expect("control uop has a branch record");
-        let (actual, actual_next) = (bx.actual_taken, bx.actual_next);
-        let conditional = e.branch.as_ref().is_some_and(|c| c.conditional);
+        let actual = bx.actual_taken;
         let ctl = e.branch.as_mut().expect("recover only on branches");
         ctl.mispredicted = true;
         let info = MispredictInfo {
@@ -507,7 +496,6 @@ impl Core {
             followed: ctl.followed,
             base_prediction: ctl.prediction.taken,
             provenance: ctl.provenance,
-            conditional,
             cycle: now,
         };
 
@@ -515,31 +503,15 @@ impl Core {
         // down the correct path.
         self.machine.restore(&ctl.machine_cp);
         self.predictor.restore(&ctl.predictor_cp);
-        self.ras.restore(&ctl.ras_cp);
         self.last_writer = ctl.writer_cp;
         let pc = e.uop.pc;
-        let force = if conditional {
-            Force::Direction(actual)
-        } else {
-            Force::Target(actual_next)
-        };
         let rec = self
             .machine
-            .step(&self.program, force)
+            .step(&self.program, Some(actual))
             .expect("re-execution of a fetched branch cannot fault");
         debug_assert_eq!(rec.pc, pc);
         e.rec = rec;
-        // The control uop's own register effects re-apply via the re-step
-        // (calls rewrite their link register identically); `writer_cp`
-        // stays correct because re-execution reproduces the same writes.
-        if conditional {
-            self.predictor.update_history(pc, actual);
-        } else {
-            // A corrected return/indirect jump also repairs the RAS view:
-            // model the repair by pushing nothing (the restore above
-            // already resynchronized it) and updating the BTB.
-            self.btb.update(pc, actual_next);
-        }
+        self.predictor.update_history(pc, actual);
 
         self.fetch_stall_until = now + self.cfg.redirect_latency;
         self.tele
@@ -615,41 +587,34 @@ impl Core {
             if let Some(ctl) = e.branch.take() {
                 let actual = e.rec.branch.expect("branch record present").actual_taken;
                 self.machine.release(&ctl.machine_cp);
-                if ctl.conditional {
-                    self.stats.retired_branches += 1;
+                self.stats.retired_branches += 1;
+                if ctl.mispredicted {
+                    self.stats.mispredicts += 1;
+                }
+                let site = self.stats.branch_sites.entry(e.uop.pc).or_default();
+                site.executed += 1;
+                if ctl.mispredicted {
+                    site.mispredicted += 1;
+                }
+                if ctl.prediction.taken != actual {
+                    site.base_wrong += 1;
+                }
+                if ctl.provenance == PredictionProvenance::Dce {
+                    site.dce_provided += 1;
                     if ctl.mispredicted {
-                        self.stats.mispredicts += 1;
-                    }
-                    let site = self.stats.branch_sites.entry(e.uop.pc).or_default();
-                    site.executed += 1;
-                    if ctl.mispredicted {
-                        site.mispredicted += 1;
-                    }
-                    if ctl.prediction.taken != actual {
-                        site.base_wrong += 1;
-                    }
-                    if ctl.provenance == PredictionProvenance::Dce {
-                        site.dce_provided += 1;
-                        if ctl.mispredicted {
-                            site.dce_wrong += 1;
-                        }
-                    }
-                    self.predictor.train(e.uop.pc, actual, &ctl.prediction);
-                    hooks.on_branch_retire(&BranchOutcome {
-                        seq: e.seq,
-                        pc: e.uop.pc,
-                        taken: actual,
-                        mispredicted: ctl.mispredicted,
-                        base_prediction: ctl.prediction.taken,
-                        provenance: ctl.provenance,
-                        cycle: now,
-                    });
-                } else {
-                    self.stats.indirect_jumps += 1;
-                    if ctl.mispredicted {
-                        self.stats.indirect_mispredicts += 1;
+                        site.dce_wrong += 1;
                     }
                 }
+                self.predictor.train(e.uop.pc, actual, &ctl.prediction);
+                hooks.on_branch_retire(&BranchOutcome {
+                    seq: e.seq,
+                    pc: e.uop.pc,
+                    taken: actual,
+                    mispredicted: ctl.mispredicted,
+                    base_prediction: ctl.prediction.taken,
+                    provenance: ctl.provenance,
+                    cycle: now,
+                });
                 self.ctl_pool.push(ctl);
             }
             if self.stats.retired_uops >= self.max_retired {
@@ -762,25 +727,22 @@ impl Core {
     // ------------------------------------------------------------- fetch
 
     /// A branch-control block capturing the current speculative state
-    /// (machine, predictor, writer map, RAS). Recycled from the pool when
+    /// (machine, predictor, writer map). Recycled from the pool when
     /// possible so the checkpoint buffers' heap allocations are reused.
     fn make_branch_ctl(
         &mut self,
         prediction: Prediction,
         followed: bool,
         provenance: PredictionProvenance,
-        conditional: bool,
     ) -> Box<BranchCtl> {
         match self.ctl_pool.pop() {
             Some(mut ctl) => {
                 ctl.machine_cp = self.machine.checkpoint();
                 self.predictor.checkpoint_into(&mut ctl.predictor_cp);
                 ctl.writer_cp = self.last_writer;
-                self.ras.checkpoint_into(&mut ctl.ras_cp);
                 ctl.prediction = prediction;
                 ctl.followed = followed;
                 ctl.provenance = provenance;
-                ctl.conditional = conditional;
                 ctl.mispredicted = false;
                 ctl
             }
@@ -788,11 +750,9 @@ impl Core {
                 machine_cp: self.machine.checkpoint(),
                 predictor_cp: self.predictor.checkpoint(),
                 writer_cp: self.last_writer,
-                ras_cp: self.ras.checkpoint(),
                 prediction,
                 followed,
                 provenance,
-                conditional,
                 mispredicted: false,
             }),
         }
@@ -818,14 +778,12 @@ impl Core {
             }
             let pc = self.machine.pc();
             // Instruction-cache lookup (uops are 4 bytes apart).
-            if let Some(ic) = &mut self.icache {
-                let iaddr = pc * 4;
-                if !ic.access(iaddr, false).hit {
-                    ic.fill(iaddr, false);
-                    self.stats.icache_misses += 1;
-                    self.fetch_stall_until = now + self.cfg.icache_miss_latency;
-                    break;
-                }
+            let iaddr = pc * 4;
+            if !self.icache.access(iaddr, false).hit {
+                self.icache.fill(iaddr, false);
+                self.stats.icache_misses += 1;
+                self.fetch_stall_until = now + self.cfg.icache_miss_latency;
+                break;
             }
             let Some(uop) = self.program.fetch(pc).copied() else {
                 assert!(
@@ -848,10 +806,10 @@ impl Core {
                     PredictionProvenance::BasePredictor
                 };
                 let base_prediction = prediction.taken;
-                branch_ctl = Some(self.make_branch_ctl(prediction, followed, provenance, true));
+                branch_ctl = Some(self.make_branch_ctl(prediction, followed, provenance));
                 let rec = self
                     .machine
-                    .step(&self.program, Force::Direction(followed))
+                    .step(&self.program, Some(followed))
                     .expect("fetchable uop cannot fault");
                 self.predictor.update_history(pc, followed);
                 hooks.on_branch_fetch(&FetchedBranch {
@@ -863,46 +821,10 @@ impl Core {
                     cycle: now,
                 });
                 rec
-            } else if uop.is_indirect() {
-                // Returns predict via the RAS; other indirect jumps via
-                // the BTB. Either way fetch *commits* to the predicted
-                // target and recovers like a branch if it was wrong.
-                let predicted = match uop.kind {
-                    UopKind::JumpInd {
-                        is_return: true, ..
-                    } => self.ras.pop(),
-                    _ => self.btb.predict(pc),
-                };
-                branch_ctl = Some(self.make_branch_ctl(
-                    Prediction::fixed(true),
-                    true,
-                    PredictionProvenance::BasePredictor,
-                    false,
-                ));
-                let rec = self
-                    .machine
-                    .step(&self.program, Force::Target(predicted))
-                    .expect("fetchable uop cannot fault");
-                // Give external machinery a recovery point for this seq
-                // (prediction queues rewind on *any* flush).
-                hooks.on_branch_fetch(&FetchedBranch {
-                    seq,
-                    pc,
-                    followed: true,
-                    base_prediction: true,
-                    provenance: PredictionProvenance::BasePredictor,
-                    cycle: now,
-                });
-                rec
             } else {
-                let rec = self
-                    .machine
-                    .step(&self.program, Force::None)
-                    .expect("fetchable uop cannot fault");
-                if let UopKind::Call { .. } = uop.kind {
-                    self.ras.push(pc + 1);
-                }
-                rec
+                self.machine
+                    .step(&self.program, None)
+                    .expect("fetchable uop cannot fault")
             };
 
             // Wait on each source's last writer unless it is `Done` or
@@ -1202,103 +1124,6 @@ mod tests {
             "suspiciously few uops: {}",
             core.stats().retired_uops
         );
-    }
-
-    #[test]
-    fn call_return_with_ras_prediction() {
-        // main: loop { r2 += f(r1) } with f a real called function. After
-        // warmup every return target is RAS-predicted correctly.
-        let mut b = ProgramBuilder::new();
-        let func = b.new_label();
-        let start = b.new_label();
-        b.jmp(start);
-        b.bind(func); // f: r4 = r1 * 3; ret
-        b.mul(reg::R4, reg::R1, 3i64);
-        b.ret(reg::R15);
-        b.bind(start);
-        b.mov_imm(reg::R0, 100);
-        b.mov_imm(reg::R1, 2);
-        let top = b.here();
-        b.call(func, reg::R15);
-        b.add(reg::R2, reg::R2, reg::R4);
-        b.subi(reg::R0, reg::R0, 1);
-        b.cmpi(reg::R0, 0);
-        b.br(Cond::Ne, top);
-        b.halt();
-        let (core, _) = run_core(b.build().unwrap(), MemoryImage::new(), 50_000);
-        assert_eq!(core.machine().reg(reg::R2), 600);
-        let s = core.stats();
-        assert_eq!(s.indirect_jumps, 100);
-        assert!(
-            s.indirect_mispredicts <= 2,
-            "RAS should predict returns: {} wrong",
-            s.indirect_mispredicts
-        );
-    }
-
-    #[test]
-    fn indirect_jump_btb_learns_stable_target() {
-        // A computed goto that always lands on the same block: the first
-        // encounter mispredicts (cold BTB), later ones hit.
-        let mut b = ProgramBuilder::new();
-        let blk = b.new_label();
-        b.mov_imm(reg::R0, 50); // pc 0
-        let top = b.here();
-        b.mov_imm(reg::R7, 4); // pc 1: target = the block at pc 4
-        b.jmp_reg(reg::R7); // pc 2
-        b.nop(); // pc 3: skipped
-        b.bind(blk); // pc 4
-        b.addi(reg::R2, reg::R2, 1);
-        b.subi(reg::R0, reg::R0, 1);
-        b.cmpi(reg::R0, 0);
-        b.br(Cond::Ne, top);
-        b.halt();
-        let program = b.build().unwrap();
-        // Verify the jump target constant matches the bound label.
-        let (core, _) = run_core(program, MemoryImage::new(), 50_000);
-        assert_eq!(core.machine().reg(reg::R2), 50);
-        let s = core.stats();
-        assert_eq!(s.indirect_jumps, 50);
-        assert!(
-            s.indirect_mispredicts <= 2,
-            "BTB should learn the stable target: {}",
-            s.indirect_mispredicts
-        );
-    }
-
-    #[test]
-    fn wrong_path_through_call_recovers() {
-        // A mispredicted branch whose wrong path executes a call (pushing
-        // a bogus RAS entry and clobbering the link register): recovery
-        // must restore both.
-        let mut img = MemoryImage::new();
-        img.write(0x1000, br_isa::Width::B8, 1);
-        let mut b = ProgramBuilder::new();
-        let func = b.new_label();
-        let start = b.new_label();
-        b.jmp(start);
-        b.bind(func);
-        b.addi(reg::R4, reg::R4, 7);
-        b.ret(reg::R15);
-        b.bind(start);
-        b.mov_imm(reg::R0, 40);
-        b.mov_imm(reg::R3, 0x1000);
-        let top = b.here();
-        let skip = b.new_label();
-        b.and(reg::R5, reg::R0, 7i64);
-        b.load(reg::R6, MemOperand::base_index(reg::R3, reg::R5, 8, 0));
-        b.cmpi(reg::R6, 1);
-        b.br(Cond::Ne, skip); // data-dependent; wrong path may call
-        b.call(func, reg::R15);
-        b.bind(skip);
-        b.subi(reg::R0, reg::R0, 1);
-        b.cmpi(reg::R0, 0);
-        b.br(Cond::Ne, top);
-        b.halt();
-        let (core, _) = run_core(b.build().unwrap(), img, 100_000);
-        // Functional truth: branch taken (call skipped) unless (r0 & 7)==0
-        // AND mem[0x1000]==1 -> call executes for r0 in {40,32,24,16,8}.
-        assert_eq!(core.machine().reg(reg::R4), 5 * 7);
     }
 
     #[test]

@@ -94,9 +94,6 @@ pub struct MispredictInfo {
     pub base_prediction: bool,
     /// Who provided the wrong direction.
     pub provenance: PredictionProvenance,
-    /// Whether the mispredicting uop was a conditional branch (false =
-    /// an indirect jump's target misprediction).
-    pub conditional: bool,
     /// Cycle of detection.
     pub cycle: u64,
 }

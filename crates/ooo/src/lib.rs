@@ -61,7 +61,6 @@
 mod config;
 mod core_impl;
 mod hooks;
-mod ras;
 mod stats;
 
 pub use config::CoreConfig;
@@ -70,5 +69,4 @@ pub use hooks::{
     BranchOutcome, CoreHooks, FetchedBranch, MispredictInfo, NullHooks, PredictionProvenance,
     RetiredUop, WrongPathUop,
 };
-pub use ras::{Btb, ReturnAddressStack};
 pub use stats::{BranchSiteStats, CoreStats};

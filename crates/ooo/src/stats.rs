@@ -60,10 +60,6 @@ pub struct CoreStats {
     pub recoveries: u64,
     /// Instruction-cache misses (fetch stalls).
     pub icache_misses: u64,
-    /// Indirect jumps (incl. returns) retired.
-    pub indirect_jumps: u64,
-    /// Indirect jumps whose predicted target was wrong.
-    pub indirect_mispredicts: u64,
     /// Wrong-path uops squashed across all recoveries.
     pub squashed_uops: u64,
     /// Work of the event-driven issue logic: ready-list entries the
@@ -97,8 +93,6 @@ br_mem::counters!(CoreStats {
     mispredicts,
     recoveries,
     icache_misses,
-    indirect_jumps,
-    indirect_mispredicts,
     squashed_uops,
     issue_visits,
     idle_cycles
@@ -117,8 +111,6 @@ impl Default for CoreStats {
             mispredicts: 0,
             recoveries: 0,
             icache_misses: 0,
-            indirect_jumps: 0,
-            indirect_mispredicts: 0,
             squashed_uops: 0,
             issue_visits: 0,
             idle_cycles: 0,

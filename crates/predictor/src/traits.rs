@@ -13,8 +13,6 @@ use crate::tage::TageMeta;
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum PredMeta {
-    /// No metadata (static or table-free predictors).
-    None,
     /// Bimodal index.
     Bimodal {
         /// Table index used.
@@ -50,18 +48,6 @@ pub struct Prediction {
     pub low_confidence: bool,
     /// Metadata to pass back to [`ConditionalPredictor::train`].
     pub meta: PredMeta,
-}
-
-impl Prediction {
-    /// A static prediction with no metadata.
-    #[must_use]
-    pub fn fixed(taken: bool) -> Self {
-        Prediction {
-            taken,
-            low_confidence: false,
-            meta: PredMeta::None,
-        }
-    }
 }
 
 /// Checkpoint of a predictor's speculative state (global history, folded
@@ -129,16 +115,4 @@ pub trait ConditionalPredictor: Send {
 
     /// Approximate storage budget in KiB (for Table/figure labelling).
     fn storage_kib(&self) -> f64;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fixed_prediction_has_no_meta() {
-        let p = Prediction::fixed(true);
-        assert!(p.taken);
-        assert_eq!(p.meta, PredMeta::None);
-    }
 }

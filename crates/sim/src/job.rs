@@ -168,27 +168,13 @@ impl SimJob {
 
     /// Builds this job's workload image. Runners that execute many jobs
     /// should build each distinct `(workload, params)` image once and
-    /// share it via [`SimJob::execute`] instead.
+    /// share it via [`SimJob::try_execute`] instead.
     pub fn build_image(&self) -> Result<Arc<WorkloadImage>, SimError> {
         Ok(Arc::new(self.resolve()?.build(&self.effective_params())))
     }
 
     /// Executes the job against an already built image (the image must
-    /// match [`SimJob::effective_params`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a machine-check violation; use [`SimJob::try_execute`]
-    /// to receive it as a typed error instead.
-    #[must_use]
-    pub fn execute(&self, image: &WorkloadImage) -> RunResult {
-        match self.try_execute(image) {
-            Ok(r) => r,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Executes the job against an already built image, surfacing an
+    /// match [`SimJob::effective_params`]), surfacing an
     /// invalid core, memory or Branch Runahead configuration as
     /// [`SimError::InvalidConfig`] and machine-check violations as
     /// [`SimError::InvariantViolation`], both with this job's label.
@@ -369,6 +355,11 @@ mod tests {
     #[test]
     fn zero_icache_ways_is_invalid_config() {
         assert!(invalid(|c| c.core.icache_ways = 0).contains("I-cache"));
+    }
+
+    #[test]
+    fn zero_icache_size_is_invalid_config() {
+        assert!(invalid(|c| c.core.icache_bytes = 0).contains("I-cache"));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! A bytecode-interpreter scenario (the perlbench/gcc shape): a dispatch
-//! loop that *calls* a handler per opcode through a computed target, with
-//! a data-dependent branch inside one handler. Exercises the call/return
-//! machinery (RAS), indirect-jump target prediction (BTB), and Branch
-//! Runahead on the handler's hard branch — all at once.
+//! loop that compares each opcode and branches into its inline handler,
+//! with a data-dependent branch inside one handler. Both the
+//! bytecode-dependent dispatch branch and the handler's hard branch are
+//! conditional, so Branch Runahead can cover them.
 //!
 //! ```text
 //! cargo run --release --example interpreter
@@ -34,42 +34,27 @@ fn build() -> (branch_runahead::isa::Program, MemoryImage) {
     img.write_u64_slice(DATA, &vals);
 
     let mut b = ProgramBuilder::new();
-    let entry = b.new_label();
-    let h0 = b.new_label();
-    let h1 = b.new_label();
-    b.jmp(entry);
-
-    // handler 0: cheap accumulate.
-    b.bind(h0);
-    b.addi(reg::R2, reg::R2, 1);
-    b.ret(reg::R15);
-
-    // handler 1: data-dependent branch (the hard one BR should cover).
-    b.bind(h1);
-    let out = b.new_label();
-    b.load(reg::R6, MemOperand::base_index(reg::R14, reg::R5, 8, 0));
-    b.cmpi(reg::R6, 2);
-    b.br(Cond::Ge, out);
-    b.addi(reg::R3, reg::R3, 1);
-    b.bind(out);
-    b.ret(reg::R15);
-
-    // dispatch loop.
-    b.bind(entry);
     b.mov_imm(reg::R0, 0);
     b.mov_imm(reg::R12, BYTECODE as i64);
     b.mov_imm(reg::R14, DATA as i64);
     let top = b.here();
-    let call0 = b.new_label();
+    let op0 = b.new_label();
     let done_iter = b.new_label();
     b.and(reg::R5, reg::R0, (N - 1) as i64);
     b.load(reg::R7, MemOperand::base_index(reg::R12, reg::R5, 8, 0));
     b.cmpi(reg::R7, 0);
-    b.br(Cond::Eq, call0); // bytecode-dependent dispatch branch
-    b.call(h1, reg::R15);
+    b.br(Cond::Eq, op0); // bytecode-dependent dispatch branch
+
+    // handler 1: data-dependent branch (the hard one BR should cover).
+    b.load(reg::R6, MemOperand::base_index(reg::R14, reg::R5, 8, 0));
+    b.cmpi(reg::R6, 2);
+    b.br(Cond::Ge, done_iter);
+    b.addi(reg::R3, reg::R3, 1);
     b.jmp(done_iter);
-    b.bind(call0);
-    b.call(h0, reg::R15);
+
+    // handler 0: cheap accumulate.
+    b.bind(op0);
+    b.addi(reg::R2, reg::R2, 1);
     b.bind(done_iter);
     // per-iteration work
     for _ in 0..3 {
@@ -83,7 +68,7 @@ fn build() -> (branch_runahead::isa::Program, MemoryImage) {
     (b.build().expect("interpreter assembles"), img)
 }
 
-fn run(with_br: bool) -> (f64, f64, u64, u64) {
+fn run(with_br: bool) -> (f64, f64) {
     let (program, img) = build();
     let mut core = Core::new(
         CoreConfig::default(),
@@ -109,23 +94,18 @@ fn run(with_br: bool) -> (f64, f64, u64, u64) {
         }
     }
     let s = core.stats();
-    (s.ipc(), s.mpki(), s.indirect_jumps, s.indirect_mispredicts)
+    (s.ipc(), s.mpki())
 }
 
 fn main() {
-    println!("bytecode interpreter: dispatch loop with called handlers\n");
-    let (ipc0, mpki0, ind0, indw0) = run(false);
-    let (ipc1, mpki1, _, _) = run(true);
+    println!("bytecode interpreter: dispatch loop with inline handlers\n");
+    let (ipc0, mpki0) = run(false);
+    let (ipc1, mpki1) = run(true);
     println!("{:<22}{:>10}{:>10}", "", "baseline", "mini-br");
     println!("{:<22}{:>10.3}{:>10.3}", "IPC", ipc0, ipc1);
-    println!("{:<22}{:>10.2}{:>10.2}", "MPKI (conditional)", mpki0, mpki1);
+    println!("{:<22}{:>10.2}{:>10.2}", "MPKI", mpki0, mpki1);
     println!(
-        "\nreturns/indirects: {ind0} retired, {indw0} target-mispredicted \
-         ({:.2}% — the RAS handles call-heavy code)",
-        indw0 as f64 / ind0.max(1) as f64 * 100.0
-    );
-    println!(
-        "Branch Runahead gain on the interpreter: MPKI {:+.1}%, IPC {:+.1}%",
+        "\nBranch Runahead gain on the interpreter: MPKI {:+.1}%, IPC {:+.1}%",
         (mpki1 - mpki0) / mpki0 * 100.0,
         (ipc1 - ipc0) / ipc0 * 100.0
     );

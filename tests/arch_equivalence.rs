@@ -24,14 +24,12 @@ enum GenOp {
     Store(u8, u8),
     /// A data-dependent skip: `if (reg & mask) skip next ops`.
     Branch(u8, u8, u8),
-    /// A call to a tiny helper function (exercises RAS + link register
-    /// across speculation).
-    CallHelper,
+    /// A forward `jmp` over the next ops: taken unconditional control
+    /// flow, whose skipped block must never take effect.
+    Jump(u8),
 }
 
 const GPRS: [ArchReg; 6] = [reg::R2, reg::R3, reg::R4, reg::R5, reg::R6, reg::R7];
-// (R7 doubles as the helper function's accumulator; it stays in the
-// compared set so call effects are checked too.)
 
 fn gpr(i: u8) -> ArchReg {
     GPRS[i as usize % GPRS.len()]
@@ -73,7 +71,7 @@ fn gen_op(rng: &mut Rng) -> GenOp {
             1 + rng.below(7) as u8,
             1 + rng.below(3) as u8,
         ),
-        _ => GenOp::CallHelper,
+        _ => GenOp::Jump(1 + rng.below(3) as u8),
     }
 }
 
@@ -82,15 +80,6 @@ fn gen_op(rng: &mut Rng) -> GenOp {
 /// so loads and stores alias frequently (stressing forwarding).
 fn build_program(ops: &[GenOp], trips: u8) -> Program {
     let mut b = ProgramBuilder::new();
-    // Helper function used by CallHelper ops: r7 = r7*3 + 1; ret.
-    let helper = b.new_label();
-    let entry = b.new_label();
-    b.jmp(entry);
-    b.bind(helper);
-    b.mul(reg::R7, reg::R7, 3i64);
-    b.addi(reg::R7, reg::R7, 1);
-    b.ret(reg::R15);
-    b.bind(entry);
     b.mov_imm(reg::R0, i64::from(trips));
     b.mov_imm(reg::R12, 0x1000); // data window base
     for (i, r) in GPRS.iter().enumerate() {
@@ -140,8 +129,12 @@ fn build_program(ops: &[GenOp], trips: u8) -> Program {
                     pending_skip = Some((l, n));
                 }
             }
-            GenOp::CallHelper => {
-                b.call(helper, reg::R15);
+            GenOp::Jump(n) => {
+                if pending_skip.is_none() {
+                    let l = b.new_label();
+                    b.jmp(l);
+                    pending_skip = Some((l, n));
+                }
             }
         }
     }
