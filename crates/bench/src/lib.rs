@@ -11,9 +11,9 @@
 //!   cargo run --release -p br-bench --bin figures -- --quick fig12
 //!   ```
 //!
-//! * the **timing benches** (`cargo bench -p br-bench`) time component
-//!   micro-benchmarks (predictor lookups, cache accesses, chain
-//!   extraction) and the telemetry overhead.
+//! * the **telemetry bench** (`cargo bench -p br-bench`) times the
+//!   telemetry overhead: the disabled facade and a full simulation with
+//!   sampling and event tracing on.
 //!
 //! Simulator performance end to end and per layer is measured by the
 //! stand-alone benchmark in `benchmark/` at the repository root.
@@ -49,10 +49,10 @@ pub fn run_experiment(name: &str, setup: &ExperimentSetup) -> Result<String, Sim
 /// enabled and writes every exporter's output into `dir`:
 /// `trace.json` (Chrome trace viewer), `samples.jsonl` (interval
 /// samples), `events.jsonl` (the event ring), and
-/// `counters.json` (final counter/gauge/histogram values). Jobs execute
-/// on `setup.threads` workers; the files are assembled from results in
-/// job order, so output is byte-identical for any thread count. Returns
-/// the written paths.
+/// `counters.json` (each job's dropped-event count and final counter
+/// values). Jobs execute on `setup.threads` workers; the files are
+/// assembled from results in job order, so output is byte-identical for
+/// any thread count. Returns the written paths.
 ///
 /// # Errors
 ///

@@ -1,6 +1,5 @@
 //! The Dependence Chain Cache (§4.2): extracted chains awaiting initiation.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use br_isa::Pc;
@@ -121,12 +120,6 @@ impl DependenceChainCache {
     #[must_use]
     pub fn covers_branch(&self, pc: Pc) -> bool {
         self.entries.iter().any(|e| e.chain.branch_pc == pc)
-    }
-
-    /// The set of covered branch PCs.
-    #[must_use]
-    pub fn covered_branches(&self) -> BTreeSet<Pc> {
-        self.entries.iter().map(|e| e.chain.branch_pc).collect()
     }
 
     /// Iterates over the cached chains.

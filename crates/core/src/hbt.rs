@@ -123,6 +123,32 @@ impl HardBranchTable {
         self.entries.iter_mut().find(|e| e.pc == pc)
     }
 
+    /// The entry of `pc`, allocated if absent: in a free slot, else over
+    /// the first dead entry (no mispredictions, not an affector/guard).
+    /// `None` when the table is full of live entries.
+    fn entry_or_insert(&mut self, pc: Pc) -> Option<&mut HbtEntry> {
+        let i = match self.entries.iter().position(|e| e.pc == pc) {
+            Some(i) => i,
+            None => {
+                let i = if self.entries.len() < self.capacity {
+                    self.entries.push(HbtEntry::new(pc));
+                    self.entries.len() - 1
+                } else {
+                    let i = self
+                        .entries
+                        .iter()
+                        .position(|e| e.misp_counter == 0 && !e.ag)?;
+                    self.entries[i] = HbtEntry::new(pc);
+                    self.evicts += 1;
+                    i
+                };
+                self.inserts += 1;
+                i
+            }
+        };
+        Some(&mut self.entries[i])
+    }
+
     /// Records a retired conditional branch. Returns `true` when this
     /// retirement should trigger chain extraction for `pc` (counter
     /// saturated, or the AG set changed, or the 1% random refresh —
@@ -132,24 +158,8 @@ impl HardBranchTable {
         if self.retired_branches.is_multiple_of(DECAY_PERIOD) {
             self.decay();
         }
-
-        if self.get(pc).is_none() {
-            // Allocate on retire if space (or a dead entry) is available.
-            if self.entries.len() < self.capacity {
-                self.entries.push(HbtEntry::new(pc));
-                self.inserts += 1;
-            } else if let Some(victim) = self
-                .entries
-                .iter_mut()
-                .find(|e| e.misp_counter == 0 && !e.ag)
-            {
-                *victim = HbtEntry::new(pc);
-                self.inserts += 1;
-                self.evicts += 1;
-            }
-        }
-
-        let Some(e) = self.get_mut(pc) else {
+        // Allocate on retire if space (or a dead entry) is available.
+        let Some(e) = self.entry_or_insert(pc) else {
             return false;
         };
         if mispredicted {
@@ -213,31 +223,12 @@ impl HardBranchTable {
         if htp_pc == ag_pc {
             return false;
         }
-        if let Some(ag) = self.get(ag_pc) {
-            if ag.is_biased() {
-                return false;
-            }
+        if self.is_biased(ag_pc) {
+            return false;
         }
         // Ensure the AG branch is resident and flagged.
-        match self.get_mut(ag_pc) {
-            Some(e) => e.ag = true,
-            None => {
-                if self.entries.len() < self.capacity {
-                    let mut e = HbtEntry::new(ag_pc);
-                    e.ag = true;
-                    self.entries.push(e);
-                    self.inserts += 1;
-                } else if let Some(victim) = self
-                    .entries
-                    .iter_mut()
-                    .find(|e| e.misp_counter == 0 && !e.ag)
-                {
-                    *victim = HbtEntry::new(ag_pc);
-                    victim.ag = true;
-                    self.inserts += 1;
-                    self.evicts += 1;
-                }
-            }
+        if let Some(e) = self.entry_or_insert(ag_pc) {
+            e.ag = true;
         }
         let Some(htp) = self.get_mut(htp_pc) else {
             return false;

@@ -154,11 +154,6 @@ impl Machine {
         self.cpu.pc
     }
 
-    /// Sets the next PC (used to start at an entry point).
-    pub fn set_pc(&mut self, pc: Pc) {
-        self.cpu.pc = pc;
-    }
-
     /// Whether the machine has executed `halt`.
     #[must_use]
     pub fn halted(&self) -> bool {
@@ -193,11 +188,6 @@ impl Machine {
     #[must_use]
     pub fn memory(&self) -> &JournaledMemory {
         &self.mem
-    }
-
-    /// Mutable access to data memory (workload setup).
-    pub fn memory_mut(&mut self) -> &mut JournaledMemory {
-        &mut self.mem
     }
 
     /// Takes a rewindable checkpoint of the full machine state.

@@ -481,12 +481,6 @@ impl Uop {
         matches!(self.kind, UopKind::Branch { .. })
     }
 
-    /// Whether this uop is any control-flow instruction.
-    #[must_use]
-    pub fn is_control(&self) -> bool {
-        matches!(self.kind, UopKind::Branch { .. } | UopKind::Jump { .. })
-    }
-
     /// Whether this uop reads memory.
     #[must_use]
     pub fn is_load(&self) -> bool {
@@ -497,13 +491,6 @@ impl Uop {
     #[must_use]
     pub fn is_store(&self) -> bool {
         matches!(self.kind, UopKind::Store { .. })
-    }
-
-    /// Whether this uop is a plain register/immediate move (candidate for
-    /// move elimination during chain extraction, §4.3).
-    #[must_use]
-    pub fn is_mov(&self) -> bool {
-        matches!(self.kind, UopKind::Mov { .. })
     }
 
     /// Execution latency of this uop's compute in cycles (memory latency is

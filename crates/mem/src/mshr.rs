@@ -93,12 +93,6 @@ impl MshrFile {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Whether every entry is occupied.
-    #[must_use]
-    pub fn is_full(&self) -> bool {
-        self.entries.len() >= self.capacity
-    }
 }
 
 #[cfg(test)]

@@ -442,13 +442,6 @@ impl MemorySystem {
         }
     }
 
-    /// Whether `addr` currently hits in the L1 (no side effects). The core
-    /// uses this to estimate store-latency-free commit.
-    #[must_use]
-    pub fn l1_probe(&self, addr: u64) -> bool {
-        self.l1.probe(addr)
-    }
-
     /// MSHRs currently tracking outstanding misses (telemetry sampling).
     #[must_use]
     pub fn mshrs_in_use(&self) -> usize {

@@ -33,28 +33,22 @@ impl ConditionalPredictor for Bimodal {
     }
 
     fn predict(&mut self, pc: Pc) -> Prediction {
-        let index = pc as usize & self.mask;
-        let c = self.counters[index];
         Prediction {
-            taken: c >= 2,
-            low_confidence: c == 1 || c == 2,
-            meta: PredMeta::Bimodal { index },
+            taken: self.counters[pc as usize & self.mask] >= 2,
+            meta: PredMeta::default(),
         }
     }
 
     fn update_history(&mut self, _pc: Pc, _taken: bool) {}
 
     fn checkpoint(&self) -> PredictorCheckpoint {
-        PredictorCheckpoint::None
+        PredictorCheckpoint::default()
     }
 
     fn restore(&mut self, _cp: &PredictorCheckpoint) {}
 
-    fn train(&mut self, _pc: Pc, taken: bool, pred: &Prediction) {
-        let PredMeta::Bimodal { index } = pred.meta else {
-            panic!("metadata type mismatch for Bimodal");
-        };
-        let c = &mut self.counters[index];
+    fn train(&mut self, pc: Pc, taken: bool, _pred: &Prediction) {
+        let c = &mut self.counters[pc as usize & self.mask];
         if taken {
             *c = (*c + 1).min(3);
         } else {

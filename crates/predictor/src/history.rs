@@ -56,7 +56,7 @@ impl FoldedHistory {
 }
 
 /// Snapshot of the speculative history state; restored on mispredictions.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HistoryCheckpoint {
     head: u64,
     path: u64,

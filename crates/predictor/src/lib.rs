@@ -14,11 +14,13 @@
 //!   MTAGE-like unlimited preset ([`TageSclConfig`]),
 //! * [`Bimodal`] — a per-PC 2-bit counter baseline used by tests.
 //!
-//! All predictors implement [`ConditionalPredictor`], which models the
-//! fetch-time protocol of a real front end: predict, *speculatively* update
-//! history with the followed direction, checkpoint at each branch, restore
-//! the checkpoint on a misprediction, and train at retirement using the
-//! metadata captured at prediction time.
+//! [`TageScl`] and [`Bimodal`] implement [`ConditionalPredictor`], which
+//! models the fetch-time protocol of a real front end: predict,
+//! *speculatively* update history with the followed direction, checkpoint
+//! at each branch, restore the checkpoint on a misprediction, and train at
+//! retirement using the metadata captured at prediction time. The
+//! protocol's metadata and checkpoint are TAGE-SC-L's; the components are
+//! driven through their own methods.
 //!
 //! ```
 //! use br_predictor::{ConditionalPredictor, TageScl, TageSclConfig};

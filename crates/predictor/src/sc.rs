@@ -45,8 +45,6 @@ impl Default for StatisticalCorrectorConfig {
 pub struct ScLookup {
     /// Final direction after the corrector's vote.
     pub taken: bool,
-    /// Whether the corrector inverted the TAGE direction.
-    pub inverted: bool,
     /// Table indices used (bias table first).
     pub indices: InlineVec<u32, MAX_SC_TABLES>,
     /// The weighted sum (sign = direction).
@@ -108,10 +106,8 @@ impl StatisticalCorrector {
         for (t, &idx) in indices.iter().enumerate() {
             sum += 2 * i32::from(self.tables[t][idx as usize]) + 1;
         }
-        let taken = sum >= 0;
         ScLookup {
-            taken,
-            inverted: taken != tage_taken,
+            taken: sum >= 0,
             indices,
             sum,
         }
@@ -191,7 +187,7 @@ mod tests {
             sc.push_history(0x80, true);
         }
         let l = sc.lookup(0x80, true);
-        assert!(l.taken && !l.inverted);
+        assert!(l.taken, "an agreeing TAGE direction stays uninverted");
     }
 
     #[test]

@@ -12,7 +12,6 @@ use br_isa::Pc;
 
 use crate::history::{GlobalHistory, HistoryCheckpoint};
 use crate::inline_vec::InlineVec;
-use crate::traits::{ConditionalPredictor, PredMeta, Prediction, PredictorCheckpoint};
 
 /// Hard cap on tagged tables: sized for the unlimited (MTAGE-like)
 /// configuration so [`TageMeta`]'s per-table lists stay inline.
@@ -120,7 +119,7 @@ struct TaggedEntry {
 
 /// Prediction-time metadata latched for training. Kept `Copy` (inline
 /// per-table lists) so predicting never allocates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TageMeta {
     /// Per-table indices computed at prediction time.
     pub indices: InlineVec<u32, MAX_TAGE_TABLES>,
@@ -431,54 +430,6 @@ impl Tage {
     }
 }
 
-impl ConditionalPredictor for Tage {
-    fn name(&self) -> &'static str {
-        "tage"
-    }
-
-    fn predict(&mut self, pc: Pc) -> Prediction {
-        let (taken, meta) = self.lookup(pc);
-        Prediction {
-            taken,
-            low_confidence: meta.weak_provider || meta.provider.is_none(),
-            meta: PredMeta::Tage(meta),
-        }
-    }
-
-    fn update_history(&mut self, pc: Pc, taken: bool) {
-        self.push_history(pc, taken);
-    }
-
-    fn checkpoint(&self) -> PredictorCheckpoint {
-        PredictorCheckpoint::History(self.hist.checkpoint())
-    }
-
-    fn checkpoint_into(&self, cp: &mut PredictorCheckpoint) {
-        match cp {
-            PredictorCheckpoint::History(h) => self.hist.checkpoint_into(h),
-            _ => *cp = self.checkpoint(),
-        }
-    }
-
-    fn restore(&mut self, cp: &PredictorCheckpoint) {
-        match cp {
-            PredictorCheckpoint::History(h) => self.hist.restore(h),
-            _ => panic!("checkpoint type mismatch for Tage"),
-        }
-    }
-
-    fn train(&mut self, _pc: Pc, taken: bool, pred: &Prediction) {
-        match &pred.meta {
-            PredMeta::Tage(meta) => self.train(taken, pred.taken, meta),
-            _ => panic!("metadata type mismatch for Tage"),
-        }
-    }
-
-    fn storage_kib(&self) -> f64 {
-        self.cfg.storage_kib()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -498,11 +449,10 @@ mod tests {
 
     /// Drives the full fetch protocol for one branch outcome.
     fn step(p: &mut Tage, pc: Pc, taken: bool) -> bool {
-        let pred = ConditionalPredictor::predict(p, pc);
-        let hit = pred.taken == taken;
-        p.update_history(pc, taken);
-        ConditionalPredictor::train(p, pc, taken, &pred);
-        hit
+        let (pred, meta) = p.lookup(pc);
+        p.push_history(pc, taken);
+        p.train(taken, pred, &meta);
+        pred == taken
     }
 
     #[test]
@@ -618,13 +568,13 @@ mod tests {
         for i in 0..300 {
             step(&mut p, 0x40 + (i % 7), i % 3 == 0);
         }
-        let cp = ConditionalPredictor::checkpoint(&p);
-        let before = ConditionalPredictor::predict(&mut p, 0x77).taken;
+        let cp = p.history_checkpoint();
+        let before = p.lookup(0x77).0;
         for i in 0..40 {
-            p.update_history(0x600 + i, i % 2 == 0);
+            p.push_history(0x600 + i, i % 2 == 0);
         }
-        ConditionalPredictor::restore(&mut p, &cp);
-        let after = ConditionalPredictor::predict(&mut p, 0x77).taken;
+        p.restore_history(&cp);
+        let after = p.lookup(0x77).0;
         assert_eq!(before, after);
     }
 }

@@ -102,23 +102,18 @@ impl ConditionalPredictor for TageScl {
     }
 
     fn predict(&mut self, pc: Pc) -> Prediction {
-        let (tage_taken, tage_meta) = self.tage.lookup(pc);
+        let (tage_taken, tage) = self.tage.lookup(pc);
         let sc = self.sc.lookup(pc, tage_taken);
-        let loop_lookup = self.loop_pred.lookup(pc);
-        let (taken, loop_used, loop_taken) = match loop_lookup {
-            Some(l) if l.confident => (l.taken, true, l.taken),
-            _ => (sc.taken, false, false),
+        let (taken, loop_used) = match self.loop_pred.lookup(pc) {
+            Some(l) if l.confident => (l.taken, true),
+            _ => (sc.taken, false),
         };
-        let low_confidence = tage_meta.weak_provider || tage_meta.provider.is_none();
         Prediction {
             taken,
-            low_confidence: low_confidence && !loop_used,
-            meta: PredMeta::TageScl {
-                tage: tage_meta,
+            meta: PredMeta {
+                tage,
                 tage_taken,
                 loop_used,
-                loop_taken,
-                sc_inverted: sc.inverted,
                 sc_indices: sc.indices,
                 sc_sum: sc.sum,
             },
@@ -132,65 +127,36 @@ impl ConditionalPredictor for TageScl {
     }
 
     fn checkpoint(&self) -> PredictorCheckpoint {
-        PredictorCheckpoint::Composite {
-            tage: self.tage.history_checkpoint(),
-            sc: self.sc.checkpoint(),
-            loop_spec: self.loop_pred.spec_checkpoint(),
-        }
+        let mut cp = PredictorCheckpoint::default();
+        self.checkpoint_into(&mut cp);
+        cp
     }
 
     fn checkpoint_into(&self, cp: &mut PredictorCheckpoint) {
-        match cp {
-            PredictorCheckpoint::Composite {
-                tage,
-                sc,
-                loop_spec,
-            } => {
-                self.tage.history_checkpoint_into(tage);
-                self.sc.checkpoint_into(sc);
-                self.loop_pred.spec_checkpoint_into(loop_spec);
-            }
-            _ => *cp = self.checkpoint(),
-        }
+        self.tage.history_checkpoint_into(&mut cp.tage);
+        self.sc.checkpoint_into(&mut cp.sc);
+        self.loop_pred.spec_checkpoint_into(&mut cp.loop_spec);
     }
 
     fn restore(&mut self, cp: &PredictorCheckpoint) {
-        match cp {
-            PredictorCheckpoint::Composite {
-                tage,
-                sc,
-                loop_spec,
-            } => {
-                self.tage.restore_history(tage);
-                self.sc.restore(sc);
-                self.loop_pred.spec_restore(loop_spec);
-            }
-            _ => panic!("checkpoint type mismatch for TageScl"),
-        }
+        self.tage.restore_history(&cp.tage);
+        self.sc.restore(&cp.sc);
+        self.loop_pred.spec_restore(&cp.loop_spec);
     }
 
     fn train(&mut self, pc: Pc, taken: bool, pred: &Prediction) {
-        let PredMeta::TageScl {
-            tage,
-            tage_taken,
-            loop_used,
-            sc_indices,
-            sc_sum,
-            ..
-        } = &pred.meta
-        else {
-            panic!("metadata type mismatch for TageScl");
-        };
-        self.tage.train(taken, *tage_taken, tage);
-        self.sc.train(taken, pred.taken, sc_indices, *sc_sum);
+        let m = &pred.meta;
+        self.tage.train(taken, m.tage_taken, &m.tage);
+        self.sc.train(taken, pred.taken, &m.sc_indices, m.sc_sum);
         // The loop predictor allocates on branches the rest of the
         // predictor mispredicts and trains on everything it tracks.
         let mispredicted = pred.taken != taken;
-        self.loop_pred.train(pc, taken, mispredicted && !loop_used);
+        self.loop_pred
+            .train(pc, taken, mispredicted && !m.loop_used);
     }
 
     fn storage_kib(&self) -> f64 {
-        self.tage.storage_kib() + self.sc.storage_kib() + self.loop_pred.storage_kib()
+        self.tage.config().storage_kib() + self.sc.storage_kib() + self.loop_pred.storage_kib()
     }
 }
 

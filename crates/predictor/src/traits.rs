@@ -7,36 +7,23 @@ use crate::inline_vec::InlineVec;
 use crate::sc::MAX_SC_TABLES;
 use crate::tage::TageMeta;
 
-/// Opaque per-prediction metadata, captured at predict time and handed back
-/// at train time. Real hardware latches the same information (provider
-/// table, indices, tags) in the branch's ROB/BIQ entry.
-#[derive(Clone, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum PredMeta {
-    /// Bimodal index.
-    Bimodal {
-        /// Table index used.
-        index: usize,
-    },
+/// Per-prediction metadata, captured at predict time and handed back at
+/// train time. Real hardware latches the same information (provider
+/// table, indices, tags) in the branch's ROB/BIQ entry. These are the
+/// fields TAGE-SC-L trains with; a predictor that needs none of them
+/// returns the default.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct PredMeta {
     /// TAGE metadata (see [`TageMeta`]).
-    Tage(TageMeta),
-    /// TAGE-SC-L: TAGE metadata plus SC/loop decisions.
-    TageScl {
-        /// Inner TAGE metadata.
-        tage: TageMeta,
-        /// The raw TAGE direction before SC/loop overrides.
-        tage_taken: bool,
-        /// Whether the loop predictor supplied the final direction.
-        loop_used: bool,
-        /// Loop-predictor direction (valid when `loop_used`).
-        loop_taken: bool,
-        /// Whether the statistical corrector inverted the TAGE direction.
-        sc_inverted: bool,
-        /// SC per-table indices at prediction time.
-        sc_indices: InlineVec<u32, MAX_SC_TABLES>,
-        /// SC weighted sum at prediction time.
-        sc_sum: i32,
-    },
+    pub tage: TageMeta,
+    /// The raw TAGE direction before SC/loop overrides.
+    pub tage_taken: bool,
+    /// Whether the loop predictor supplied the final direction.
+    pub loop_used: bool,
+    /// SC per-table indices at prediction time.
+    pub sc_indices: InlineVec<u32, MAX_SC_TABLES>,
+    /// SC weighted sum at prediction time.
+    pub sc_sum: i32,
 }
 
 /// A prediction: the direction plus trainer metadata.
@@ -44,31 +31,21 @@ pub enum PredMeta {
 pub struct Prediction {
     /// Predicted direction.
     pub taken: bool,
-    /// Low confidence hint (provider counter weak). Used by diagnostics.
-    pub low_confidence: bool,
     /// Metadata to pass back to [`ConditionalPredictor::train`].
     pub meta: PredMeta,
 }
 
-/// Checkpoint of a predictor's speculative state (global history, folded
-/// histories, loop-predictor speculative iteration counts).
-#[derive(Clone, Debug)]
-#[non_exhaustive]
-pub enum PredictorCheckpoint {
-    /// No speculative state.
-    None,
-    /// Global-history checkpoint only.
-    History(HistoryCheckpoint),
-    /// TAGE-SC-L composite: TAGE history, SC history, and the loop
-    /// predictor's speculative iteration counters.
-    Composite {
-        /// TAGE global-history checkpoint.
-        tage: HistoryCheckpoint,
-        /// Statistical-corrector history checkpoint.
-        sc: HistoryCheckpoint,
-        /// Loop-predictor speculative counters snapshot.
-        loop_spec: Vec<(usize, u16)>,
-    },
+/// Checkpoint of a predictor's speculative state: the TAGE and SC global
+/// histories and the loop predictor's speculative iteration counts. A
+/// predictor without speculative state returns the default.
+#[derive(Clone, Debug, Default)]
+pub struct PredictorCheckpoint {
+    /// TAGE global-history checkpoint.
+    pub tage: HistoryCheckpoint,
+    /// Statistical-corrector history checkpoint.
+    pub sc: HistoryCheckpoint,
+    /// Loop-predictor speculative counters snapshot.
+    pub loop_spec: Vec<(usize, u16)>,
 }
 
 /// A conditional branch direction predictor with speculative history.
@@ -100,8 +77,8 @@ pub trait ConditionalPredictor: Send {
     fn checkpoint(&self) -> PredictorCheckpoint;
 
     /// Captures the speculative state into an existing checkpoint buffer,
-    /// reusing its allocations when the buffer's variant matches. The
-    /// default falls back to a fresh [`Self::checkpoint`].
+    /// reusing its allocations. The default falls back to a fresh
+    /// [`Self::checkpoint`].
     fn checkpoint_into(&self, cp: &mut PredictorCheckpoint) {
         *cp = self.checkpoint();
     }

@@ -33,7 +33,6 @@ use br_telemetry::export::escape_json;
 
 use crate::job::{SimError, SimJob};
 use crate::runner::run_jobs_partial;
-use crate::system::SystemHooks;
 
 /// The fault taxonomy. Discriminants are the stable `arg` codes carried
 /// by `EventKind::FaultInject` telemetry events.
@@ -262,27 +261,23 @@ impl FaultInjector {
         rate > 0 && (self.next_rand() & 0xFFFF) < u64::from(rate)
     }
 
-    /// Whether a structural chaos tick is due this cycle.
-    #[must_use]
-    pub fn chaos_due(&self, cycle: u64) -> bool {
-        self.spec.period > 0 && cycle > 0 && cycle.is_multiple_of(self.spec.period)
-    }
-
     /// Filters one cycle's memory responses: DCE-owned responses selected
     /// by the schedule are withheld for `delay_cycles`, and previously
     /// held responses that have come due are re-delivered (appended in
     /// hold order, so delivery is deterministic). Core responses are
     /// never touched — the fault boundary is strictly the assist engine.
+    /// Each delay is traced into the engine's telemetry.
     pub fn filter_responses(
         &mut self,
         cycle: u64,
         responses: Vec<MemResp>,
-        br: &BranchRunahead,
+        br: &mut BranchRunahead,
     ) -> Vec<MemResp> {
         let mut out = Vec::with_capacity(responses.len());
         for r in responses {
             if br.owns_mem_request(r.id) && self.roll(self.spec.delay_mem) {
                 self.stats.delayed_responses += 1;
+                br.record_external_fault(cycle, 0, FaultKind::DelayMem as u64);
                 self.held.push((cycle + self.spec.delay_cycles.max(1), r));
             } else {
                 out.push(r);
@@ -299,20 +294,15 @@ impl FaultInjector {
         out
     }
 
-    /// Records delayed responses into telemetry (split from
-    /// [`FaultInjector::filter_responses`] so the latter can take the
-    /// engine immutably inside the run loop's borrow pattern).
-    pub fn note_delays(&mut self, cycle: u64, before: u64, br: &mut BranchRunahead) {
-        for _ in before..self.stats.delayed_responses {
-            br.record_external_fault(cycle, 0, FaultKind::DelayMem as u64);
-        }
-    }
-
-    /// One structural chaos tick: rolls each structural fault class and
-    /// applies the ones that fire to the engine. Sabotage (the CI
-    /// fixture's deliberate corruption) is re-applied every tick so a
-    /// flush between ticks cannot hide it from the next invariant sweep.
+    /// The structural chaos of one cycle: on every `period`-th cycle,
+    /// rolls each structural fault class and applies the ones that fire
+    /// to the engine. Sabotage (the CI fixture's deliberate corruption) is
+    /// re-applied every chaos tick so a flush between ticks cannot hide it
+    /// from the next invariant sweep.
     pub fn chaos_tick(&mut self, cycle: u64, br: &mut BranchRunahead) {
+        if self.spec.period == 0 || cycle == 0 || !cycle.is_multiple_of(self.spec.period) {
+            return;
+        }
         if self.spec.sabotage {
             br.chaos_sabotage();
         }
@@ -333,30 +323,29 @@ impl FaultInjector {
     }
 }
 
-/// Wraps the system's hooks for one core tick, bit-flipping chain
+/// Wraps the Branch Runahead engine for one core tick, bit-flipping chain
 /// outcomes on their way from the prediction queues to fetch. Every other
 /// hook delegates untouched: the fault surface is exactly the prediction
 /// hand-off, matching the paper's prediction-as-hint contract.
 pub struct FaultedHooks<'a> {
-    inner: &'a mut SystemHooks,
+    br: &'a mut BranchRunahead,
     inj: &'a mut FaultInjector,
 }
 
 impl<'a> FaultedHooks<'a> {
-    /// Wraps `inner`, perturbing it per `inj`'s schedule.
-    pub fn new(inner: &'a mut SystemHooks, inj: &'a mut FaultInjector) -> Self {
-        FaultedHooks { inner, inj }
+    /// Wraps `br`, perturbing it per `inj`'s schedule.
+    pub fn new(br: &'a mut BranchRunahead, inj: &'a mut FaultInjector) -> Self {
+        FaultedHooks { br, inj }
     }
 }
 
 impl CoreHooks for FaultedHooks<'_> {
     fn override_prediction(&mut self, pc: Pc, base: bool, cycle: u64) -> Option<bool> {
-        let value = self.inner.override_prediction(pc, base, cycle)?;
+        let value = self.br.override_prediction(pc, base, cycle)?;
         if self.inj.roll(self.inj.spec.flip_outcome) {
             self.inj.stats.outcome_flips += 1;
-            if let Some(br) = self.inner.runahead_mut() {
-                br.record_external_fault(cycle, pc, FaultKind::FlipOutcome as u64);
-            }
+            self.br
+                .record_external_fault(cycle, pc, FaultKind::FlipOutcome as u64);
             Some(!value)
         } else {
             Some(value)
@@ -364,7 +353,7 @@ impl CoreHooks for FaultedHooks<'_> {
     }
 
     fn on_branch_fetch(&mut self, b: &FetchedBranch) {
-        self.inner.on_branch_fetch(b);
+        self.br.on_branch_fetch(b);
     }
 
     fn on_mispredict(
@@ -373,15 +362,15 @@ impl CoreHooks for FaultedHooks<'_> {
         wrong_path: &[WrongPathUop],
         cpu: &CpuState,
     ) {
-        self.inner.on_mispredict(info, wrong_path, cpu);
+        self.br.on_mispredict(info, wrong_path, cpu);
     }
 
     fn on_retire(&mut self, u: &RetiredUop) {
-        self.inner.on_retire(u);
+        self.br.on_retire(u);
     }
 
     fn on_branch_retire(&mut self, b: &BranchOutcome) {
-        self.inner.on_branch_retire(b);
+        self.br.on_branch_retire(b);
     }
 }
 

@@ -40,5 +40,5 @@ pub use config::{render_table2, PredictorKind, SimConfig};
 pub use faults::{run_soak, FaultKind, FaultSpec, FaultStats, SoakReport};
 pub use job::{SimError, SimJob};
 pub use runner::{aggregate, resolve_threads, run_jobs, run_jobs_partial};
-pub use system::{RunResult, System, SystemHooks};
+pub use system::{RunResult, System};
 pub use table::ExpTable;

@@ -2,13 +2,9 @@
 
 use br_core::{BrLiveState, BrStats, BranchRunahead, PredictionCategory};
 use br_energy::EnergyEvents;
-use br_isa::{CpuState, Machine, Pc};
+use br_isa::Machine;
 use br_mem::{Counters, MemResp, MemoryStats, MemorySystem};
-use br_ooo::{
-    BranchOutcome, CoreHooks, CoreStats, CycleReport, FetchedBranch, MispredictInfo, RetiredUop,
-    WrongPathUop,
-};
-use br_ooo::{Core, NullHooks};
+use br_ooo::{Core, CoreStats, NullHooks};
 use br_telemetry::{Sample, Telemetry, TelemetryRun};
 use br_workloads::WorkloadImage;
 
@@ -18,104 +14,6 @@ use crate::job::SimError;
 
 /// Cycles between machine-check invariant sweeps (when enabled).
 const MACHINE_CHECK_INTERVAL: u64 = 1024;
-
-/// The uniform observation/steering attachment of a [`System`]: either the
-/// baseline no-op hooks or a Branch Runahead engine. [`System::run`] drives
-/// one code path regardless of which is attached — the paper's "baseline
-/// vs. BR" distinction is data, not control flow.
-#[derive(Debug)]
-pub enum SystemHooks {
-    /// Baseline system: observe nothing, never override.
-    Baseline(NullHooks),
-    /// Branch Runahead attached (boxed: the engine is large).
-    Runahead(Box<BranchRunahead>),
-}
-
-impl SystemHooks {
-    /// Builds the hooks for a configuration.
-    #[must_use]
-    pub fn from_config(cfg: &SimConfig, retire_width: usize) -> Self {
-        match &cfg.runahead {
-            Some(rc) => SystemHooks::Runahead(Box::new(BranchRunahead::new(*rc, retire_width))),
-            None => SystemHooks::Baseline(NullHooks),
-        }
-    }
-
-    /// The Branch Runahead engine, when attached.
-    #[must_use]
-    pub fn runahead(&self) -> Option<&BranchRunahead> {
-        match self {
-            SystemHooks::Baseline(_) => None,
-            SystemHooks::Runahead(br) => Some(br),
-        }
-    }
-
-    /// Mutable access to the attached engine (telemetry attach/detach).
-    #[must_use]
-    pub fn runahead_mut(&mut self) -> Option<&mut BranchRunahead> {
-        match self {
-            SystemHooks::Baseline(_) => None,
-            SystemHooks::Runahead(br) => Some(br),
-        }
-    }
-
-    /// Advances the attached engine one cycle after the core's tick (the
-    /// DCE runs in the shadow of the core, consuming its spare resources).
-    fn post_tick(
-        &mut self,
-        cycle: u64,
-        machine: &Machine,
-        mem: &mut MemorySystem,
-        responses: &[MemResp],
-        report: &CycleReport,
-    ) {
-        if let SystemHooks::Runahead(br) = self {
-            br.tick(cycle, machine, mem, responses, report);
-        }
-    }
-}
-
-impl CoreHooks for SystemHooks {
-    fn override_prediction(&mut self, pc: Pc, base: bool, cycle: u64) -> Option<bool> {
-        match self {
-            SystemHooks::Baseline(h) => h.override_prediction(pc, base, cycle),
-            SystemHooks::Runahead(br) => br.override_prediction(pc, base, cycle),
-        }
-    }
-
-    fn on_branch_fetch(&mut self, b: &FetchedBranch) {
-        match self {
-            SystemHooks::Baseline(h) => h.on_branch_fetch(b),
-            SystemHooks::Runahead(br) => br.on_branch_fetch(b),
-        }
-    }
-
-    fn on_mispredict(
-        &mut self,
-        info: &MispredictInfo,
-        wrong_path: &[WrongPathUop],
-        cpu: &CpuState,
-    ) {
-        match self {
-            SystemHooks::Baseline(h) => h.on_mispredict(info, wrong_path, cpu),
-            SystemHooks::Runahead(br) => br.on_mispredict(info, wrong_path, cpu),
-        }
-    }
-
-    fn on_retire(&mut self, u: &RetiredUop) {
-        match self {
-            SystemHooks::Baseline(h) => h.on_retire(u),
-            SystemHooks::Runahead(br) => br.on_retire(u),
-        }
-    }
-
-    fn on_branch_retire(&mut self, b: &BranchOutcome) {
-        match self {
-            SystemHooks::Baseline(h) => h.on_branch_retire(b),
-            SystemHooks::Runahead(br) => br.on_branch_retire(b),
-        }
-    }
-}
 
 /// Results of one simulation run.
 #[derive(Clone, Debug)]
@@ -143,11 +41,11 @@ br_mem::counters!(RunResult {
 impl RunResult {
     /// The statistics of a system so far, without telemetry or a
     /// configuration name.
-    fn snapshot(core: &Core, mem: &MemorySystem, hooks: &SystemHooks) -> Self {
+    fn snapshot(core: &Core, mem: &MemorySystem, br: Option<&BranchRunahead>) -> Self {
         RunResult {
             core: core.stats().clone(),
             mem: mem.stats(),
-            br: hooks.runahead().map(BranchRunahead::stats),
+            br: br.map(BranchRunahead::stats),
             config_name: String::new(),
             telemetry: None,
             faults: None,
@@ -250,11 +148,11 @@ impl Sampler {
         retired: u64,
         core: &Core,
         mem: &MemorySystem,
-        hooks: &SystemHooks,
+        engine: Option<&BranchRunahead>,
     ) {
         // The interval's statistics: the run so far minus the previous
         // snapshot, counter by counter.
-        let mut d = RunResult::snapshot(core, mem, hooks);
+        let mut d = RunResult::snapshot(core, mem, engine);
         let now = d.counter_values();
         let mut prev = self.prev.iter();
         d.for_each_counter_mut(&mut |_, v| {
@@ -262,9 +160,7 @@ impl Sampler {
         });
         self.prev = now;
 
-        let live = hooks
-            .runahead()
-            .map_or_else(BrLiveState::default, BranchRunahead::live_state);
+        let live = engine.map_or_else(BrLiveState::default, BranchRunahead::live_state);
         let br = d.br.as_ref();
         let category = |cat| br.map_or(0.0, |s| s.category_fraction(cat));
         self.samples.push(Sample {
@@ -296,7 +192,9 @@ impl Sampler {
 pub struct System {
     core: Core,
     mem: MemorySystem,
-    hooks: SystemHooks,
+    /// The Branch Runahead engine (boxed: it is large); `None` for the
+    /// baseline system.
+    br: Option<Box<BranchRunahead>>,
     max_cycles: u64,
     config_name: String,
     sampler: Option<Sampler>,
@@ -329,14 +227,16 @@ impl System {
             cfg.predictor.build(),
         );
         core.set_max_retired(cfg.max_retired);
-        let mut hooks = SystemHooks::from_config(&cfg, cfg.core.retire_width);
-        let config_name = match hooks.runahead() {
+        let mut br = cfg
+            .runahead
+            .map(|rc| Box::new(BranchRunahead::new(rc, cfg.core.retire_width)));
+        let config_name = match &br {
             Some(br) => format!("{}+br-{}", cfg.predictor.name(), br.config().name),
             None => cfg.predictor.name().to_string(),
         };
         let sampler = if cfg.telemetry.enabled {
             core.attach_telemetry(Telemetry::from_config(&cfg.telemetry));
-            if let Some(br) = hooks.runahead_mut() {
+            if let Some(br) = &mut br {
                 br.attach_telemetry(Telemetry::from_config(&cfg.telemetry));
             }
             Some(Sampler::new(cfg.telemetry.sample_interval))
@@ -346,7 +246,7 @@ impl System {
         System {
             core,
             mem: MemorySystem::new(cfg.memory),
-            hooks,
+            br,
             max_cycles: cfg.max_cycles,
             config_name,
             sampler,
@@ -374,7 +274,7 @@ impl System {
     /// structures and the core, surfacing the first violation as a typed
     /// error.
     fn check_machine(&mut self, cycle: u64) -> Result<(), SimError> {
-        let result = match self.hooks.runahead_mut() {
+        let result = match &mut self.br {
             Some(br) => br.check_invariants(cycle),
             None => Ok(()),
         };
@@ -389,11 +289,11 @@ impl System {
 
     /// Runs to completion (program halt, retired-uop budget, or the cycle
     /// safety cap) and returns the statistics. Baseline and Branch
-    /// Runahead systems share this single loop: the hooks enum decides
-    /// what observes the core, not the loop. When the configuration
-    /// carries a fault schedule the injector perturbs the BR/core
-    /// boundary each cycle; when machine checks are on, periodic
-    /// invariant sweeps abort the run with
+    /// Runahead systems share this single loop: the engine, when there is
+    /// one, observes the core through its hooks and then ticks in the
+    /// core's shadow. When the configuration carries a fault schedule the
+    /// injector perturbs the BR/core boundary each cycle; when machine
+    /// checks are on, periodic invariant sweeps abort the run with
     /// [`SimError::InvariantViolation`] at the first inconsistency.
     ///
     /// # Errors
@@ -407,34 +307,31 @@ impl System {
             last_cycle = cycle;
             let mut responses = std::mem::take(&mut self.resp_scratch);
             self.mem.tick_into(cycle, &mut responses);
-            if let Some(inj) = &mut self.injector {
-                if let Some(br) = self.hooks.runahead_mut() {
-                    let delayed_before = inj.stats().delayed_responses;
+            let report = match (&mut self.br, &mut self.injector) {
+                (Some(br), Some(inj)) => {
                     responses = inj.filter_responses(cycle, responses, br);
-                    inj.note_delays(cycle, delayed_before, br);
-                    if inj.chaos_due(cycle) {
-                        inj.chaos_tick(cycle, br);
-                    }
-                }
-            }
-            let report = match &mut self.injector {
-                Some(inj) => {
-                    let mut hooks = FaultedHooks::new(&mut self.hooks, inj);
+                    inj.chaos_tick(cycle, br);
+                    let mut hooks = FaultedHooks::new(br, inj);
                     self.core.tick(&responses, &mut self.mem, &mut hooks)
                 }
-                None => self.core.tick(&responses, &mut self.mem, &mut self.hooks),
+                (Some(br), None) => self.core.tick(&responses, &mut self.mem, &mut **br),
+                (None, _) => self.core.tick(&responses, &mut self.mem, &mut NullHooks),
             };
-            self.hooks.post_tick(
-                cycle,
-                self.core.machine(),
-                &mut self.mem,
-                &responses,
-                &report,
-            );
+            if let Some(br) = &mut self.br {
+                // The DCE runs in the shadow of the core, consuming its
+                // spare resources.
+                br.tick(
+                    cycle,
+                    self.core.machine(),
+                    &mut self.mem,
+                    &responses,
+                    &report,
+                );
+            }
             if let Some(s) = &mut self.sampler {
                 let retired = self.core.stats().retired_uops;
                 if retired >= s.next {
-                    s.take(cycle, retired, &self.core, &self.mem, &self.hooks);
+                    s.take(cycle, retired, &self.core, &self.mem, self.br.as_deref());
                 }
             }
             if self.machine_check && cycle.is_multiple_of(MACHINE_CHECK_INTERVAL) {
@@ -452,13 +349,13 @@ impl System {
         let mut result = RunResult {
             config_name: self.config_name.clone(),
             faults: self.injector.as_ref().map(FaultInjector::stats),
-            ..RunResult::snapshot(&self.core, &self.mem, &self.hooks)
+            ..RunResult::snapshot(&self.core, &self.mem, self.br.as_deref())
         };
         if let Some(s) = self.sampler.take() {
             let core_t = self.core.take_telemetry();
             let br_t = self
-                .hooks
-                .runahead_mut()
+                .br
+                .as_deref_mut()
                 .map_or_else(Telemetry::off, BranchRunahead::take_telemetry);
             let mut run = TelemetryRun::collect(s.samples, vec![core_t, br_t]);
             result.for_each_counter(&mut |name, v| run.counters.push((name.to_string(), v)));
@@ -476,7 +373,7 @@ impl System {
     /// The Branch Runahead system, if enabled.
     #[must_use]
     pub fn runahead(&self) -> Option<&BranchRunahead> {
-        self.hooks.runahead()
+        self.br.as_deref()
     }
 }
 

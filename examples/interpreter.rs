@@ -8,17 +8,17 @@
 //! cargo run --release --example interpreter
 //! ```
 
-use branch_runahead::isa::{reg, Cond, Machine, MemOperand, MemoryImage, ProgramBuilder};
-use branch_runahead::mem::{MemoryConfig, MemorySystem};
-use branch_runahead::ooo::{Core, CoreConfig, NullHooks};
-use branch_runahead::predictor::{TageScl, TageSclConfig};
-use branch_runahead::runahead::{BranchRunahead, BranchRunaheadConfig};
+use std::sync::Arc;
+
+use branch_runahead::isa::{reg, Cond, MemOperand, MemoryImage, ProgramBuilder};
+use branch_runahead::sim::{SimConfig, System};
+use branch_runahead::workloads::WorkloadImage;
 
 const BYTECODE: u64 = 0x1_0000;
 const DATA: u64 = 0x2_0000;
 const N: u64 = 4096;
 
-fn build() -> (branch_runahead::isa::Program, MemoryImage) {
+fn build() -> WorkloadImage {
     let mut img = MemoryImage::new();
     let mut x = 0x2545_f491_4f6c_dd1du64;
     let mut ops = Vec::new();
@@ -65,42 +65,23 @@ fn build() -> (branch_runahead::isa::Program, MemoryImage) {
     b.cmpi(reg::R0, 200_000);
     b.br(Cond::Ne, top);
     b.halt();
-    (b.build().expect("interpreter assembles"), img)
+    WorkloadImage {
+        program: Arc::new(b.build().expect("interpreter assembles")),
+        memory: img,
+    }
 }
 
-fn run(with_br: bool) -> (f64, f64) {
-    let (program, img) = build();
-    let mut core = Core::new(
-        CoreConfig::default(),
-        program,
-        Machine::new(img.into_memory()),
-        Box::new(TageScl::new(TageSclConfig::kb64())),
-    );
-    core.set_max_retired(300_000);
-    let mut mem = MemorySystem::new(MemoryConfig::default());
-    let mut br = with_br.then(|| BranchRunahead::new(BranchRunaheadConfig::mini(), 4));
-    for cycle in 0..30_000_000u64 {
-        let resps = mem.tick(cycle);
-        let report = match &mut br {
-            Some(b) => {
-                let report = core.tick(&resps, &mut mem, b);
-                b.tick(cycle, core.machine(), &mut mem, &resps, &report);
-                report
-            }
-            None => core.tick(&resps, &mut mem, &mut NullHooks),
-        };
-        if report.done {
-            break;
-        }
-    }
-    let s = core.stats();
-    (s.ipc(), s.mpki())
+fn run(image: &WorkloadImage, mut cfg: SimConfig) -> (f64, f64) {
+    cfg.max_retired = 300_000;
+    let r = System::new(cfg, image).run();
+    (r.ipc(), r.mpki())
 }
 
 fn main() {
     println!("bytecode interpreter: dispatch loop with inline handlers\n");
-    let (ipc0, mpki0) = run(false);
-    let (ipc1, mpki1) = run(true);
+    let image = build();
+    let (ipc0, mpki0) = run(&image, SimConfig::baseline());
+    let (ipc1, mpki1) = run(&image, SimConfig::mini_br());
     println!("{:<22}{:>10}{:>10}", "", "baseline", "mini-br");
     println!("{:<22}{:>10.3}{:>10.3}", "IPC", ipc0, ipc1);
     println!("{:<22}{:>10.2}{:>10.2}", "MPKI", mpki0, mpki1);

@@ -130,6 +130,25 @@ fn machine_check_passes_on_clean_runs() {
 }
 
 #[test]
+fn baseline_faults_have_no_engine_to_perturb() {
+    // Every fault acts on the Branch Runahead engine; a baseline system
+    // has none, so its fault schedule must inject nothing and leave the
+    // run exactly as a clean one.
+    let mut job = mini_job("leela_17", 20_000);
+    job.config = SimConfig::baseline();
+    let clean = job.run().expect("clean baseline run");
+    job.config.faults = Some(FaultSpec::default());
+    let faulted = job.run().expect("faulted baseline run");
+    assert_eq!(faulted.faults.expect("stats present").total(), 0);
+    assert_eq!(clean.core.cycles, faulted.core.cycles);
+    assert_eq!(clean.core.mispredicts, faulted.core.mispredicts);
+    assert_eq!(
+        clean.core.retire_fingerprint,
+        faulted.core.retire_fingerprint
+    );
+}
+
+#[test]
 fn multi_panic_batch_reports_each_job_and_keeps_the_rest() {
     let mut batch: Vec<SimJob> = ["leela_17", "mcf_06", "bfs", "sssp", "leela_17", "bfs"]
         .iter()
