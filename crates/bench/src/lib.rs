@@ -23,11 +23,8 @@
 
 #![warn(missing_docs)]
 
-use std::path::{Path, PathBuf};
-
 use br_sim::experiments::{self, ExperimentSetup};
-use br_sim::{run_jobs, SimConfig, SimError, TelemetryRun};
-use br_telemetry::export;
+use br_sim::SimError;
 
 /// Names accepted by the `figures` binary, in `figures all` order.
 pub use br_sim::experiments::EXPERIMENTS;
@@ -43,74 +40,6 @@ pub fn run_experiment(name: &str, setup: &ExperimentSetup) -> Result<String, Sim
     let mut campaign = experiments::run(&[name], setup)?;
     let (_, output) = campaign.outputs.pop().expect("one name renders one output");
     Ok(output.text())
-}
-
-/// Runs the setup's workloads under Mini Branch Runahead with telemetry
-/// enabled and writes every exporter's output into `dir`:
-/// `trace.json` (Chrome trace viewer), `samples.jsonl` (interval
-/// samples), `events.jsonl` (the event ring), and
-/// `counters.json` (each job's dropped-event count and final counter
-/// values). Jobs execute on `setup.threads` workers; the files are
-/// assembled from results in job order, so output is byte-identical for
-/// any thread count. Returns the written paths.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the runs; filesystem failures creating
-/// `dir` or writing the files surface as [`SimError::Io`] naming the
-/// path.
-pub fn export_telemetry(setup: &ExperimentSetup, dir: &Path) -> Result<Vec<PathBuf>, SimError> {
-    let io_err = |path: &Path, e: std::io::Error| SimError::Io {
-        path: path.display().to_string(),
-        message: e.to_string(),
-    };
-    let mut setup = setup.clone();
-    setup.telemetry.enabled = true;
-    let jobs = mini_jobs(&setup);
-    let results = run_jobs(&jobs, setup.threads)?;
-    let runs: Vec<(String, TelemetryRun)> = jobs
-        .iter()
-        .zip(results)
-        .filter_map(|(job, r)| r.telemetry.map(|t| (job.label(), t)))
-        .collect();
-    std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
-    let files: [(&str, String); 4] = [
-        ("trace.json", export::chrome_trace(&runs)),
-        ("samples.jsonl", export::samples_jsonl(&runs)),
-        ("events.jsonl", export::events_jsonl(&runs)),
-        ("counters.json", export::counters_json(&runs)),
-    ];
-    let mut written = Vec::with_capacity(files.len());
-    for (name, contents) in files {
-        let path = dir.join(name);
-        std::fs::write(&path, contents).map_err(|e| io_err(&path, e))?;
-        written.push(path);
-    }
-    Ok(written)
-}
-
-/// Runs the architectural-equivalence soak over the setup's workloads
-/// under Mini Branch Runahead: each `(workload, region)` job runs once
-/// fault-free and `schedules` times under seeded fault schedules derived
-/// from `spec`, with machine checks always on. See [`br_sim::run_soak`]
-/// for the pass criterion (bit-identical retired instruction streams).
-#[must_use]
-pub fn run_faults_soak(
-    setup: &ExperimentSetup,
-    spec: br_sim::FaultSpec,
-    schedules: u32,
-) -> br_sim::SoakReport {
-    br_sim::run_soak(&mini_jobs(setup), spec, schedules, setup.threads)
-}
-
-/// The setup's jobs under Mini Branch Runahead, workload by workload.
-fn mini_jobs(setup: &ExperimentSetup) -> Vec<br_sim::SimJob> {
-    let mini = SimConfig::mini_br();
-    setup
-        .workloads
-        .iter()
-        .flat_map(|w| setup.jobs(&mini, w))
-        .collect()
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ use crate::wpb::{bloom_insert, bloom_probe, MemBloom, MergeEvent};
 
 /// An active poison-propagation pass for one merge event.
 #[derive(Clone, Debug)]
-pub struct PoisonDetector {
+pub(crate) struct PoisonDetector {
     affector_pc: Pc,
     poison: RegSet,
     mem_poison: MemBloom,
@@ -30,7 +30,7 @@ impl PoisonDetector {
     /// Starts detection from a merge event, with `max_distance` retired
     /// uops of budget.
     #[must_use]
-    pub fn new(ev: &MergeEvent, max_distance: usize) -> Self {
+    pub(crate) fn new(ev: &MergeEvent, max_distance: usize) -> Self {
         PoisonDetector {
             affector_pc: ev.branch_pc,
             poison: ev.both_path_dest,
@@ -43,25 +43,19 @@ impl PoisonDetector {
 
     /// The affector branch this pass is tracking.
     #[must_use]
-    pub fn affector(&self) -> Pc {
+    pub(crate) fn affector(&self) -> Pc {
         self.affector_pc
     }
 
     /// Whether the pass has terminated.
     #[must_use]
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.done
-    }
-
-    /// Affectee branch PCs found so far.
-    #[must_use]
-    pub fn affectees(&self) -> &[Pc] {
-        &self.affectees
     }
 
     /// Feeds one retired uop. Returns `Some(affectee_pc)` when this uop is
     /// a branch sourcing poison.
-    pub fn step(&mut self, u: &RetiredUop) -> Option<Pc> {
+    pub(crate) fn step(&mut self, u: &RetiredUop) -> Option<Pc> {
         if self.done {
             return None;
         }
@@ -207,7 +201,7 @@ mod tests {
             },
         ));
         assert_eq!(hit, Some(32));
-        assert_eq!(p.affectees(), &[32]);
+        assert_eq!(p.affectees, [32]);
     }
 
     #[test]

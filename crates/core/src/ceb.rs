@@ -3,31 +3,31 @@
 
 use std::collections::VecDeque;
 
-use br_isa::{Pc, RegSet, Uop, Width};
+use br_isa::{RegSet, Uop, Width};
 use br_ooo::RetiredUop;
 
 /// A retired uop as held in the CEB: the static uop plus the dynamic facts
 /// extraction needs (memory address, branch direction).
 #[derive(Clone, Copy, Debug)]
-pub struct CebRecord {
+pub(crate) struct CebRecord {
     /// Dynamic sequence number (monotonic).
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// The static uop.
-    pub uop: Uop,
+    pub(crate) uop: Uop,
     /// Registers written.
-    pub dsts: RegSet,
+    pub(crate) dsts: RegSet,
     /// Registers read.
-    pub srcs: RegSet,
+    pub(crate) srcs: RegSet,
     /// Memory access: `(address, width, is_store)`.
-    pub mem: Option<(u64, Width, bool)>,
+    pub(crate) mem: Option<(u64, Width, bool)>,
     /// Resolved direction for conditional branches.
-    pub taken: Option<bool>,
+    pub(crate) taken: Option<bool>,
 }
 
 impl CebRecord {
     /// Builds a record from a retired uop.
     #[must_use]
-    pub fn from_retired(r: &RetiredUop) -> Self {
+    pub(crate) fn from_retired(r: &RetiredUop) -> Self {
         CebRecord {
             seq: r.seq,
             uop: r.uop,
@@ -45,7 +45,7 @@ impl CebRecord {
 
 /// The circular retired-uop buffer (512 entries in the Mini config).
 #[derive(Clone, Debug)]
-pub struct ChainExtractionBuffer {
+pub(crate) struct ChainExtractionBuffer {
     capacity: usize,
     buf: VecDeque<CebRecord>,
 }
@@ -57,7 +57,7 @@ impl ChainExtractionBuffer {
     ///
     /// Panics if `capacity` is zero.
     #[must_use]
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "CEB capacity must be nonzero");
         ChainExtractionBuffer {
             capacity,
@@ -66,42 +66,17 @@ impl ChainExtractionBuffer {
     }
 
     /// Appends a retired uop, evicting the oldest if full.
-    pub fn push(&mut self, rec: CebRecord) {
+    pub(crate) fn push(&mut self, rec: CebRecord) {
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
         }
         self.buf.push_back(rec);
     }
 
-    /// Number of buffered uops.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the buffer is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// The records, oldest first.
     #[must_use]
-    pub fn as_slices(&self) -> (&[CebRecord], &[CebRecord]) {
+    pub(crate) fn as_slices(&self) -> (&[CebRecord], &[CebRecord]) {
         self.buf.as_slices()
-    }
-
-    /// Iterates newest-to-oldest (the direction of the backwards dataflow
-    /// walk).
-    pub fn iter_backwards(&self) -> impl Iterator<Item = &CebRecord> {
-        self.buf.iter().rev()
-    }
-
-    /// Index (from the back, 0 = newest) of the newest record with `pc`,
-    /// if present.
-    #[must_use]
-    pub fn newest_instance_of(&self, pc: Pc) -> Option<usize> {
-        self.iter_backwards().position(|r| r.uop.pc == pc)
     }
 
     /// Validates structural invariants: occupancy within capacity and
@@ -111,7 +86,7 @@ impl ChainExtractionBuffer {
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
-    pub fn check_invariants(&self) -> Result<(), String> {
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
         if self.buf.len() > self.capacity {
             return Err(format!(
                 "ceb: {} records exceed capacity {}",
@@ -138,6 +113,15 @@ impl ChainExtractionBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use br_isa::Pc;
+
+    impl ChainExtractionBuffer {
+        /// Number of buffered uops.
+        #[must_use]
+        pub(crate) fn len(&self) -> usize {
+            self.buf.len()
+        }
+    }
     use br_isa::UopKind;
 
     fn rec(seq: u64, pc: Pc) -> CebRecord {
@@ -161,18 +145,7 @@ mod tests {
             ceb.push(rec(i, i));
         }
         assert_eq!(ceb.len(), 3);
-        let pcs: Vec<Pc> = ceb.iter_backwards().map(|r| r.uop.pc).collect();
+        let pcs: Vec<Pc> = ceb.buf.iter().rev().map(|r| r.uop.pc).collect();
         assert_eq!(pcs, vec![4, 3, 2]);
-    }
-
-    #[test]
-    fn newest_instance_lookup() {
-        let mut ceb = ChainExtractionBuffer::new(8);
-        for (i, pc) in [10u64, 20, 10, 30].iter().enumerate() {
-            ceb.push(rec(i as u64, *pc));
-        }
-        assert_eq!(ceb.newest_instance_of(10), Some(1), "newest 10 is 1 back");
-        assert_eq!(ceb.newest_instance_of(30), Some(0));
-        assert_eq!(ceb.newest_instance_of(99), None);
     }
 }

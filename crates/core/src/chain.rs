@@ -20,7 +20,7 @@ pub(crate) const MAX_CHAIN_OPS: usize = 32;
 
 /// A source operand inside a chain.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChainSrc {
+pub(crate) enum ChainSrc {
     /// An immediate.
     Imm(i64),
     /// The chain's live-in value of an architectural register.
@@ -32,7 +32,7 @@ pub enum ChainSrc {
 /// One executable chain micro-op. Chains contain no stores, no moves and
 /// no control flow — guaranteed by construction (§4.3).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChainOp {
+pub(crate) enum ChainOp {
     /// ALU operation.
     Alu {
         /// Operation (never `Div` — rejected at extraction).
@@ -70,7 +70,7 @@ impl ChainOp {
     /// The sources this op reads, in operand order (a load's base, then
     /// its index).
     #[must_use]
-    pub fn srcs(&self) -> [Option<ChainSrc>; 2] {
+    pub(crate) fn srcs(&self) -> [Option<ChainSrc>; 2] {
         match *self {
             ChainOp::Alu { src1, src2, .. } | ChainOp::Cmp { src1, src2 } => {
                 [Some(src1), Some(src2)]
@@ -81,13 +81,13 @@ impl ChainOp {
 
     /// Whether this op is a load.
     #[must_use]
-    pub fn is_load(&self) -> bool {
+    pub(crate) fn is_load(&self) -> bool {
         matches!(self, ChainOp::Load { .. })
     }
 
     /// Compute latency in cycles (memory latency modelled separately).
     #[must_use]
-    pub fn latency(&self) -> u64 {
+    pub(crate) fn latency(&self) -> u64 {
         match self {
             ChainOp::Alu { op, .. } => u64::from(op.latency()),
             _ => 1,
@@ -98,23 +98,23 @@ impl ChainOp {
 /// The tag that initiates a chain: a trigger branch PC and the outcome it
 /// must produce. `outcome == None` is the wildcard `<PC, *>` of §3.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct ChainTag {
+pub(crate) struct ChainTag {
     /// Triggering branch PC.
-    pub pc: Pc,
+    pub(crate) pc: Pc,
     /// Required trigger outcome; `None` matches either direction.
-    pub outcome: Option<bool>,
+    pub(crate) outcome: Option<bool>,
 }
 
 impl ChainTag {
     /// Whether an observed `(pc, outcome)` event matches this tag.
     #[must_use]
-    pub fn matches(&self, pc: Pc, outcome: bool) -> bool {
+    pub(crate) fn matches(&self, pc: Pc, outcome: bool) -> bool {
         self.pc == pc && self.outcome.is_none_or(|o| o == outcome)
     }
 
     /// Whether this is a wildcard tag.
     #[must_use]
-    pub fn is_wildcard(&self) -> bool {
+    pub(crate) fn is_wildcard(&self) -> bool {
         self.outcome.is_none()
     }
 }
@@ -131,24 +131,24 @@ impl fmt::Display for ChainTag {
 
 /// An extracted, locally renamed dependence chain.
 ///
-/// [`DependenceChain::new`] derives the wakeup masks the DCE schedules by
+/// `DependenceChain::new` derives the wakeup masks the DCE schedules by
 /// from the ops, live-ins and live-outs, so those are read-only.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DependenceChain {
     /// Initiation tag.
-    pub tag: ChainTag,
+    pub(crate) tag: ChainTag,
     /// PC of the branch this chain pre-computes.
-    pub branch_pc: Pc,
+    pub(crate) branch_pc: Pc,
     /// The branch's condition, applied to the chain's final flags.
-    pub cond: Cond,
+    pub(crate) cond: Cond,
     pub(crate) ops: Vec<ChainOp>,
     pub(crate) live_ins: u16,
     pub(crate) live_outs: Vec<(ArchReg, ChainSrc)>,
     /// Whether extraction terminated at an affector/guard branch (versus a
     /// second instance of the target itself). Drives Figure 5.
-    pub guard_terminated: bool,
+    pub(crate) guard_terminated: bool,
     /// Uops eliminated by move / store→load elimination (for stats).
-    pub eliminated_uops: usize,
+    pub(crate) eliminated_uops: usize,
     /// Static PCs of every uop in the backward slice (including ones that
     /// move elimination removed). Diagnostic: shows *which* program
     /// instructions the chain covers.
@@ -171,7 +171,7 @@ impl DependenceChain {
     /// If the chain has more than 32 ops, an op reads an op that is not
     /// older than itself, or a source names a live-in outside `live_ins`.
     #[must_use]
-    pub fn new(
+    pub(crate) fn new(
         tag: ChainTag,
         branch_pc: Pc,
         cond: Cond,
@@ -217,40 +217,10 @@ impl DependenceChain {
         }
     }
 
-    /// Chain ops in program order.
-    #[must_use]
-    pub fn ops(&self) -> &[ChainOp] {
-        &self.ops
-    }
-
-    /// Architectural live-ins, bit per GPR index: copied from the
-    /// producer at initiation.
-    #[must_use]
-    pub fn live_ins(&self) -> u16 {
-        self.live_ins
-    }
-
-    /// Architectural live-outs: `(arch reg, final value)` pairs exposed
-    /// to successor chains, sorted by register. A value may be an
-    /// immediate when move elimination folded a constant into the
-    /// register.
-    #[must_use]
-    pub fn live_outs(&self) -> &[(ArchReg, ChainSrc)] {
-        &self.live_outs
-    }
-
     /// Number of executable uops in the chain.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.ops.len()
-    }
-
-    /// Whether the chain has no executable uops (possible when everything
-    /// was move-eliminated; the outcome still depends on live-in flags —
-    /// such chains are rejected at extraction).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
     }
 }
 
@@ -275,6 +245,30 @@ impl fmt::Display for DependenceChain {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl DependenceChain {
+        /// Chain ops in program order.
+        #[must_use]
+        pub(crate) fn ops(&self) -> &[ChainOp] {
+            &self.ops
+        }
+
+        /// Architectural live-ins, bit per GPR index: copied from the
+        /// producer at initiation.
+        #[must_use]
+        pub(crate) fn live_ins(&self) -> u16 {
+            self.live_ins
+        }
+
+        /// Architectural live-outs: `(arch reg, final value)` pairs exposed
+        /// to successor chains, sorted by register. A value may be an
+        /// immediate when move elimination folded a constant into the
+        /// register.
+        #[must_use]
+        pub(crate) fn live_outs(&self) -> &[(ArchReg, ChainSrc)] {
+            &self.live_outs
+        }
+    }
 
     #[test]
     fn tag_matching() {

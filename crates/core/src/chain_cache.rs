@@ -22,7 +22,6 @@ pub struct DependenceChainCache {
     capacity: usize,
     entries: Vec<CacheEntry>,
     tick: u64,
-    installs: u64,
     lookups: u64,
     hits: u64,
 }
@@ -34,13 +33,12 @@ impl DependenceChainCache {
     ///
     /// Panics if `capacity` is zero.
     #[must_use]
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "chain cache capacity must be nonzero");
         DependenceChainCache {
             capacity,
             entries: Vec::new(),
             tick: 0,
-            installs: 0,
             lookups: 0,
             hits: 0,
         }
@@ -48,9 +46,8 @@ impl DependenceChainCache {
 
     /// Installs a chain, replacing any existing chain with the same tag
     /// and target branch, or evicting the LRU entry when full.
-    pub fn install(&mut self, chain: DependenceChain) -> Arc<DependenceChain> {
+    pub(crate) fn install(&mut self, chain: DependenceChain) -> Arc<DependenceChain> {
         self.tick += 1;
-        self.installs += 1;
         let arc = Arc::new(chain);
         if let Some(e) = self
             .entries
@@ -80,17 +77,14 @@ impl DependenceChainCache {
         arc
     }
 
-    /// All chains whose tag matches the `(pc, outcome)` event, refreshing
-    /// their LRU position.
-    pub fn lookup(&mut self, pc: Pc, outcome: bool) -> Vec<Arc<DependenceChain>> {
-        let mut chains = Vec::new();
-        self.lookup_into(pc, outcome, &mut chains);
-        chains
-    }
-
     /// Allocation-free [`DependenceChainCache::lookup`]: clears `out` and
     /// fills it with the matching chains (the hot path reuses one buffer).
-    pub fn lookup_into(&mut self, pc: Pc, outcome: bool, out: &mut Vec<Arc<DependenceChain>>) {
+    pub(crate) fn lookup_into(
+        &mut self,
+        pc: Pc,
+        outcome: bool,
+        out: &mut Vec<Arc<DependenceChain>>,
+    ) {
         out.clear();
         self.tick += 1;
         self.lookups += 1;
@@ -109,7 +103,7 @@ impl DependenceChainCache {
     /// Whether any cached chain would match the `(pc, outcome)` event
     /// (no LRU side effects).
     #[must_use]
-    pub fn has_match(&self, pc: Pc, outcome: bool) -> bool {
+    pub(crate) fn has_match(&self, pc: Pc, outcome: bool) -> bool {
         self.entries
             .iter()
             .any(|e| e.chain.tag.matches(pc, outcome))
@@ -118,7 +112,7 @@ impl DependenceChainCache {
     /// Whether some cached chain pre-computes the branch at `pc` (i.e.
     /// `pc` is a *covered* branch — drives Figure 12's denominator).
     #[must_use]
-    pub fn covers_branch(&self, pc: Pc) -> bool {
+    pub(crate) fn covers_branch(&self, pc: Pc) -> bool {
         self.entries.iter().any(|e| e.chain.branch_pc == pc)
     }
 
@@ -129,27 +123,15 @@ impl DependenceChainCache {
 
     /// Number of cached chains.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Total installs performed.
-    #[must_use]
-    pub fn installs(&self) -> u64 {
-        self.installs
     }
 
     /// Lifetime `(lookups, hits)` where a hit is a lookup matching at
     /// least one chain. Telemetry turns the deltas into an interval hit
     /// rate.
     #[must_use]
-    pub fn lookup_stats(&self) -> (u64, u64) {
+    pub(crate) fn lookup_stats(&self) -> (u64, u64) {
         (self.lookups, self.hits)
     }
 
@@ -157,7 +139,7 @@ impl DependenceChainCache {
     /// (models a spurious capacity eviction — the chain must be
     /// re-extracted, a pure performance event). Returns whether anything
     /// was evicted.
-    pub fn chaos_evict(&mut self, sel: u64) -> bool {
+    pub(crate) fn chaos_evict(&mut self, sel: u64) -> bool {
         if self.entries.is_empty() {
             return false;
         }
@@ -172,7 +154,7 @@ impl DependenceChainCache {
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
-    pub fn check_invariants(&self) -> Result<(), String> {
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
         if self.entries.len() > self.capacity {
             return Err(format!(
                 "chain cache: {} entries exceed capacity {}",
@@ -195,6 +177,16 @@ impl DependenceChainCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl DependenceChainCache {
+        /// All chains whose tag matches the `(pc, outcome)` event, refreshing
+        /// their LRU position.
+        pub(crate) fn lookup(&mut self, pc: Pc, outcome: bool) -> Vec<Arc<DependenceChain>> {
+            let mut chains = Vec::new();
+            self.lookup_into(pc, outcome, &mut chains);
+            chains
+        }
+    }
     use crate::chain::{ChainOp, ChainSrc, ChainTag};
     use br_isa::Cond;
 

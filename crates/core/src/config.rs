@@ -13,15 +13,6 @@ pub enum InitiationMode {
     Predictive,
 }
 
-impl InitiationMode {
-    /// All three policies, in increasing aggressiveness (Figure 11 bottom).
-    pub const ALL: [InitiationMode; 3] = [
-        InitiationMode::NonSpeculative,
-        InitiationMode::IndependentEarly,
-        InitiationMode::Predictive,
-    ];
-}
-
 /// Parameters of the Branch Runahead hardware (Table 2 presets below).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BranchRunaheadConfig {
@@ -52,9 +43,9 @@ pub struct BranchRunaheadConfig {
     /// Wrong Path Buffer entries.
     pub wpb_entries: usize,
     /// Wrong Path Buffer associativity.
-    pub wpb_ways: usize,
+    pub(crate) wpb_ways: usize,
     /// Maximum merge-point distance in uops (§4.4: 100 in experiments).
-    pub max_merge_distance: usize,
+    pub(crate) max_merge_distance: usize,
     /// Chain initiation policy.
     pub initiation: InitiationMode,
     /// Schedule chain uops in order instead of out of order (§4.2 reports
@@ -139,12 +130,15 @@ impl BranchRunaheadConfig {
     ///
     /// Names the first zero-sized structure, a chain length cap outside
     /// `1..=128`, a local register count outside `2..=32`, or a WPB whose
-    /// entries do not divide into its ways.
+    /// entries do not divide into a power-of-two number of sets of its
+    /// ways (the geometry `WrongPathBuffer::new` asserts).
     pub fn validate(&self) -> Result<(), String> {
         let ensure = |ok: bool, what: &str| if ok { Ok(()) } else { Err(what.to_string()) };
         let chain_len_ok = (1..=128).contains(&self.max_chain_len);
         let regs_ok = (2..=32).contains(&self.local_regs);
-        let wpb_ok = self.wpb_entries.is_multiple_of(self.wpb_ways);
+        let wpb_ok = self.wpb_ways > 0
+            && self.wpb_entries.is_multiple_of(self.wpb_ways)
+            && (self.wpb_entries / self.wpb_ways).is_power_of_two();
         ensure(self.chain_cache_entries > 0, "chain cache must be nonzero")?;
         ensure(self.window_instances > 0, "window must be nonzero")?;
         ensure(self.num_queues > 0, "queues must be nonzero")?;
@@ -153,13 +147,25 @@ impl BranchRunaheadConfig {
         ensure(self.ceb_entries > 0, "CEB must be nonzero")?;
         ensure(chain_len_ok, "chain length cap out of range")?;
         ensure(regs_ok, "local registers out of range")?;
-        ensure(wpb_ok, "WPB entries must divide into its ways")
+        ensure(
+            wpb_ok,
+            "WPB entries must divide into a power-of-two number of sets of its ways",
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl InitiationMode {
+        /// All three policies, in increasing aggressiveness (Figure 11 bottom).
+        pub(crate) const ALL: [InitiationMode; 3] = [
+            InitiationMode::NonSpeculative,
+            InitiationMode::IndependentEarly,
+            InitiationMode::Predictive,
+        ];
+    }
 
     #[test]
     fn presets_validate_and_scale() {
@@ -176,6 +182,21 @@ mod tests {
         assert!(co < mini && mini < big);
         assert!(co < 12.0, "core-only should be ~9KB class: {co}");
         assert!((10.0..30.0).contains(&mini), "mini ~17KB class: {mini}");
+    }
+
+    #[test]
+    fn wpb_geometry_validated_as_its_constructor_asserts() {
+        for (entries, ways) in [(128, 0), (0, 4), (12, 4)] {
+            let cfg = BranchRunaheadConfig {
+                wpb_entries: entries,
+                wpb_ways: ways,
+                ..BranchRunaheadConfig::mini()
+            };
+            assert!(
+                cfg.validate().unwrap_err().contains("WPB"),
+                "{entries}/{ways}"
+            );
+        }
     }
 
     #[test]

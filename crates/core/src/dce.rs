@@ -264,7 +264,7 @@ struct Scratch {
 /// Scheduling is event-driven: each value arrival re-checks only the ops
 /// and dependents that read it, and each tick phase walks only a list of
 /// the instances an event reached (see DESIGN.md §11).
-pub struct DependenceChainEngine {
+pub(crate) struct DependenceChainEngine {
     cfg: BranchRunaheadConfig,
     /// Instance storage. A slot keeps its place, and the capacity of its
     /// lists, for the engine's life; freed slots go to `free_slots`.
@@ -315,7 +315,7 @@ impl std::fmt::Debug for DependenceChainEngine {
 impl DependenceChainEngine {
     /// Creates an engine for `cfg`.
     #[must_use]
-    pub fn new(cfg: BranchRunaheadConfig) -> Self {
+    pub(crate) fn new(cfg: BranchRunaheadConfig) -> Self {
         DependenceChainEngine {
             cfg,
             slots: Vec::new(),
@@ -337,14 +337,14 @@ impl DependenceChainEngine {
 
     /// Live instance count.
     #[must_use]
-    pub fn active_instances(&self) -> usize {
+    pub(crate) fn active_instances(&self) -> usize {
         self.index.len()
     }
 
     /// Whether memory request `id` is an outstanding DCE load (the fault
     /// harness uses this to delay only DCE traffic).
     #[must_use]
-    pub fn owns_request(&self, id: ReqId) -> bool {
+    pub(crate) fn owns_request(&self, id: ReqId) -> bool {
         self.pending_mem.iter().any(|(r, ..)| *r == id)
     }
 
@@ -372,7 +372,7 @@ impl DependenceChainEngine {
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
-    pub fn check_invariants(&self) -> Result<(), String> {
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
         if !self.index.windows(2).all(|w| w[0].id < w[1].id) {
             return Err("dce: instance index not sorted by id".to_string());
         }
@@ -468,7 +468,7 @@ impl DependenceChainEngine {
 
     /// Updates the per-branch 3-bit initiation counter with a resolved
     /// outcome.
-    pub fn train_init_counter(&mut self, pc: Pc, taken: bool) {
+    pub(crate) fn train_init_counter(&mut self, pc: Pc, taken: bool) {
         let i = self
             .init_counters
             .iter()
@@ -494,7 +494,7 @@ impl DependenceChainEngine {
     }
 
     /// Flushes every instance (synchronization).
-    pub fn flush_all(&mut self, queues: &mut PredictionQueues, stats: &mut BrStats) {
+    pub(crate) fn flush_all(&mut self, queues: &mut PredictionQueues, stats: &mut BrStats) {
         for &h in &self.index {
             let inst = &mut self.slots[h.slot as usize];
             stats.instances_flushed += 1;
@@ -695,7 +695,7 @@ impl DependenceChainEngine {
     /// Synchronization entry point: a core misprediction on `pc` resolved
     /// to `outcome`; live-ins are copied from the restored register file
     /// (§4.1 "Entering Runahead Mode").
-    pub fn sync_initiate(
+    pub(crate) fn sync_initiate(
         &mut self,
         pc: Pc,
         outcome: bool,
@@ -1073,7 +1073,7 @@ impl DependenceChainEngine {
     /// frees. Each walks only the list of instances that an event put on
     /// it, in id order.
     #[allow(clippy::too_many_arguments)]
-    pub fn tick(
+    pub(crate) fn tick(
         &mut self,
         cycle: u64,
         machine: &Machine,

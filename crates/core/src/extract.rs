@@ -51,11 +51,11 @@ pub enum ExtractOutcome {
 
 /// Limits applied during extraction.
 #[derive(Clone, Copy, Debug)]
-pub struct ExtractLimits {
+pub(crate) struct ExtractLimits {
     /// Maximum executable chain ops after elimination.
-    pub max_chain_len: usize,
+    pub(crate) max_chain_len: usize,
     /// Local register file size.
-    pub local_regs: usize,
+    pub(crate) local_regs: usize,
 }
 
 /// Local renamer over direct-indexed architectural-register tables (the
@@ -99,7 +99,7 @@ impl Renamer {
 /// a long-lived scratch behaves identically to a fresh one
 /// (`tests/extraction_props.rs` proves this by property test).
 #[derive(Debug, Default)]
-pub struct ExtractScratch {
+pub(crate) struct ExtractScratch {
     /// Collected CEB indices, youngest-first during the walk.
     collected: Vec<usize>,
     /// Loads awaiting an older matching store: `(addr, width, load idx)`.
@@ -114,7 +114,9 @@ pub struct ExtractScratch {
     live_outs: Vec<(ArchReg, ChainSrc)>,
 }
 
-/// Extracts the dependence chain of `target_pc` from the CEB.
+/// Extracts the dependence chain of `target_pc` from the CEB, using
+/// caller-owned scratch buffers (the engine reuses one scratch across
+/// every extraction attempt).
 ///
 /// `ag_set` is the (bias-filtered) affector/guard set of the target from
 /// the Hard Branch Table. Returns the chain or the rejection reason.
@@ -122,28 +124,7 @@ pub struct ExtractScratch {
 /// # Errors
 ///
 /// Returns the [`ExtractOutcome`] describing why no chain was produced.
-pub fn extract_chain(
-    ceb: &ChainExtractionBuffer,
-    target_pc: Pc,
-    ag_set: &BTreeSet<Pc>,
-    limits: &ExtractLimits,
-) -> Result<DependenceChain, ExtractOutcome> {
-    extract_chain_with(
-        &mut ExtractScratch::default(),
-        ceb,
-        target_pc,
-        ag_set,
-        limits,
-    )
-}
-
-/// [`extract_chain`] with caller-owned scratch buffers (the engine reuses
-/// one scratch across every extraction attempt).
-///
-/// # Errors
-///
-/// Returns the [`ExtractOutcome`] describing why no chain was produced.
-pub fn extract_chain_with(
+pub(crate) fn extract_chain_with(
     scr: &mut ExtractScratch,
     ceb: &ChainExtractionBuffer,
     target_pc: Pc,
@@ -433,10 +414,74 @@ fn peak_live_values(chain: &DependenceChain) -> usize {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::ceb::ChainExtractionBuffer;
-    use br_isa::{reg, Cond as ICond, MemOperand, Uop, UopKind, Width};
+    use crate::ceb::{CebRecord, ChainExtractionBuffer};
+    use br_isa::{
+        reg, Cond as ICond, Machine, MemOperand, MemoryImage, ProgramBuilder, Uop, UopKind, Width,
+    };
+
+    /// [`extract_chain_with`] with fresh scratch buffers.
+    pub(crate) fn extract_chain(
+        ceb: &ChainExtractionBuffer,
+        target_pc: Pc,
+        ag_set: &BTreeSet<Pc>,
+        limits: &ExtractLimits,
+    ) -> Result<DependenceChain, ExtractOutcome> {
+        extract_chain_with(
+            &mut ExtractScratch::default(),
+            ceb,
+            target_pc,
+            ag_set,
+            limits,
+        )
+    }
+
+    /// A loop with a data-dependent branch, `if (table[i & 7] != 0)`,
+    /// run functionally with the retired stream fed to the CEB: the
+    /// backwards dataflow walk of §4.3 yields a short self-terminated
+    /// chain.
+    #[test]
+    fn data_dependent_loop_yields_short_wildcard_chain() {
+        let mut b = ProgramBuilder::new();
+        let skip = b.new_label();
+        b.mov_imm(reg::R12, 0x1000);
+        let top = b.here();
+        b.addi(reg::R0, reg::R0, 1);
+        b.and(reg::R5, reg::R0, 7);
+        b.load(reg::R6, MemOperand::base_index(reg::R12, reg::R5, 8, 0));
+        b.cmpi(reg::R6, 0);
+        let branch_pc = b.br(ICond::Ne, skip);
+        b.bind(skip);
+        b.cmpi(reg::R0, 20);
+        b.br(ICond::Ne, top);
+        b.halt();
+        let program = b.build().unwrap();
+
+        let mut img = MemoryImage::new();
+        img.write_u64_slice(0x1000, &[0, 3, 0, 1, 2, 0, 5, 0]);
+        let mut m = Machine::new(img.into_memory());
+        let mut ceb = ChainExtractionBuffer::new(512);
+        while !m.halted() {
+            let rec = m.step(&program, None).unwrap();
+            let uop = *program.fetch(rec.pc).unwrap();
+            ceb.push(CebRecord::from_retired(&br_ooo::RetiredUop {
+                seq: m.steps(),
+                uop,
+                rec,
+                cycle: m.steps(),
+            }));
+        }
+
+        let limits = ExtractLimits {
+            max_chain_len: 16,
+            local_regs: 8,
+        };
+        let chain = extract_chain(&ceb, branch_pc, &BTreeSet::new(), &limits)
+            .expect("slice fits the DCE constraints");
+        assert!(chain.tag.is_wildcard()); // self-terminated: <PC, *>
+        assert!(chain.len() <= 8); // short, as Figure 2 promises
+    }
 
     /// Helper to hand-build CEB records.
     struct CebBuilder {

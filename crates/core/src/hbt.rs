@@ -30,21 +30,21 @@ const BIAS_THRESHOLD: u8 = 64;
 #[derive(Clone, Debug)]
 pub struct HbtEntry {
     /// The branch PC.
-    pub pc: Pc,
+    pub(crate) pc: Pc,
     /// 5-bit saturating misprediction counter.
     pub misp_counter: u8,
     /// Whether this branch is registered as an affector/guard of some HTP
     /// branch (keeps the entry resident).
-    pub ag: bool,
+    pub(crate) ag: bool,
     /// Set when this HTP branch's affector/guard list changed since the
     /// last chain extraction (AGC field).
-    pub ag_changed: bool,
+    pub(crate) ag_changed: bool,
     /// Affector/guard list: PCs of branches that guard or affect this one.
     pub agl: BTreeSet<Pc>,
     /// 7-bit bias counter.
-    pub bias_counter: u8,
+    pub(crate) bias_counter: u8,
     /// Last-seen biased direction (BD field).
-    pub bias_direction: bool,
+    pub(crate) bias_direction: bool,
 }
 
 impl HbtEntry {
@@ -63,7 +63,7 @@ impl HbtEntry {
     /// Whether the misprediction counter has saturated (the branch is
     /// considered hard-to-predict).
     #[must_use]
-    pub fn is_hard(&self) -> bool {
+    pub(crate) fn is_hard(&self) -> bool {
         self.misp_counter >= MISP_SATURATE
     }
 
@@ -92,7 +92,7 @@ impl HardBranchTable {
     ///
     /// Panics if `capacity` is zero.
     #[must_use]
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "HBT capacity must be nonzero");
         HardBranchTable {
             capacity,
@@ -153,7 +153,7 @@ impl HardBranchTable {
     /// retirement should trigger chain extraction for `pc` (counter
     /// saturated, or the AG set changed, or the 1% random refresh —
     /// footnote 10).
-    pub fn on_branch_retire(&mut self, pc: Pc, taken: bool, mispredicted: bool) -> bool {
+    pub(crate) fn on_branch_retire(&mut self, pc: Pc, taken: bool, mispredicted: bool) -> bool {
         self.retired_branches += 1;
         if self.retired_branches.is_multiple_of(DECAY_PERIOD) {
             self.decay();
@@ -219,7 +219,7 @@ impl HardBranchTable {
     /// Registers `ag_pc` as an affector/guard of the HTP branch `htp_pc`
     /// (§4.3 "Tracking Affector and Guard Branches"). Biased AG branches
     /// are ignored. Returns whether the AGL changed.
-    pub fn add_affector_guard(&mut self, htp_pc: Pc, ag_pc: Pc) -> bool {
+    pub(crate) fn add_affector_guard(&mut self, htp_pc: Pc, ag_pc: Pc) -> bool {
         if htp_pc == ag_pc {
             return false;
         }
@@ -242,47 +242,29 @@ impl HardBranchTable {
 
     /// The affector/guard set of `pc` (empty if untracked).
     #[must_use]
-    pub fn affector_guards(&self, pc: Pc) -> BTreeSet<Pc> {
+    pub(crate) fn affector_guards(&self, pc: Pc) -> BTreeSet<Pc> {
         self.get(pc).map(|e| e.agl.clone()).unwrap_or_default()
     }
 
     /// Whether `pc` is currently considered biased (unknown branches are
     /// not biased).
     #[must_use]
-    pub fn is_biased(&self, pc: Pc) -> bool {
+    pub(crate) fn is_biased(&self, pc: Pc) -> bool {
         self.get(pc).is_some_and(HbtEntry::is_biased)
-    }
-
-    /// Whether `pc` is a saturated hard-to-predict branch.
-    #[must_use]
-    pub fn is_hard(&self, pc: Pc) -> bool {
-        self.get(pc).is_some_and(HbtEntry::is_hard)
     }
 
     /// Lifetime allocation churn as `(inserts, evicts)`: every entry
     /// allocation counts as an insert, and an insert that overwrote a live
     /// victim also counts as an evict.
     #[must_use]
-    pub fn churn(&self) -> (u64, u64) {
+    pub(crate) fn churn(&self) -> (u64, u64) {
         (self.inserts, self.evicts)
-    }
-
-    /// Number of resident entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the table is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Fault injection: forces an immediate decay event (a "decay
     /// storm" ages out misprediction history early, delaying HTP
     /// detection — a pure performance event).
-    pub fn chaos_decay_storm(&mut self) {
+    pub(crate) fn chaos_decay_storm(&mut self) {
         self.decay();
     }
 
@@ -292,7 +274,7 @@ impl HardBranchTable {
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
-    pub fn check_invariants(&self) -> Result<(), String> {
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
         if self.entries.len() > self.capacity {
             return Err(format!(
                 "hbt: {} entries exceed capacity {}",
@@ -322,6 +304,14 @@ impl HardBranchTable {
 mod tests {
     use super::*;
 
+    impl HardBranchTable {
+        /// Number of resident entries.
+        #[must_use]
+        pub(crate) fn len(&self) -> usize {
+            self.entries.len()
+        }
+    }
+
     #[test]
     fn frequent_mispredicts_saturate() {
         let mut hbt = HardBranchTable::new(16);
@@ -329,7 +319,7 @@ mod tests {
         for i in 0..100 {
             triggered |= hbt.on_branch_retire(0x40, i % 2 == 0, true);
         }
-        assert!(hbt.is_hard(0x40));
+        assert!(hbt.get(0x40).is_some_and(HbtEntry::is_hard));
         assert!(triggered, "saturation should trigger extraction");
     }
 
@@ -342,7 +332,7 @@ mod tests {
             hbt.on_branch_retire(0x40, true, misp);
             hbt.on_branch_retire(0x44, true, false);
         }
-        assert!(!hbt.is_hard(0x40));
+        assert!(!hbt.get(0x40).is_some_and(HbtEntry::is_hard));
     }
 
     #[test]

@@ -52,7 +52,7 @@ impl PredQueue {
 
 /// What the queue had for a fetched branch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FetchVerdict {
+pub(crate) enum FetchVerdict {
     /// No queue exists for this branch.
     NoQueue,
     /// No chain instance has been initiated for this dynamic branch
@@ -82,11 +82,11 @@ pub enum FetchVerdict {
 
 /// A checkpoint of every queue's fetch pointer, taken at each fetched
 /// branch and restored on its misprediction.
-pub type QueueCheckpoint = Vec<(Pc, u64)>;
+pub(crate) type QueueCheckpoint = Vec<(Pc, u64)>;
 
 /// The prediction-queue file.
 #[derive(Clone, Debug)]
-pub struct PredictionQueues {
+pub(crate) struct PredictionQueues {
     num_queues: usize,
     entries_per_queue: usize,
     /// Linear-scanned association list: the queue count is the paper's
@@ -107,7 +107,7 @@ impl PredictionQueues {
     ///
     /// Panics on zero sizes.
     #[must_use]
-    pub fn new(num_queues: usize, entries_per_queue: usize) -> Self {
+    pub(crate) fn new(num_queues: usize, entries_per_queue: usize) -> Self {
         assert!(num_queues > 0 && entries_per_queue > 0);
         PredictionQueues {
             num_queues,
@@ -152,7 +152,7 @@ impl PredictionQueues {
     /// branch `pc`. Returns the slot's absolute id, or `None` when the
     /// queue is full (the initiation must wait — §4.2: queue size limits
     /// how far ahead the DCE runs).
-    pub fn allocate_slot(&mut self, pc: Pc) -> Option<u64> {
+    pub(crate) fn allocate_slot(&mut self, pc: Pc) -> Option<u64> {
         let cap = self.entries_per_queue;
         let q = self.queue_mut(pc, true)?;
         if q.slots.len() >= cap {
@@ -164,7 +164,7 @@ impl PredictionQueues {
 
     /// Fills a slot with a computed outcome. Silently ignores stale slot
     /// ids (queue cleared or entry retired since allocation).
-    pub fn fill(&mut self, pc: Pc, slot: u64, outcome: bool) {
+    pub(crate) fn fill(&mut self, pc: Pc, slot: u64, outcome: bool) {
         if self.drop_fills > 0 {
             self.drop_fills -= 1;
             return;
@@ -182,7 +182,7 @@ impl PredictionQueues {
 
     /// Marks a slot dead (its producing instance was flushed but the
     /// corresponding branch execution will still occur).
-    pub fn kill(&mut self, pc: Pc, slot: u64) {
+    pub(crate) fn kill(&mut self, pc: Pc, slot: u64) {
         self.set_state(pc, slot, SlotState::Dead);
     }
 
@@ -191,7 +191,7 @@ impl PredictionQueues {
     /// Unlike [`Self::kill`], cancellation overrides an already-filled
     /// value — the instance may have completed before its wrong
     /// assumption was discovered.
-    pub fn cancel(&mut self, pc: Pc, slot: u64) {
+    pub(crate) fn cancel(&mut self, pc: Pc, slot: u64) {
         if let Some(q) = self.queue_mut(pc, false) {
             if slot >= q.base {
                 if let Some(s) = q.slots.get_mut((slot - q.base) as usize) {
@@ -214,7 +214,7 @@ impl PredictionQueues {
     }
 
     /// Consumes the next slot for a fetched branch at `pc`.
-    pub fn consume_at_fetch(&mut self, pc: Pc) -> FetchVerdict {
+    pub(crate) fn consume_at_fetch(&mut self, pc: Pc) -> FetchVerdict {
         let Some(q) = self.queue_mut(pc, false) else {
             return FetchVerdict::NoQueue;
         };
@@ -255,19 +255,10 @@ impl PredictionQueues {
         }
     }
 
-    /// Snapshot of every queue's fetch pointer (taken at each fetched
-    /// branch; restored on recovery).
-    #[must_use]
-    pub fn checkpoint(&self) -> QueueCheckpoint {
-        let mut cp = QueueCheckpoint::new();
-        self.checkpoint_into(&mut cp);
-        cp
-    }
-
     /// Allocation-free [`PredictionQueues::checkpoint`]: clears `cp` and
     /// fills it (the fetch path recycles checkpoint buffers through a
     /// pool).
-    pub fn checkpoint_into(&self, cp: &mut QueueCheckpoint) {
+    pub(crate) fn checkpoint_into(&self, cp: &mut QueueCheckpoint) {
         cp.clear();
         cp.extend(self.queues.iter().map(|(pc, q)| (*pc, q.fetch)));
     }
@@ -275,7 +266,7 @@ impl PredictionQueues {
     /// Restores fetch pointers from a checkpoint. Pointers are clamped to
     /// the queue's current base (slots retired since the checkpoint stay
     /// retired).
-    pub fn restore(&mut self, cp: &QueueCheckpoint) {
+    pub(crate) fn restore(&mut self, cp: &QueueCheckpoint) {
         for (pc, fetch) in cp {
             if let Some(q) = self
                 .queues
@@ -290,7 +281,13 @@ impl PredictionQueues {
     /// Retires the consumed slot `slot` of branch `pc`, comparing the DCE
     /// outcome against the resolved direction and TAGE's direction for
     /// throttle maintenance. Returns the slot's filled value if any.
-    pub fn retire(&mut self, pc: Pc, slot: u64, actual: bool, tage_correct: bool) -> Option<bool> {
+    pub(crate) fn retire(
+        &mut self,
+        pc: Pc,
+        slot: u64,
+        actual: bool,
+        tage_correct: bool,
+    ) -> Option<bool> {
         let q = self.queue_mut(pc, false)?;
         if slot < q.base {
             return None; // already gone (queue cleared)
@@ -322,7 +319,7 @@ impl PredictionQueues {
     /// directly (used at divergence detection, where the offending slots
     /// are about to be cleared and would otherwise never be compared at
     /// retirement).
-    pub fn penalize(&mut self, pc: Pc) {
+    pub(crate) fn penalize(&mut self, pc: Pc) {
         if let Some(q) = self.queue_mut(pc, false) {
             q.throttle = (q.throttle - 1).max(-2);
         }
@@ -330,7 +327,7 @@ impl PredictionQueues {
 
     /// Clears every queue (synchronization event). Bases advance past all
     /// existing slots so stale fills/retires become no-ops.
-    pub fn clear_all(&mut self) {
+    pub(crate) fn clear_all(&mut self) {
         for (_, q) in &mut self.queues {
             q.base += q.slots.len() as u64;
             q.slots.clear();
@@ -338,34 +335,16 @@ impl PredictionQueues {
         }
     }
 
-    /// Whether the queue for `pc` currently throttles the DCE.
-    #[must_use]
-    pub fn is_throttled(&self, pc: Pc) -> bool {
-        self.queues.iter().any(|(p, q)| *p == pc && q.throttle < 0)
-    }
-
-    /// Number of live queues.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.queues.len()
-    }
-
     /// Live (allocated, not yet retired) slots summed over every queue —
     /// the prediction-queue depth telemetry samples.
     #[must_use]
-    pub fn occupied_slots(&self) -> usize {
+    pub(crate) fn occupied_slots(&self) -> usize {
         self.queues.iter().map(|(_, q)| q.slots.len()).sum()
-    }
-
-    /// Whether no queues exist.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.queues.is_empty()
     }
 
     /// Fault injection: swallow the next `fill` call (models a dropped
     /// DCE→queue push; the slot stays `Empty` and fetch sees `Late`).
-    pub fn chaos_drop_next_fill(&mut self) {
+    pub(crate) fn chaos_drop_next_fill(&mut self) {
         self.drop_fills = self.drop_fills.saturating_add(1);
     }
 
@@ -391,7 +370,7 @@ impl PredictionQueues {
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
-    pub fn check_invariants(&self) -> Result<(), String> {
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
         if self.queues.len() > self.num_queues {
             return Err(format!(
                 "pqueue: {} live queues exceed capacity {}",
@@ -434,6 +413,23 @@ impl PredictionQueues {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PredictionQueues {
+        /// Snapshot of every queue's fetch pointer (taken at each fetched
+        /// branch; restored on recovery).
+        #[must_use]
+        pub(crate) fn checkpoint(&self) -> QueueCheckpoint {
+            let mut cp = QueueCheckpoint::new();
+            self.checkpoint_into(&mut cp);
+            cp
+        }
+
+        /// Number of live queues.
+        #[must_use]
+        pub(crate) fn len(&self) -> usize {
+            self.queues.len()
+        }
+    }
 
     #[test]
     fn allocate_fill_consume_retire_cycle() {
@@ -484,7 +480,7 @@ mod tests {
             let _ = pq.consume_at_fetch(0x10);
             pq.retire(0x10, s, false, true); // actual=false, tage right
         }
-        assert!(pq.is_throttled(0x10));
+        assert!(pq.queues.iter().any(|(p, q)| *p == 0x10 && q.throttle < 0));
         let s = pq.allocate_slot(0x10).unwrap();
         pq.fill(0x10, s, false);
         assert!(matches!(
@@ -499,7 +495,7 @@ mod tests {
             let _ = pq.consume_at_fetch(0x10);
             pq.retire(0x10, s, true, false);
         }
-        assert!(!pq.is_throttled(0x10));
+        assert!(!pq.queues.iter().any(|(p, q)| *p == 0x10 && q.throttle < 0));
     }
 
     #[test]

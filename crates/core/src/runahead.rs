@@ -225,24 +225,18 @@ impl BranchRunahead {
 
     /// Fault injection: evicts a pseudo-random chain-cache entry
     /// (selected by `sel`). Returns whether an entry existed to evict.
-    pub fn chaos_evict_chain(&mut self, sel: u64, cycle: u64) -> bool {
-        let evicted = self.cache.chaos_evict(sel);
-        if evicted {
-            self.tele.event(cycle, EventKind::FaultInject, 0, 2);
-        }
-        evicted
+    pub fn chaos_evict_chain(&mut self, sel: u64) -> bool {
+        self.cache.chaos_evict(sel)
     }
 
     /// Fault injection: forces an HBT decay storm.
-    pub fn chaos_decay_storm(&mut self, cycle: u64) {
+    pub fn chaos_decay_storm(&mut self) {
         self.hbt.chaos_decay_storm();
-        self.tele.event(cycle, EventKind::FaultInject, 0, 3);
     }
 
     /// Fault injection: swallows the next DCE→prediction-queue push.
-    pub fn chaos_drop_next_fill(&mut self, cycle: u64) {
+    pub fn chaos_drop_next_fill(&mut self) {
         self.queues.chaos_drop_next_fill();
-        self.tele.event(cycle, EventKind::FaultInject, 0, 1);
     }
 
     /// Whether memory request `id` is an outstanding DCE load (the fault
@@ -252,9 +246,8 @@ impl BranchRunahead {
         self.dce.owns_request(id)
     }
 
-    /// Traces a fault injected outside the engine (outcome flips and DCE
-    /// memory delays live in the simulator, which also counts them).
-    /// `kind_code` follows `br_sim::faults::FaultKind`.
+    /// Traces a fault the simulator's fault harness injected (it also
+    /// counts them). `kind_code` follows `br_sim::faults::FaultKind`.
     pub fn record_external_fault(&mut self, cycle: u64, pc: Pc, kind_code: u64) {
         self.tele
             .event(cycle, EventKind::FaultInject, pc, kind_code);

@@ -31,7 +31,7 @@ impl PredictionCategory {
     /// Lower-case name, used in counter names
     /// (`prediction_breakdown.late`).
     #[must_use]
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             PredictionCategory::Inactive => "inactive",
             PredictionCategory::Late => "late",
@@ -56,12 +56,12 @@ pub struct BrStats {
     /// `ChainReject` trace event, not here.
     pub extraction_rejects: u64,
     /// Sum of installed chain lengths (uops), for Figure 2.
-    pub chain_len_sum: u64,
+    pub(crate) chain_len_sum: u64,
     /// Installed chains that terminated at an affector/guard branch or
     /// whose target has registered affector/guards (Figure 5).
-    pub chains_with_ag: u64,
+    pub(crate) chains_with_ag: u64,
     /// Uops eliminated by move / store→load elimination.
-    pub uops_eliminated: u64,
+    pub(crate) uops_eliminated: u64,
 
     /// Chain instances initiated on the DCE.
     pub instances_initiated: u64,
@@ -81,7 +81,7 @@ pub struct BrStats {
     pub syncs: u64,
     /// Whole-DCE flushes after a DCE-supplied misprediction (chain
     /// divergence).
-    pub dce_flushes: u64,
+    pub(crate) dce_flushes: u64,
 
     /// Per-category counts over retired covered branches (Figure 12).
     pub prediction_breakdown: HashMap<PredictionCategory, u64>,
@@ -89,29 +89,29 @@ pub struct BrStats {
     /// Merge-point predictions made.
     pub merge_points_found: u64,
     /// Merge-point searches that failed.
-    pub merge_points_failed: u64,
+    pub(crate) merge_points_failed: u64,
     /// Merge-point validations performed (diagnostic sampling).
     pub merge_validated: u64,
     /// Of the validated ones, how many were correct.
-    pub merge_correct: u64,
+    pub(crate) merge_correct: u64,
     /// Validations of the *static* code-layout heuristic (merge = the
     /// branch's taken target), the prior-work baseline §4.4 compares
     /// against (92% vs 78%).
-    pub static_merge_validated: u64,
+    pub(crate) static_merge_validated: u64,
     /// Of those, how many were correct.
-    pub static_merge_correct: u64,
+    pub(crate) static_merge_correct: u64,
     /// Affector/guard pairs registered in the HBT.
-    pub ag_pairs: u64,
+    pub(crate) ag_pairs: u64,
     /// HBT entry allocations.
-    pub hbt_inserts: u64,
+    pub(crate) hbt_inserts: u64,
     /// HBT allocations that displaced a live entry.
-    pub hbt_evicts: u64,
+    pub(crate) hbt_evicts: u64,
     /// Chain-cache lookups.
-    pub chain_cache_lookups: u64,
+    pub(crate) chain_cache_lookups: u64,
     /// Chain-cache lookups that matched at least one chain.
-    pub chain_cache_hits: u64,
+    pub(crate) chain_cache_hits: u64,
     /// Machine-check invariant sweeps run.
-    pub machine_checks: u64,
+    pub(crate) machine_checks: u64,
 
     /// Retired covered-branch executions (Figure 12 denominator).
     pub covered_branch_retires: u64,
@@ -209,7 +209,7 @@ impl BrStats {
     }
 
     /// Bumps a prediction category counter.
-    pub fn count_category(&mut self, cat: PredictionCategory) {
+    pub(crate) fn count_category(&mut self, cat: PredictionCategory) {
         *self.prediction_breakdown.entry(cat).or_insert(0) += 1;
         self.covered_branch_retires += 1;
     }

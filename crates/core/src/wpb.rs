@@ -14,11 +14,11 @@ use br_ooo::{RetiredUop, WrongPathUop};
 
 /// Bloom-filter word tracking memory destinations (the paper uses a bloom
 /// filter for store addresses on the wrong path).
-pub type MemBloom = u64;
+pub(crate) type MemBloom = u64;
 
 /// Hashes a store address into the bloom filter.
 #[must_use]
-pub fn bloom_insert(bloom: MemBloom, addr: u64) -> MemBloom {
+pub(crate) fn bloom_insert(bloom: MemBloom, addr: u64) -> MemBloom {
     let a = addr >> 3;
     let b1 = (a ^ (a >> 7)) & 63;
     let b2 = (a.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) & 63;
@@ -27,7 +27,7 @@ pub fn bloom_insert(bloom: MemBloom, addr: u64) -> MemBloom {
 
 /// Tests a load address against the bloom filter.
 #[must_use]
-pub fn bloom_probe(bloom: MemBloom, addr: u64) -> bool {
+pub(crate) fn bloom_probe(bloom: MemBloom, addr: u64) -> bool {
     let a = addr >> 3;
     let b1 = (a ^ (a >> 7)) & 63;
     let b2 = (a.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) & 63;
@@ -47,25 +47,25 @@ struct WpbWay {
 
 /// A detected merge point and its side products.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MergeEvent {
+pub(crate) struct MergeEvent {
     /// The merge-predicted (mispredicted) branch.
-    pub branch_pc: Pc,
+    pub(crate) branch_pc: Pc,
     /// The predicted merge point.
-    pub merge_pc: Pc,
+    pub(crate) merge_pc: Pc,
     /// Registers written on either side of the branch.
-    pub both_path_dest: RegSet,
+    pub(crate) both_path_dest: RegSet,
     /// Memory bloom of stores on either side.
-    pub both_path_bloom: MemBloom,
+    pub(crate) both_path_bloom: MemBloom,
     /// Conditional branches observed between the branch and the merge
     /// point (on either path): candidates guarded by `branch_pc`.
-    pub guarded: Vec<Pc>,
+    pub(crate) guarded: Vec<Pc>,
     /// Correct-path distance to the merge point in uops.
-    pub distance: usize,
+    pub(crate) distance: usize,
 }
 
 /// The Wrong Path Buffer and its correct-path comparison state machine.
 #[derive(Clone, Debug)]
-pub struct WrongPathBuffer {
+pub(crate) struct WrongPathBuffer {
     sets: usize,
     ways: usize,
     table: Vec<WpbWay>,
@@ -100,7 +100,7 @@ impl WrongPathBuffer {
     ///
     /// Panics if the geometry is invalid (sets must be a power of two).
     #[must_use]
-    pub fn new(entries: usize, ways: usize, max_distance: usize) -> Self {
+    pub(crate) fn new(entries: usize, ways: usize, max_distance: usize) -> Self {
         assert!(ways > 0 && entries.is_multiple_of(ways), "bad WPB geometry");
         let sets = entries / ways;
         assert!(sets.is_power_of_two(), "WPB sets must be a power of two");
@@ -171,7 +171,7 @@ impl WrongPathBuffer {
     /// Arms the buffer at a flush. `wrong_path` is the squashed ROB
     /// content in fetch order; `retire_width` models the ROB-walk copy
     /// rate (footnote 14: copy at retire bandwidth).
-    pub fn arm(
+    pub(crate) fn arm(
         &mut self,
         branch_pc: Pc,
         branch_seq: u64,
@@ -219,7 +219,7 @@ impl WrongPathBuffer {
 
     /// Feeds one retired correct-path uop; returns the merge event when
     /// the merge point is found.
-    pub fn on_correct_retire(&mut self, u: &RetiredUop) -> Option<MergeEvent> {
+    pub(crate) fn on_correct_retire(&mut self, u: &RetiredUop) -> Option<MergeEvent> {
         if !self.active {
             return None;
         }
@@ -284,15 +284,9 @@ impl WrongPathBuffer {
         None
     }
 
-    /// Whether a comparison is in progress.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        self.active
-    }
-
     /// (arms, merges found, searches failed).
     #[must_use]
-    pub fn stats(&self) -> (u64, u64, u64) {
+    pub(crate) fn stats(&self) -> (u64, u64, u64) {
         (self.arms, self.merges_found, self.searches_failed)
     }
 }
@@ -369,7 +363,7 @@ mod tests {
         for r in [reg::R1, reg::R2, reg::R3, reg::R4] {
             assert!(ev.both_path_dest.contains(r), "{r} in both-path dest");
         }
-        assert!(!wpb.is_active(), "one-shot per arm");
+        assert!(!wpb.active, "one-shot per arm");
     }
 
     #[test]
@@ -394,7 +388,7 @@ mod tests {
         wpb.arm(5, 0, &[wp(10, None)], 0, 4);
         assert!(wpb.on_correct_retire(&retired(20, None, 10)).is_none());
         assert!(wpb.on_correct_retire(&retired(5, None, 10)).is_none());
-        assert!(!wpb.is_active());
+        assert!(!wpb.active);
         assert_eq!(wpb.stats().2, 1, "failure counted");
     }
 
@@ -406,7 +400,7 @@ mod tests {
             assert!(wpb.on_correct_retire(&retired(pc, None, 10)).is_none());
         }
         assert!(wpb.on_correct_retire(&retired(13, None, 10)).is_none());
-        assert!(!wpb.is_active());
+        assert!(!wpb.active);
     }
 
     #[test]

@@ -53,23 +53,23 @@ pub struct EnergyEvents {
 #[derive(Clone, Copy, Debug)]
 pub struct EnergyModel {
     /// Energy per core uop (schedule + execute + bypass), pJ.
-    pub core_uop_pj: f64,
+    pub(crate) core_uop_pj: f64,
     /// Energy per L1 access, pJ.
-    pub l1_pj: f64,
+    pub(crate) l1_pj: f64,
     /// Energy per L2 access, pJ.
-    pub l2_pj: f64,
+    pub(crate) l2_pj: f64,
     /// Energy per DRAM access, pJ.
-    pub dram_pj: f64,
+    pub(crate) dram_pj: f64,
     /// Energy per predictor lookup, pJ.
-    pub predictor_pj: f64,
+    pub(crate) predictor_pj: f64,
     /// Energy per DCE uop (narrower datapath, banked register file), pJ.
-    pub dce_uop_pj: f64,
+    pub(crate) dce_uop_pj: f64,
     /// Energy per chain extraction (CEB scan), pJ.
-    pub extraction_pj: f64,
+    pub(crate) extraction_pj: f64,
     /// Core + caches leakage per cycle, pJ.
-    pub core_leak_pj_per_cycle: f64,
+    pub(crate) core_leak_pj_per_cycle: f64,
     /// Branch Runahead structures' leakage per cycle, pJ.
-    pub br_leak_pj_per_cycle: f64,
+    pub(crate) br_leak_pj_per_cycle: f64,
 }
 
 impl Default for EnergyModel {
@@ -94,7 +94,7 @@ impl Default for EnergyModel {
 impl EnergyModel {
     /// Total energy for a run, in microjoules.
     #[must_use]
-    pub fn total_uj(&self, e: &EnergyEvents) -> f64 {
+    pub(crate) fn total_uj(&self, e: &EnergyEvents) -> f64 {
         let dynamic = e.core_uops as f64 * self.core_uop_pj
             + e.l1_accesses as f64 * self.l1_pj
             + e.l2_accesses as f64 * self.l2_pj

@@ -26,7 +26,7 @@ pub struct Label(usize);
 /// b.bind(out);
 /// b.halt();
 /// let prog = b.build()?;
-/// assert_eq!(prog.len(), 4);
+/// assert!(prog.fetch(3).is_some() && prog.fetch(4).is_none());
 /// # Ok(())
 /// # }
 /// ```
@@ -82,7 +82,13 @@ impl ProgramBuilder {
     }
 
     /// Emits `dst = op(src1, src2)`. Returns the uop's PC.
-    pub fn alu(&mut self, op: AluOp, dst: ArchReg, src1: ArchReg, src2: impl Into<Operand>) -> Pc {
+    pub(crate) fn alu(
+        &mut self,
+        op: AluOp,
+        dst: ArchReg,
+        src1: ArchReg,
+        src2: impl Into<Operand>,
+    ) -> Pc {
         self.emit(UopKind::Alu {
             op,
             dst,
@@ -121,11 +127,6 @@ impl ProgramBuilder {
         self.alu(AluOp::And, dst, src1, src2)
     }
 
-    /// Emits `dst = src1 | src2`.
-    pub fn or(&mut self, dst: ArchReg, src1: ArchReg, src2: impl Into<Operand>) -> Pc {
-        self.alu(AluOp::Or, dst, src1, src2)
-    }
-
     /// Emits `dst = src1 ^ src2`.
     pub fn xor(&mut self, dst: ArchReg, src1: ArchReg, src2: impl Into<Operand>) -> Pc {
         self.alu(AluOp::Xor, dst, src1, src2)
@@ -144,19 +145,6 @@ impl ProgramBuilder {
     /// Emits `dst = src1 >> src2` (arithmetic).
     pub fn sar(&mut self, dst: ArchReg, src1: ArchReg, src2: impl Into<Operand>) -> Pc {
         self.alu(AluOp::Sar, dst, src1, src2)
-    }
-
-    /// Emits `dst = src1 / src2` (signed; excluded from dependence chains).
-    pub fn div(&mut self, dst: ArchReg, src1: ArchReg, src2: impl Into<Operand>) -> Pc {
-        self.alu(AluOp::Div, dst, src1, src2)
-    }
-
-    /// Emits `dst = src` (register or immediate move).
-    pub fn mov(&mut self, dst: ArchReg, src: ArchReg) -> Pc {
-        self.emit(UopKind::Mov {
-            dst,
-            src: Operand::Reg(src),
-        })
     }
 
     /// Emits `dst = imm`.
@@ -224,26 +212,9 @@ impl ProgramBuilder {
         pc
     }
 
-    /// Emits a no-op.
-    pub fn nop(&mut self) -> Pc {
-        self.emit(UopKind::Nop)
-    }
-
     /// Emits a halt.
     pub fn halt(&mut self) -> Pc {
         self.emit(UopKind::Halt)
-    }
-
-    /// Number of uops emitted so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.uops.len()
-    }
-
-    /// Whether no uops have been emitted.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.uops.is_empty()
     }
 
     /// Resolves labels and produces the validated [`Program`].
@@ -322,8 +293,8 @@ mod tests {
     fn emit_returns_pcs_in_order() {
         let mut b = ProgramBuilder::new();
         assert_eq!(b.mov_imm(R1, 7), 0);
-        assert_eq!(b.nop(), 1);
+        assert_eq!(b.addi(R1, R1, 1), 1);
         assert_eq!(b.halt(), 2);
-        assert_eq!(b.len(), 3);
+        assert_eq!(b.build().unwrap().len(), 3);
     }
 }

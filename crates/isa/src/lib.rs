@@ -58,10 +58,30 @@ mod program;
 pub mod reg;
 mod uop;
 
-pub use asm::{Label, ProgramBuilder};
+pub use asm::Label;
+pub use asm::ProgramBuilder;
 pub use error::IsaError;
-pub use machine::{BranchExec, CpuState, ExecRecord, Machine, MachineCheckpoint, MemExec};
-pub use memory::{JournalMark, JournaledMemory, MemoryImage};
+pub use machine::BranchExec;
+pub use machine::CpuState;
+pub use machine::ExecRecord;
+pub use machine::Machine;
+pub use machine::MachineCheckpoint;
+pub use machine::MemExec;
+pub use memory::JournaledMemory;
+pub use memory::MemoryImage;
 pub use program::Program;
-pub use reg::{ArchReg, RegSet, FLAGS, NUM_ARCH_REGS};
-pub use uop::{AluOp, Cond, Flags, MemOperand, Operand, Pc, Uop, UopKind, Width};
+pub use reg::ArchReg;
+pub use reg::RegSet;
+pub use reg::NUM_ARCH_REGS;
+pub use uop::AluOp;
+pub use uop::Cond;
+pub use uop::Flags;
+pub use uop::MemOperand;
+pub use uop::Operand;
+pub use uop::Pc;
+pub use uop::Uop;
+pub use uop::UopKind;
+pub use uop::Width;
+
+#[cfg(test)]
+mod model_props;

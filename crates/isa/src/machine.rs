@@ -23,11 +23,11 @@ pub struct CpuState {
     /// General-purpose register values.
     pub regs: [u64; 16],
     /// Condition codes.
-    pub flags: Flags,
+    pub(crate) flags: Flags,
     /// Next PC to execute.
-    pub pc: Pc,
+    pub(crate) pc: Pc,
     /// Whether a `halt` has executed.
-    pub halted: bool,
+    pub(crate) halted: bool,
 }
 
 impl CpuState {
@@ -48,7 +48,7 @@ impl CpuState {
     ///
     /// Panics if `r` is the flags register.
     #[must_use]
-    pub fn reg(&self, r: ArchReg) -> u64 {
+    pub(crate) fn reg(&self, r: ArchReg) -> u64 {
         assert!(!r.is_flags(), "read flags via .flags");
         self.regs[r.index()]
     }
@@ -114,7 +114,7 @@ pub struct ExecRecord {
     /// Memory access details, for loads and stores.
     pub mem: Option<MemExec>,
     /// The destination register and the value written, if any. For `cmp`
-    /// the destination is [`FLAGS`] and the value is the packed flags.
+    /// the destination is `FLAGS` and the value is the packed flags.
     pub dst: Option<(ArchReg, u64)>,
     /// Whether this uop was `halt`.
     pub halt: bool,
@@ -170,12 +170,6 @@ impl Machine {
     #[must_use]
     pub fn reg(&self, r: ArchReg) -> u64 {
         self.cpu.reg(r)
-    }
-
-    /// Writes a general-purpose register (used by tests and workload setup).
-    pub fn set_reg(&mut self, r: ArchReg, v: u64) {
-        assert!(!r.is_flags(), "set flags via cmp");
-        self.cpu.set_reg(r, v);
     }
 
     /// The architectural register state.
@@ -491,7 +485,7 @@ mod tests {
     #[test]
     fn pc_off_end_errors() {
         let mut b = ProgramBuilder::new();
-        b.nop();
+        b.mov_imm(R1, 0);
         let p = b.build().unwrap();
         let mut m = machine();
         m.step(&p, None).unwrap();

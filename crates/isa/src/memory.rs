@@ -169,11 +169,6 @@ impl MemoryImage {
             .write(addr, &value.to_le_bytes()[..width.bytes() as usize]);
     }
 
-    /// Writes one byte.
-    pub fn write_byte(&mut self, addr: u64, b: u8) {
-        self.pages.write(addr, &[b]);
-    }
-
     /// Writes a slice of bytes starting at `addr`.
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
         self.pages.write(addr, bytes);
@@ -182,23 +177,6 @@ impl MemoryImage {
     /// Writes a slice of 64-bit values starting at `addr` (8 bytes apart).
     pub fn write_u64_slice(&mut self, addr: u64, values: &[u64]) {
         self.pages.write_values(addr, values, u64::to_le_bytes);
-    }
-
-    /// Writes a slice of 32-bit values starting at `addr` (4 bytes apart).
-    pub fn write_u32_slice(&mut self, addr: u64, values: &[u32]) {
-        self.pages.write_values(addr, values, u32::to_le_bytes);
-    }
-
-    /// Reads back a value (useful in tests).
-    #[must_use]
-    pub fn read(&self, addr: u64, width: Width) -> u64 {
-        self.pages.read(addr, width)
-    }
-
-    /// Number of touched 4 KiB pages.
-    #[must_use]
-    pub fn page_count(&self) -> usize {
-        self.pages.len()
     }
 
     /// The touched pages in ascending page-number order, each as its page
@@ -229,7 +207,7 @@ impl MemoryImage {
 
 /// A position in the store journal; rollback target for speculation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct JournalMark(u64);
+pub(crate) struct JournalMark(u64);
 
 #[derive(Clone, Debug)]
 struct UndoEntry {
@@ -259,7 +237,7 @@ impl fmt::Debug for JournaledMemory {
 impl JournaledMemory {
     /// Creates an empty memory.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MemoryImage::new().into_memory()
     }
 
@@ -270,7 +248,7 @@ impl JournaledMemory {
     }
 
     /// Writes `width` bytes at `addr`, journaling the previous contents.
-    pub fn write(&mut self, addr: u64, width: Width, value: u64) {
+    pub(crate) fn write(&mut self, addr: u64, width: Width, value: u64) {
         let mut bytes = value.to_le_bytes();
         bytes[width.bytes() as usize..].fill(0);
         self.pages.swap(addr, &mut bytes[..width.bytes() as usize]);
@@ -281,7 +259,7 @@ impl JournaledMemory {
     /// The current journal position; stores after this call can be undone
     /// by rolling back to the returned mark.
     #[must_use]
-    pub fn mark(&self) -> JournalMark {
+    pub(crate) fn mark(&self) -> JournalMark {
         JournalMark(self.base + self.journal.len() as u64)
     }
 
@@ -292,7 +270,7 @@ impl JournaledMemory {
     /// Panics if `mark` has been released by [`Self::release_before`] —
     /// that would mean rolling back past committed state, which is a
     /// simulator bug.
-    pub fn rollback_to(&mut self, mark: JournalMark) {
+    pub(crate) fn rollback_to(&mut self, mark: JournalMark) {
         assert!(
             mark.0 >= self.base,
             "rollback target {mark:?} was already released (base {})",
@@ -311,17 +289,11 @@ impl JournaledMemory {
     /// Releases journal entries older than `mark`; they can no longer be
     /// rolled back. Call with the mark of the oldest in-flight branch as
     /// instructions retire.
-    pub fn release_before(&mut self, mark: JournalMark) {
+    pub(crate) fn release_before(&mut self, mark: JournalMark) {
         while self.base < mark.0 && !self.journal.is_empty() {
             self.journal.pop_front();
             self.base += 1;
         }
-    }
-
-    /// Number of undoable journal entries currently held.
-    #[must_use]
-    pub fn journal_len(&self) -> usize {
-        self.journal.len()
     }
 }
 
@@ -334,6 +306,30 @@ impl Default for JournaledMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MemoryImage {
+        /// Writes one byte.
+        pub(crate) fn write_byte(&mut self, addr: u64, b: u8) {
+            self.pages.write(addr, &[b]);
+        }
+
+        /// Writes a slice of 32-bit values starting at `addr` (4 bytes apart).
+        pub(crate) fn write_u32_slice(&mut self, addr: u64, values: &[u32]) {
+            self.pages.write_values(addr, values, u32::to_le_bytes);
+        }
+
+        /// Reads back a value.
+        #[must_use]
+        pub(crate) fn read(&self, addr: u64, width: Width) -> u64 {
+            self.pages.read(addr, width)
+        }
+
+        /// Number of touched 4 KiB pages.
+        #[must_use]
+        pub(crate) fn page_count(&self) -> usize {
+            self.pages.len()
+        }
+    }
 
     #[test]
     fn image_round_trip() {
@@ -396,7 +392,7 @@ mod tests {
             let m = mem.mark();
             mem.release_before(m);
         }
-        assert_eq!(mem.journal_len(), 0);
+        assert!(mem.journal.is_empty());
     }
 
     #[test]

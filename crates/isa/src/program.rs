@@ -21,7 +21,7 @@ impl Program {
     ///
     /// Returns [`IsaError::BadBranchTarget`] if any branch or jump targets
     /// a PC outside the program.
-    pub fn new(uops: Vec<Uop>) -> Result<Self, IsaError> {
+    pub(crate) fn new(uops: Vec<Uop>) -> Result<Self, IsaError> {
         let len = uops.len() as Pc;
         for u in &uops {
             let target = match u.kind {
@@ -48,14 +48,8 @@ impl Program {
 
     /// Number of static uops.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.uops.len()
-    }
-
-    /// Whether the program has no uops.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.uops.is_empty()
     }
 
     /// Iterates over all static uops in PC order.
@@ -65,7 +59,7 @@ impl Program {
 
     /// Number of static conditional branches.
     #[must_use]
-    pub fn cond_branch_count(&self) -> usize {
+    pub(crate) fn cond_branch_count(&self) -> usize {
         self.uops.iter().filter(|u| u.is_cond_branch()).count()
     }
 }
@@ -126,6 +120,6 @@ mod tests {
     #[test]
     fn empty_program_is_valid() {
         let p = Program::new(vec![]).unwrap();
-        assert!(p.is_empty());
+        assert_eq!(p.len(), 0);
     }
 }

@@ -1,7 +1,7 @@
 //! Architectural registers and dense register sets.
 //!
 //! The ISA has 16 general-purpose 64-bit registers (`R0`..`R15`) plus one
-//! architectural flags register ([`FLAGS`]). The flags register is modelled
+//! architectural flags register (`FLAGS`). The flags register is modelled
 //! as an ordinary dataflow register so that the backward dataflow walk used
 //! by dependence-chain extraction treats condition codes uniformly: a `cmp`
 //! *writes* `FLAGS`, a conditional branch *reads* `FLAGS` — exactly the
@@ -15,12 +15,12 @@ pub const NUM_ARCH_REGS: usize = 17;
 /// An architectural register name.
 ///
 /// `ArchReg(0)`..`ArchReg(15)` are the general-purpose registers; index 16
-/// is the flags pseudo-register ([`FLAGS`]).
+/// is the flags pseudo-register (`FLAGS`).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ArchReg(u8);
 
 /// The architectural flags (condition-code) register.
-pub const FLAGS: ArchReg = ArchReg(16);
+pub(crate) const FLAGS: ArchReg = ArchReg(16);
 
 /// General-purpose register `R0`.
 pub const R0: ArchReg = ArchReg(0);
@@ -78,12 +78,12 @@ impl ArchReg {
 
     /// Whether this is the flags pseudo-register.
     #[must_use]
-    pub fn is_flags(self) -> bool {
+    pub(crate) fn is_flags(self) -> bool {
         self == FLAGS
     }
 
     /// Iterates over every architectural register, including `FLAGS`.
-    pub fn all() -> impl Iterator<Item = ArchReg> {
+    pub(crate) fn all() -> impl Iterator<Item = ArchReg> {
         (0..NUM_ARCH_REGS as u8).map(ArchReg)
     }
 
@@ -130,18 +130,6 @@ impl RegSet {
         RegSet(1 << r.index())
     }
 
-    /// Whether the set contains no registers.
-    #[must_use]
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-
-    /// Number of registers in the set.
-    #[must_use]
-    pub fn len(self) -> usize {
-        self.0.count_ones() as usize
-    }
-
     /// Whether `r` is a member.
     #[must_use]
     pub fn contains(self, r: ArchReg) -> bool {
@@ -168,12 +156,6 @@ impl RegSet {
     #[must_use]
     pub fn union(self, other: RegSet) -> RegSet {
         RegSet(self.0 | other.0)
-    }
-
-    /// Set intersection.
-    #[must_use]
-    pub fn intersection(self, other: RegSet) -> RegSet {
-        RegSet(self.0 & other.0)
     }
 
     /// Set difference (`self` minus `other`).
@@ -234,6 +216,26 @@ impl fmt::Display for RegSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RegSet {
+        /// Whether the set contains no registers.
+        #[must_use]
+        pub(crate) fn is_empty(self) -> bool {
+            self.0 == 0
+        }
+
+        /// Number of registers in the set.
+        #[must_use]
+        pub(crate) fn len(self) -> usize {
+            self.0.count_ones() as usize
+        }
+
+        /// Set intersection.
+        #[must_use]
+        pub(crate) fn intersection(self, other: RegSet) -> RegSet {
+            RegSet(self.0 & other.0)
+        }
+    }
 
     #[test]
     fn reg_indices_round_trip() {

@@ -16,7 +16,7 @@ pub struct CacheConfig {
 impl CacheConfig {
     /// 32 KB, 8-way, 64 B lines — the paper's L1 (Table 1).
     #[must_use]
-    pub fn l1() -> Self {
+    pub(crate) fn l1() -> Self {
         CacheConfig {
             size_bytes: 32 * 1024,
             ways: 8,
@@ -29,7 +29,7 @@ impl CacheConfig {
     /// same latency — the associativity difference is immaterial for the
     /// latency-distribution role the L2 plays here).
     #[must_use]
-    pub fn l2() -> Self {
+    pub(crate) fn l2() -> Self {
         CacheConfig {
             size_bytes: 2 * 1024 * 1024,
             ways: 16,
@@ -71,7 +71,7 @@ impl CacheConfig {
     /// does not divide evenly is rounded down; [`Self::validate`] rejects
     /// it).
     #[must_use]
-    pub fn sets(&self) -> usize {
+    pub(crate) fn sets(&self) -> usize {
         let lines = self.size_bytes / self.line_bytes;
         let sets = (lines / self.ways as u64) as usize;
         assert!(
@@ -96,7 +96,7 @@ pub struct CacheAccess {
     /// Whether the line was present.
     pub hit: bool,
     /// A dirty victim line's *byte* address, if the access/fill evicted one.
-    pub writeback: Option<u64>,
+    pub(crate) writeback: Option<u64>,
 }
 
 /// Hit/miss counters.
@@ -107,9 +107,9 @@ pub struct CacheStats {
     /// Demand misses.
     pub misses: u64,
     /// Lines filled.
-    pub fills: u64,
+    pub(crate) fills: u64,
     /// Dirty evictions.
-    pub writebacks: u64,
+    pub(crate) writebacks: u64,
 }
 crate::counters!(CacheStats {
     hits,
@@ -173,7 +173,7 @@ impl Cache {
 
     /// Whether `addr`'s line is present (no LRU or stats side effects).
     #[must_use]
-    pub fn probe(&self, addr: u64) -> bool {
+    pub(crate) fn probe(&self, addr: u64) -> bool {
         let (set, tag) = self.set_and_tag(addr);
         self.set(set).iter().any(|w| w.valid && w.tag == tag)
     }
@@ -251,19 +251,13 @@ impl Cache {
 
     /// Accumulated statistics.
     #[must_use]
-    pub fn stats(&self) -> CacheStats {
+    pub(crate) fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// The configured geometry.
-    #[must_use]
-    pub fn config(&self) -> CacheConfig {
-        self.cfg
     }
 
     /// The line-aligned address containing `addr`.
     #[must_use]
-    pub fn line_addr(&self, addr: u64) -> u64 {
+    pub(crate) fn line_addr(&self, addr: u64) -> u64 {
         line_of(addr) * self.cfg.line_bytes
     }
 }

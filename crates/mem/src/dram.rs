@@ -6,7 +6,7 @@
 //! (row hits first, then oldest). Latencies are expressed in core cycles
 //! at the paper's 3.2 GHz.
 
-/// Timing and geometry for [`Dram`].
+/// Timing and geometry for `Dram`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DramConfig {
     /// Number of banks.
@@ -20,7 +20,7 @@ pub struct DramConfig {
     /// Precharge latency (tRP) in core cycles.
     pub t_rp: u64,
     /// Data-bus occupancy per transfer in core cycles.
-    pub t_bus: u64,
+    pub(crate) t_bus: u64,
     /// Memory queue capacity (Table 1: 64).
     pub queue_capacity: usize,
 }
@@ -58,11 +58,11 @@ struct DramReq {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DramStats {
     /// Accesses hitting the open row.
-    pub row_hits: u64,
+    pub(crate) row_hits: u64,
     /// Accesses to a closed bank.
-    pub row_misses: u64,
+    pub(crate) row_misses: u64,
     /// Accesses conflicting with a different open row.
-    pub row_conflicts: u64,
+    pub(crate) row_conflicts: u64,
     /// Read requests serviced.
     pub reads: u64,
     /// Write requests serviced.
@@ -78,16 +78,16 @@ crate::counters!(DramStats {
 
 /// A completed DRAM read.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DramResp {
+pub(crate) struct DramResp {
     /// The id supplied at enqueue.
-    pub id: u64,
+    pub(crate) id: u64,
     /// Cycle the data is available.
-    pub finished: u64,
+    pub(crate) finished: u64,
 }
 
 /// The DRAM device + controller model.
 #[derive(Clone, Debug)]
-pub struct Dram {
+pub(crate) struct Dram {
     cfg: DramConfig,
     banks: Vec<Bank>,
     queue: Vec<DramReq>,
@@ -100,7 +100,7 @@ pub struct Dram {
 impl Dram {
     /// Builds a DRAM model from `cfg`.
     #[must_use]
-    pub fn new(cfg: DramConfig) -> Self {
+    pub(crate) fn new(cfg: DramConfig) -> Self {
         assert!(cfg.banks.is_power_of_two(), "bank count must be 2^k");
         Dram {
             banks: vec![
@@ -127,13 +127,13 @@ impl Dram {
 
     /// Whether the memory queue can accept another request.
     #[must_use]
-    pub fn can_accept(&self) -> bool {
+    pub(crate) fn can_accept(&self) -> bool {
         self.queue.len() < self.cfg.queue_capacity
     }
 
     /// Enqueues a request. Returns `false` (rejecting it) if the queue is
     /// full.
-    pub fn enqueue(&mut self, id: u64, addr: u64, is_write: bool, now: u64) -> bool {
+    pub(crate) fn enqueue(&mut self, id: u64, addr: u64, is_write: bool, now: u64) -> bool {
         if !self.can_accept() {
             return false;
         }
@@ -146,17 +146,10 @@ impl Dram {
         true
     }
 
-    /// Advances the controller one cycle; returns reads whose data is now
-    /// available.
-    pub fn tick(&mut self, now: u64) -> Vec<DramResp> {
-        let mut done = Vec::new();
-        self.tick_into(now, &mut done);
-        done
-    }
-
-    /// [`Self::tick`] into an existing buffer (cleared first), so the
-    /// per-cycle caller never allocates.
-    pub fn tick_into(&mut self, now: u64, done: &mut Vec<DramResp>) {
+    /// Advances the controller one cycle, writing reads whose data is now
+    /// available into `done` (cleared first), so the per-cycle caller never
+    /// allocates.
+    pub(crate) fn tick_into(&mut self, now: u64, done: &mut Vec<DramResp>) {
         done.clear();
         // Schedule: FR-FCFS — among requests whose bank is free, prefer
         // open-row hits, then oldest arrival.
@@ -224,13 +217,13 @@ impl Dram {
 
     /// Row-buffer statistics.
     #[must_use]
-    pub fn stats(&self) -> DramStats {
+    pub(crate) fn stats(&self) -> DramStats {
         self.stats
     }
 
     /// Outstanding requests (queued + in flight).
     #[must_use]
-    pub fn outstanding(&self) -> usize {
+    pub(crate) fn outstanding(&self) -> usize {
         self.queue.len() + self.in_service.len()
     }
 }
@@ -244,8 +237,10 @@ mod tests {
     use super::*;
 
     fn run_until(d: &mut Dram, id: u64, limit: u64) -> u64 {
+        let mut done = Vec::new();
         for now in 0..limit {
-            if d.tick(now).iter().any(|r| r.id == id) {
+            d.tick_into(now, &mut done);
+            if done.iter().any(|r| r.id == id) {
                 return now;
             }
         }
@@ -296,8 +291,10 @@ mod tests {
         d.enqueue(1, 0, false, 0);
         d.enqueue(2, 1 << cfg.row_log2, false, 0);
         let mut finished = vec![];
+        let mut done = Vec::new();
         for now in 0..2000 {
-            for r in d.tick(now) {
+            d.tick_into(now, &mut done);
+            for r in &done {
                 finished.push((r.id, now));
             }
             if finished.len() == 2 {
@@ -327,8 +324,10 @@ mod tests {
     fn writes_consume_bandwidth_but_do_not_respond() {
         let mut d = Dram::new(DramConfig::default());
         d.enqueue(1, 0, true, 0);
+        let mut done = Vec::new();
         for now in 0..500 {
-            assert!(d.tick(now).is_empty());
+            d.tick_into(now, &mut done);
+            assert!(done.is_empty());
         }
         assert_eq!(d.stats().writes, 1);
     }

@@ -7,10 +7,10 @@
 //! this crate reproduces that distribution shape from scratch:
 //!
 //! * [`Cache`] — set-associative, write-back, LRU tag store,
-//! * [`MshrFile`] — miss-status holding registers with request merging,
-//! * [`StreamPrefetcher`] — 64 streams, configurable distance, prefetching
+//! * `MshrFile` — miss-status holding registers with request merging,
+//! * `StreamPrefetcher` — 64 streams, configurable distance, prefetching
 //!   into the L2 (Table 1),
-//! * [`Dram`] — banked DDR4-style timing with open rows and FR-FCFS-like
+//! * `Dram` — banked DDR4-style timing with open rows and FR-FCFS-like
 //!   scheduling,
 //! * [`MemorySystem`] — the composed, tick-driven hierarchy shared by the
 //!   core and the Dependence Chain Engine (§4.2: "The DCE shares the
@@ -28,7 +28,7 @@
 //! let mut cycle = 0;
 //! let done = loop {
 //!     let resp = mem.tick(cycle);
-//!     if let Some(r) = resp.iter().find(|r| r.id == id) { break r.finished; }
+//!     if let Some(r) = resp.iter().find(|r| r.id == id) { break cycle; }
 //!     cycle += 1;
 //! };
 //! assert!(done >= 3, "at least the L1 hit latency");
@@ -44,21 +44,26 @@ mod prefetch;
 mod system;
 mod tlb;
 
-pub use cache::{Cache, CacheAccess, CacheConfig, CacheStats};
+pub use cache::Cache;
+pub use cache::CacheAccess;
+pub use cache::CacheConfig;
+pub use cache::CacheStats;
 pub use counters::Counters;
-pub use dram::{Dram, DramConfig, DramStats};
-pub use mshr::{MshrFile, MshrOutcome};
-pub use prefetch::{StreamPrefetcher, StreamPrefetcherConfig};
-pub use system::{
-    MemResp, MemoryConfig, MemoryStats, MemorySystem, ReqId, ReqSource, RequestError,
-};
-pub use tlb::{Tlb, TlbConfig, TlbStats};
+pub use dram::DramConfig;
+pub use dram::DramStats;
+pub use system::MemResp;
+pub use system::MemoryConfig;
+pub use system::MemoryStats;
+pub use system::MemorySystem;
+pub use system::ReqId;
+pub use system::ReqSource;
+pub use system::RequestError;
 
 /// Cache line size in bytes used throughout the hierarchy (Table 1).
-pub const LINE_BYTES: u64 = 64;
+pub(crate) const LINE_BYTES: u64 = 64;
 
 /// Converts a byte address to a line address.
 #[must_use]
-pub fn line_of(addr: u64) -> u64 {
+pub(crate) fn line_of(addr: u64) -> u64 {
     addr / LINE_BYTES
 }

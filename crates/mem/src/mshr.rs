@@ -2,7 +2,7 @@
 
 /// Result of trying to record a miss in the MSHR file.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MshrOutcome {
+pub(crate) enum MshrOutcome {
     /// A new entry was allocated; the caller must issue the lower-level
     /// request.
     Allocated,
@@ -19,7 +19,7 @@ pub enum MshrOutcome {
 /// per-entry id buffers are recycled through a small pool instead of being
 /// reallocated per miss.
 #[derive(Clone, Debug)]
-pub struct MshrFile {
+pub(crate) struct MshrFile {
     capacity: usize,
     entries: Vec<(u64, Vec<u64>)>,
     pool: Vec<Vec<u64>>,
@@ -32,7 +32,7 @@ impl MshrFile {
     ///
     /// Panics if `capacity` is zero.
     #[must_use]
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "MSHR capacity must be nonzero");
         MshrFile {
             capacity,
@@ -42,7 +42,7 @@ impl MshrFile {
     }
 
     /// Records a miss on `line` for request `id`.
-    pub fn allocate(&mut self, line: u64, id: u64) -> MshrOutcome {
+    pub(crate) fn allocate(&mut self, line: u64, id: u64) -> MshrOutcome {
         if let Some((_, ids)) = self.entries.iter_mut().find(|(l, _)| *l == line) {
             ids.push(id);
             return MshrOutcome::Merged;
@@ -57,17 +57,10 @@ impl MshrFile {
         MshrOutcome::Allocated
     }
 
-    /// Completes the miss on `line`, returning every merged request id.
-    /// Returns an empty vector if no entry exists (e.g. a prefetch fill).
-    pub fn complete(&mut self, line: u64) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.complete_into(line, &mut out);
-        out
-    }
-
-    /// [`Self::complete`] into an existing buffer (cleared first), keeping
-    /// the entry's id buffer for reuse.
-    pub fn complete_into(&mut self, line: u64, out: &mut Vec<u64>) {
+    /// Completes the miss on `line`, writing every merged request id into
+    /// `out` (cleared first; left empty if no entry exists, e.g. a prefetch
+    /// fill) and keeping the entry's id buffer for reuse.
+    pub(crate) fn complete_into(&mut self, line: u64, out: &mut Vec<u64>) {
         out.clear();
         if let Some(p) = self.entries.iter().position(|(l, _)| *l == line) {
             let (_, ids) = self.entries.swap_remove(p);
@@ -76,22 +69,10 @@ impl MshrFile {
         }
     }
 
-    /// Whether `line` has an outstanding miss.
-    #[must_use]
-    pub fn pending(&self, line: u64) -> bool {
-        self.entries.iter().any(|(l, _)| *l == line)
-    }
-
     /// Number of occupied entries.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Whether no misses are outstanding.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -106,9 +87,12 @@ mod tests {
         assert_eq!(m.allocate(0x10, 2), MshrOutcome::Merged);
         assert_eq!(m.allocate(0x20, 3), MshrOutcome::Allocated);
         assert_eq!(m.allocate(0x30, 4), MshrOutcome::Full);
-        assert!(m.pending(0x10));
-        assert_eq!(m.complete(0x10), vec![1, 2]);
-        assert!(!m.pending(0x10));
+        let pending = |m: &MshrFile, line| m.entries.iter().any(|(l, _)| *l == line);
+        assert!(pending(&m, 0x10));
+        let mut ids = Vec::new();
+        m.complete_into(0x10, &mut ids);
+        assert_eq!(ids, vec![1, 2]);
+        assert!(!pending(&m, 0x10));
         assert_eq!(m.len(), 1);
         assert_eq!(m.allocate(0x30, 4), MshrOutcome::Allocated);
     }
@@ -116,7 +100,9 @@ mod tests {
     #[test]
     fn complete_unknown_line_is_empty() {
         let mut m = MshrFile::new(1);
-        assert!(m.complete(0x99).is_empty());
+        let mut ids = vec![7];
+        m.complete_into(0x99, &mut ids);
+        assert!(ids.is_empty());
     }
 
     #[test]

@@ -5,15 +5,15 @@ use crate::LINE_BYTES;
 
 /// Configuration for [`StreamPrefetcher`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StreamPrefetcherConfig {
+pub(crate) struct StreamPrefetcherConfig {
     /// Maximum concurrently tracked streams.
-    pub streams: usize,
+    pub(crate) streams: usize,
     /// Prefetch distance in lines.
-    pub distance: u64,
+    pub(crate) distance: u64,
     /// Accesses within this many lines of a stream head extend the stream.
-    pub window: u64,
+    pub(crate) window: u64,
     /// Misses needed to confirm a stream before prefetching starts.
-    pub train_threshold: u32,
+    pub(crate) train_threshold: u32,
 }
 
 impl Default for StreamPrefetcherConfig {
@@ -38,28 +38,26 @@ struct Stream {
 
 /// A classic unit-stride stream prefetcher trained on L1 misses.
 #[derive(Clone, Debug)]
-pub struct StreamPrefetcher {
+pub(crate) struct StreamPrefetcher {
     cfg: StreamPrefetcherConfig,
     streams: Vec<Stream>,
     tick: u64,
-    issued: u64,
 }
 
 impl StreamPrefetcher {
     /// Builds a prefetcher from `cfg`.
     #[must_use]
-    pub fn new(cfg: StreamPrefetcherConfig) -> Self {
+    pub(crate) fn new(cfg: StreamPrefetcherConfig) -> Self {
         StreamPrefetcher {
             cfg,
             streams: Vec::new(),
             tick: 0,
-            issued: 0,
         }
     }
 
     /// Trains on a demand miss at byte address `addr`; returns the byte
     /// addresses of lines to prefetch (possibly empty).
-    pub fn train(&mut self, addr: u64) -> Vec<u64> {
+    pub(crate) fn train(&mut self, addr: u64) -> Vec<u64> {
         self.tick += 1;
         let line = addr / LINE_BYTES;
         let window = self.cfg.window;
@@ -86,7 +84,6 @@ impl StreamPrefetcher {
                 while (target - s.next_prefetch as i64) * s.direction > 0 && out.len() < 2 {
                     s.next_prefetch = (s.next_prefetch as i64 + s.direction) as u64;
                     out.push(s.next_prefetch * LINE_BYTES);
-                    self.issued += 1;
                 }
                 return out;
             }
@@ -123,12 +120,6 @@ impl StreamPrefetcher {
         }
         Vec::new()
     }
-
-    /// Total prefetches issued.
-    #[must_use]
-    pub fn issued(&self) -> u64 {
-        self.issued
-    }
 }
 
 #[cfg(test)]
@@ -150,7 +141,6 @@ mod tests {
             }
         }
         assert!(count > 0, "stream never confirmed");
-        assert_eq!(p.issued(), count);
     }
 
     #[test]

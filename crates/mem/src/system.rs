@@ -48,7 +48,7 @@ pub struct MemResp {
     /// The id returned by [`MemorySystem::request`].
     pub id: ReqId,
     /// Completion cycle.
-    pub finished: u64,
+    pub(crate) finished: u64,
 }
 
 /// Configuration for [`MemorySystem`] (defaults = paper Table 1).
@@ -63,25 +63,38 @@ pub struct MemoryConfig {
     /// L2 hit latency in cycles (total, from request).
     pub l2_hit_latency: u64,
     /// Core-side MSHR entries.
-    pub mshrs: usize,
+    pub(crate) mshrs: usize,
     /// DRAM timing.
     pub dram: DramConfig,
     /// Stream prefetcher settings; `None` disables prefetching.
-    pub prefetcher: Option<StreamPrefetcherConfig>,
+    pub(crate) prefetcher: Option<StreamPrefetcherConfig>,
     /// Data TLB (shared by core and DCE, §4.2).
-    pub tlb: TlbConfig,
+    pub(crate) tlb: TlbConfig,
 }
 
 impl MemoryConfig {
-    /// Validates the cache geometries.
+    /// Validates everything the memory system's constructors assert,
+    /// plus a DRAM queue that can accept a request.
     ///
     /// # Errors
     ///
     /// Names the first cache whose geometry [`CacheConfig::validate`]
-    /// rejects.
+    /// rejects, or the first other structure whose size would panic in
+    /// its constructor or deadlock the DRAM controller.
     pub fn validate(&self) -> Result<(), String> {
+        let ensure = |ok: bool, what: &str| if ok { Ok(()) } else { Err(what.to_string()) };
         self.l1.validate().map_err(|e| format!("L1: {e}"))?;
-        self.l2.validate().map_err(|e| format!("L2: {e}"))
+        self.l2.validate().map_err(|e| format!("L2: {e}"))?;
+        ensure(self.mshrs > 0, "MSHRs must be nonzero")?;
+        ensure(self.tlb.entries > 0, "TLB entries must be nonzero")?;
+        ensure(
+            self.dram.banks.is_power_of_two(),
+            "DRAM banks must be a power of two",
+        )?;
+        ensure(
+            self.dram.queue_capacity > 0,
+            "DRAM queue capacity must be nonzero",
+        )
     }
 }
 
@@ -108,7 +121,7 @@ pub struct MemoryStats {
     /// Demand requests from the DCE.
     pub dce_requests: u64,
     /// Prefetches issued.
-    pub prefetches: u64,
+    pub(crate) prefetches: u64,
     /// L1 statistics.
     pub l1: CacheStats,
     /// L2 statistics.
@@ -116,7 +129,7 @@ pub struct MemoryStats {
     /// DRAM statistics.
     pub dram: DramStats,
     /// Data-TLB statistics.
-    pub tlb: TlbStats,
+    pub(crate) tlb: TlbStats,
 }
 crate::counters!(MemoryStats {
     core_requests,
@@ -458,17 +471,30 @@ impl MemorySystem {
         s.tlb = self.tlb.stats();
         s
     }
-
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &MemoryConfig {
-        &self.cfg
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn validate_rejects_what_constructors_assert() {
+        type Edit = fn(&mut MemoryConfig);
+        assert_eq!(MemoryConfig::default().validate(), Ok(()));
+        let edits: [(&str, Edit); 5] = [
+            ("MSHRs", |c| c.mshrs = 0),
+            ("TLB", |c| c.tlb.entries = 0),
+            ("banks", |c| c.dram.banks = 0),
+            ("banks", |c| c.dram.banks = 3),
+            ("queue", |c| c.dram.queue_capacity = 0),
+        ];
+        for (what, edit) in edits {
+            let mut cfg = MemoryConfig::default();
+            edit(&mut cfg);
+            let err = cfg.validate().unwrap_err();
+            assert!(err.contains(what), "{what}: {err}");
+        }
+    }
 
     fn complete(mem: &mut MemorySystem, id: ReqId, from: u64, limit: u64) -> u64 {
         for now in from..from + limit {

@@ -7,13 +7,13 @@
 
 /// Configuration for [`Tlb`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TlbConfig {
+pub(crate) struct TlbConfig {
     /// Number of entries.
-    pub entries: usize,
+    pub(crate) entries: usize,
     /// log2 page size in bytes (4 KB pages → 12).
-    pub page_log2: u32,
+    pub(crate) page_log2: u32,
     /// Page-walk latency in cycles added to a missing access.
-    pub walk_latency: u64,
+    pub(crate) walk_latency: u64,
 }
 
 impl Default for TlbConfig {
@@ -28,17 +28,17 @@ impl Default for TlbConfig {
 
 /// TLB statistics.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct TlbStats {
+pub(crate) struct TlbStats {
     /// Accesses that hit.
-    pub hits: u64,
+    pub(crate) hits: u64,
     /// Accesses that missed (paid the walk).
-    pub misses: u64,
+    pub(crate) misses: u64,
 }
 crate::counters!(TlbStats { hits, misses });
 
 /// A fully-associative, LRU data TLB.
 #[derive(Clone, Debug)]
-pub struct Tlb {
+pub(crate) struct Tlb {
     cfg: TlbConfig,
     /// (page number, lru tick)
     entries: Vec<(u64, u64)>,
@@ -53,7 +53,7 @@ impl Tlb {
     ///
     /// Panics if `entries` is zero.
     #[must_use]
-    pub fn new(cfg: TlbConfig) -> Self {
+    pub(crate) fn new(cfg: TlbConfig) -> Self {
         assert!(cfg.entries > 0, "TLB must have entries");
         Tlb {
             cfg,
@@ -65,7 +65,7 @@ impl Tlb {
 
     /// Translates `addr`; returns the extra latency this access pays
     /// (0 on a hit, the walk latency on a miss, which also fills).
-    pub fn access(&mut self, addr: u64) -> u64 {
+    pub(crate) fn access(&mut self, addr: u64) -> u64 {
         self.tick += 1;
         let page = addr >> self.cfg.page_log2;
         if let Some(e) = self.entries.iter_mut().find(|(p, _)| *p == page) {
@@ -89,7 +89,7 @@ impl Tlb {
 
     /// Accumulated statistics.
     #[must_use]
-    pub fn stats(&self) -> TlbStats {
+    pub(crate) fn stats(&self) -> TlbStats {
         self.stats
     }
 }

@@ -10,9 +10,9 @@ pub struct CoreConfig {
     /// I-cache associativity.
     pub icache_ways: usize,
     /// Fetch-stall cycles on an I-cache miss (L2 service).
-    pub icache_miss_latency: u64,
+    pub(crate) icache_miss_latency: u64,
     /// Uops fetched per cycle (fetch breaks on a taken branch).
-    pub fetch_width: usize,
+    pub(crate) fetch_width: usize,
     /// Uops issued to functional units per cycle.
     pub issue_width: usize,
     /// Uops retired per cycle.
@@ -30,7 +30,7 @@ pub struct CoreConfig {
     /// Extra cycles before fetch resumes after a misprediction redirect.
     pub redirect_latency: u64,
     /// Store-to-load forwarding latency in cycles.
-    pub forward_latency: u64,
+    pub(crate) forward_latency: u64,
 }
 
 impl Default for CoreConfig {
@@ -57,7 +57,7 @@ impl Default for CoreConfig {
 impl CoreConfig {
     /// The I-cache geometry (64 B lines).
     #[must_use]
-    pub fn icache(&self) -> CacheConfig {
+    pub(crate) fn icache(&self) -> CacheConfig {
         CacheConfig {
             size_bytes: self.icache_bytes,
             ways: self.icache_ways,

@@ -89,8 +89,6 @@ pub struct CycleReport {
     /// Issue slots the core left unused this cycle (the Core-Only DCE
     /// variant executes chains in these).
     pub free_issue_slots: usize,
-    /// Uops retired this cycle.
-    pub retired: usize,
     /// Whether the program has fully drained.
     pub done: bool,
 }
@@ -230,15 +228,9 @@ impl Core {
         &self.stats
     }
 
-    /// Current cycle.
-    #[must_use]
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
     /// Whether the program has halted and the pipeline drained.
     #[must_use]
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         (self.machine.halted() && self.rob.is_empty())
             || self.stats.retired_uops >= self.max_retired
     }
@@ -384,7 +376,6 @@ impl Core {
         CycleReport {
             free_load_ports: self.cfg.load_ports.saturating_sub(loads_issued),
             free_issue_slots: self.cfg.issue_width.saturating_sub(total_issued),
-            retired,
             done: self.is_done(),
         }
     }
@@ -493,7 +484,6 @@ impl Core {
             seq: e.seq,
             pc: e.uop.pc,
             actual_taken: actual,
-            followed: ctl.followed,
             base_prediction: ctl.prediction.taken,
             provenance: ctl.provenance,
             cycle: now,
@@ -612,7 +602,6 @@ impl Core {
                     taken: actual,
                     mispredicted: ctl.mispredicted,
                     base_prediction: ctl.prediction.taken,
-                    provenance: ctl.provenance,
                     cycle: now,
                 });
                 self.ctl_pool.push(ctl);
@@ -805,21 +794,13 @@ impl Core {
                 } else {
                     PredictionProvenance::BasePredictor
                 };
-                let base_prediction = prediction.taken;
                 branch_ctl = Some(self.make_branch_ctl(prediction, followed, provenance));
                 let rec = self
                     .machine
                     .step(&self.program, Some(followed))
                     .expect("fetchable uop cannot fault");
                 self.predictor.update_history(pc, followed);
-                hooks.on_branch_fetch(&FetchedBranch {
-                    seq,
-                    pc,
-                    followed,
-                    base_prediction,
-                    provenance,
-                    cycle: now,
-                });
+                hooks.on_branch_fetch(&FetchedBranch { seq, pc });
                 rec
             } else {
                 self.machine
@@ -890,6 +871,13 @@ impl Core {
 mod tests {
     use super::*;
     use crate::hooks::NullHooks;
+
+    impl Core {
+        /// Current cycle.
+        fn cycle(&self) -> u64 {
+            self.cycle
+        }
+    }
     use br_isa::{reg, Cond, CpuState, MemOperand, MemoryImage, ProgramBuilder};
     use br_mem::MemoryConfig;
     use br_predictor::Bimodal;

@@ -18,14 +18,6 @@ pub struct FetchedBranch {
     pub seq: u64,
     /// Branch PC.
     pub pc: Pc,
-    /// Direction the fetch unit followed.
-    pub followed: bool,
-    /// What the baseline predictor said.
-    pub base_prediction: bool,
-    /// Who provided `followed`.
-    pub provenance: PredictionProvenance,
-    /// Fetch cycle.
-    pub cycle: u64,
 }
 
 /// A retired (architecturally committed) micro-op.
@@ -54,8 +46,6 @@ pub struct BranchOutcome {
     pub mispredicted: bool,
     /// What the baseline predictor had said at fetch.
     pub base_prediction: bool,
-    /// Who provided the fetch-time direction.
-    pub provenance: PredictionProvenance,
     /// Retirement cycle.
     pub cycle: u64,
 }
@@ -86,8 +76,6 @@ pub struct MispredictInfo {
     pub pc: Pc,
     /// The correct direction.
     pub actual_taken: bool,
-    /// The direction fetch had followed.
-    pub followed: bool,
     /// What the baseline predictor had said (for throttle maintenance:
     /// a DCE-caused misprediction where TAGE was right is the §4.2
     /// "DCE incorrect and TAGE correct" event).

@@ -64,9 +64,15 @@ mod hooks;
 mod stats;
 
 pub use config::CoreConfig;
-pub use core_impl::{Core, CycleReport};
-pub use hooks::{
-    BranchOutcome, CoreHooks, FetchedBranch, MispredictInfo, NullHooks, PredictionProvenance,
-    RetiredUop, WrongPathUop,
-};
-pub use stats::{BranchSiteStats, CoreStats};
+pub use core_impl::Core;
+pub use core_impl::CycleReport;
+pub use hooks::BranchOutcome;
+pub use hooks::CoreHooks;
+pub use hooks::FetchedBranch;
+pub use hooks::MispredictInfo;
+pub use hooks::NullHooks;
+pub use hooks::PredictionProvenance;
+pub use hooks::RetiredUop;
+pub use hooks::WrongPathUop;
+pub use stats::BranchSiteStats;
+pub use stats::CoreStats;

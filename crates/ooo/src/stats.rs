@@ -19,7 +19,7 @@ pub struct BranchSiteStats {
     pub dce_provided: u64,
     /// Retired mispredicted with a DCE-supplied direction (chain
     /// divergence events).
-    pub dce_wrong: u64,
+    pub(crate) dce_wrong: u64,
 }
 
 impl BranchSiteStats {
@@ -57,9 +57,9 @@ pub struct CoreStats {
     /// Retired conditional branches whose fetch direction was wrong.
     pub mispredicts: u64,
     /// Recoveries performed (includes recoveries later squashed).
-    pub recoveries: u64,
+    pub(crate) recoveries: u64,
     /// Instruction-cache misses (fetch stalls).
-    pub icache_misses: u64,
+    pub(crate) icache_misses: u64,
     /// Wrong-path uops squashed across all recoveries.
     pub squashed_uops: u64,
     /// Work of the event-driven issue logic: ready-list entries the
@@ -68,7 +68,7 @@ pub struct CoreStats {
     pub issue_visits: u64,
     /// Cycles in which the core fetched, issued, completed and retired
     /// nothing.
-    pub idle_cycles: u64,
+    pub(crate) idle_cycles: u64,
     /// FNV-1a fold over the architectural content of every retired uop:
     /// PC, destination write (register + value), memory access (address,
     /// value, store bit), actual branch resolution, and the halt bit.
@@ -125,7 +125,7 @@ impl Default for CoreStats {
 impl CoreStats {
     /// Folds one 64-bit word into [`CoreStats::retire_fingerprint`]
     /// (byte-wise FNV-1a).
-    pub fn fold_retirement(&mut self, word: u64) {
+    pub(crate) fn fold_retirement(&mut self, word: u64) {
         let mut h = self.retire_fingerprint;
         for b in word.to_le_bytes() {
             h ^= u64::from(b);

@@ -10,7 +10,7 @@
 /// A circular-buffer compressed (folded) view of the most recent `olength`
 /// history bits, `clength` bits wide. Standard CBP-style implementation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FoldedHistory {
+pub(crate) struct FoldedHistory {
     comp: u32,
     clength: u32,
     olength: u32,
@@ -24,7 +24,7 @@ impl FoldedHistory {
     ///
     /// Panics if `clength` is 0 or greater than 31.
     #[must_use]
-    pub fn new(olength: u32, clength: u32) -> Self {
+    pub(crate) fn new(olength: u32, clength: u32) -> Self {
         assert!(clength > 0 && clength < 32, "bad folded width {clength}");
         FoldedHistory {
             comp: 0,
@@ -35,7 +35,7 @@ impl FoldedHistory {
     }
 
     /// Folds in the newest bit and folds out the bit leaving the window.
-    pub fn update(&mut self, new_bit: bool, out_bit: bool) {
+    pub(crate) fn update(&mut self, new_bit: bool, out_bit: bool) {
         self.comp = (self.comp << 1) | u32::from(new_bit);
         self.comp ^= u32::from(out_bit) << self.outpoint;
         self.comp ^= self.comp >> self.clength;
@@ -44,20 +44,20 @@ impl FoldedHistory {
 
     /// The folded value.
     #[must_use]
-    pub fn value(self) -> u32 {
+    pub(crate) fn value(self) -> u32 {
         self.comp
     }
 
     /// The original (unfolded) history length.
     #[must_use]
-    pub fn history_length(self) -> u32 {
+    pub(crate) fn history_length(self) -> u32 {
         self.olength
     }
 }
 
 /// Snapshot of the speculative history state; restored on mispredictions.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct HistoryCheckpoint {
+pub(crate) struct HistoryCheckpoint {
     head: u64,
     path: u64,
     folded: Vec<FoldedHistory>,
@@ -66,7 +66,7 @@ pub struct HistoryCheckpoint {
 /// Speculative global history: a large bit ring, a path-history register,
 /// and a set of registered folded views.
 #[derive(Clone, Debug)]
-pub struct GlobalHistory {
+pub(crate) struct GlobalHistory {
     bits: Vec<bool>,
     /// Monotonic count of bits ever inserted; `head & mask` is the slot
     /// the *next* bit will occupy.
@@ -84,7 +84,7 @@ impl GlobalHistory {
     ///
     /// Panics if `capacity` is not a power of two or is smaller than 64.
     #[must_use]
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(
             capacity.is_power_of_two() && capacity >= 64,
             "history capacity must be a power of two >= 64"
@@ -99,7 +99,7 @@ impl GlobalHistory {
     }
 
     /// Registers a folded view; returns its handle index.
-    pub fn add_folded(&mut self, olength: u32, clength: u32) -> usize {
+    pub(crate) fn add_folded(&mut self, olength: u32, clength: u32) -> usize {
         assert!(
             (olength as usize) < self.bits.len() / 2,
             "history length {olength} too close to ring capacity {}",
@@ -111,32 +111,18 @@ impl GlobalHistory {
 
     /// The folded value for handle `h`.
     #[must_use]
-    pub fn folded(&self, h: usize) -> u32 {
+    pub(crate) fn folded(&self, h: usize) -> u32 {
         self.folded[h].value()
-    }
-
-    /// The `n` most recent history bits packed into a u64 (bit 0 newest).
-    #[must_use]
-    pub fn recent(&self, n: u32) -> u64 {
-        debug_assert!(n <= 64);
-        let mut v = 0u64;
-        for i in 0..u64::from(n) {
-            if self.head > i {
-                let idx = ((self.head - 1 - i) & self.mask) as usize;
-                v |= u64::from(self.bits[idx]) << i;
-            }
-        }
-        v
     }
 
     /// Path history (low bits of branch PCs, shifted per branch).
     #[must_use]
-    pub fn path(&self) -> u64 {
+    pub(crate) fn path(&self) -> u64 {
         self.path
     }
 
     /// Pushes a branch outcome (and its PC into path history).
-    pub fn push(&mut self, pc: u64, taken: bool) {
+    pub(crate) fn push(&mut self, pc: u64, taken: bool) {
         for f in &mut self.folded {
             let out_idx = self.head.checked_sub(u64::from(f.history_length()));
             let out_bit = match out_idx {
@@ -150,19 +136,9 @@ impl GlobalHistory {
         self.path = (self.path << 1) ^ (pc & 0x3f);
     }
 
-    /// Captures the current speculative position.
-    #[must_use]
-    pub fn checkpoint(&self) -> HistoryCheckpoint {
-        HistoryCheckpoint {
-            head: self.head,
-            path: self.path,
-            folded: self.folded.clone(),
-        }
-    }
-
     /// Captures the current speculative position into an existing
     /// checkpoint buffer, reusing its folded-view allocation.
-    pub fn checkpoint_into(&self, cp: &mut HistoryCheckpoint) {
+    pub(crate) fn checkpoint_into(&self, cp: &mut HistoryCheckpoint) {
         cp.head = self.head;
         cp.path = self.path;
         cp.folded.clone_from(&self.folded);
@@ -174,7 +150,7 @@ impl GlobalHistory {
     ///
     /// Panics if the checkpoint registers a different number of folded
     /// views (checkpoints are only valid for the history they came from).
-    pub fn restore(&mut self, cp: &HistoryCheckpoint) {
+    pub(crate) fn restore(&mut self, cp: &HistoryCheckpoint) {
         assert_eq!(
             cp.folded.len(),
             self.folded.len(),
@@ -184,17 +160,27 @@ impl GlobalHistory {
         self.path = cp.path;
         self.folded.clone_from(&cp.folded);
     }
-
-    /// Total bits ever pushed.
-    #[must_use]
-    pub fn position(&self) -> u64 {
-        self.head
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl GlobalHistory {
+        /// The `n` most recent history bits packed into a u64 (bit 0 newest).
+        #[must_use]
+        pub(crate) fn recent(&self, n: u32) -> u64 {
+            debug_assert!(n <= 64);
+            let mut v = 0u64;
+            for i in 0..u64::from(n) {
+                if self.head > i {
+                    let idx = ((self.head - 1 - i) & self.mask) as usize;
+                    v |= u64::from(self.bits[idx]) << i;
+                }
+            }
+            v
+        }
+    }
 
     /// Reference: brute-force fold of the last `olength` bits.
     fn brute_fold(bits: &[bool], olength: u32, clength: u32) -> u32 {
@@ -242,7 +228,8 @@ mod tests {
         for i in 0..100 {
             gh.push(i, i % 3 == 0);
         }
-        let cp = gh.checkpoint();
+        let mut cp = HistoryCheckpoint::default();
+        gh.checkpoint_into(&mut cp);
         let f0 = gh.folded(h0);
         let f1 = gh.folded(h1);
         let recent = gh.recent(32);

@@ -7,7 +7,7 @@
 /// is sized by the largest supported configuration; overflow panics, which
 /// only a misconfigured table count can trigger.
 #[derive(Clone, Copy, Debug)]
-pub struct InlineVec<T: Copy + Default, const N: usize> {
+pub(crate) struct InlineVec<T: Copy + Default, const N: usize> {
     buf: [T; N],
     len: u8,
 }
@@ -15,7 +15,7 @@ pub struct InlineVec<T: Copy + Default, const N: usize> {
 impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     /// An empty list.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         InlineVec {
             buf: [T::default(); N],
             len: 0,
@@ -27,7 +27,7 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     /// # Panics
     ///
     /// Panics if the list already holds `N` elements.
-    pub fn push(&mut self, v: T) {
+    pub(crate) fn push(&mut self, v: T) {
         assert!((self.len as usize) < N, "InlineVec capacity {N} exceeded");
         self.buf[self.len as usize] = v;
         self.len += 1;
@@ -35,7 +35,7 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
 
     /// The elements as a slice.
     #[must_use]
-    pub fn as_slice(&self) -> &[T] {
+    pub(crate) fn as_slice(&self) -> &[T] {
         &self.buf[..self.len as usize]
     }
 }

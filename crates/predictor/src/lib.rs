@@ -5,10 +5,10 @@
 //! point is MTAGE-SC. This crate implements that predictor family from
 //! scratch:
 //!
-//! * [`Tage`] — tagged geometric-history-length predictor with useful-bit
+//! * `Tage` — tagged geometric-history-length predictor with useful-bit
 //!   management, allocation, and alternate-prediction policy,
-//! * [`LoopPredictor`] — the "L" component: confident loop-exit prediction,
-//! * [`StatisticalCorrector`] — the "SC" component: GEHL-style signed
+//! * `LoopPredictor` — the "L" component: confident loop-exit prediction,
+//! * `StatisticalCorrector` — the "SC" component: GEHL-style signed
 //!   per-history bias tables that can veto a low-confidence TAGE output,
 //! * [`TageScl`] — the composition, with 64 KB / 80 KB presets and an
 //!   MTAGE-like unlimited preset ([`TageSclConfig`]),
@@ -48,10 +48,11 @@ mod tagescl;
 mod traits;
 
 pub use bimodal::Bimodal;
-pub use history::{FoldedHistory, GlobalHistory, HistoryCheckpoint};
-pub use inline_vec::InlineVec;
-pub use loop_pred::{LoopPredictor, LoopPredictorConfig};
-pub use sc::{StatisticalCorrector, StatisticalCorrectorConfig, MAX_SC_TABLES};
-pub use tage::{Tage, TageConfig, TageMeta, MAX_TAGE_TABLES};
-pub use tagescl::{TageScl, TageSclConfig};
-pub use traits::{ConditionalPredictor, PredMeta, Prediction, PredictorCheckpoint};
+pub use tagescl::TageScl;
+pub use tagescl::TageSclConfig;
+pub use traits::ConditionalPredictor;
+pub use traits::Prediction;
+pub use traits::PredictorCheckpoint;
+
+#[cfg(test)]
+mod history_props;

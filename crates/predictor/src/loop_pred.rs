@@ -10,13 +10,13 @@ use br_isa::Pc;
 
 /// Configuration for [`LoopPredictor`].
 #[derive(Clone, Copy, Debug)]
-pub struct LoopPredictorConfig {
+pub(crate) struct LoopPredictorConfig {
     /// log2 number of entries.
-    pub log2_entries: u32,
+    pub(crate) log2_entries: u32,
     /// Confidence threshold at which predictions are used.
-    pub confidence_max: u8,
+    pub(crate) confidence_max: u8,
     /// Maximum trackable trip count.
-    pub max_iter: u16,
+    pub(crate) max_iter: u16,
 }
 
 impl Default for LoopPredictorConfig {
@@ -47,24 +47,24 @@ struct LoopEntry {
 
 /// A direct-mapped loop-exit predictor.
 #[derive(Clone, Debug)]
-pub struct LoopPredictor {
+pub(crate) struct LoopPredictor {
     cfg: LoopPredictorConfig,
     entries: Vec<LoopEntry>,
 }
 
 /// The loop predictor's verdict for a branch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LoopLookup {
+pub(crate) struct LoopLookup {
     /// Predicted direction.
-    pub taken: bool,
+    pub(crate) taken: bool,
     /// Whether confidence is high enough to override TAGE.
-    pub confident: bool,
+    pub(crate) confident: bool,
 }
 
 impl LoopPredictor {
     /// Creates a loop predictor.
     #[must_use]
-    pub fn new(cfg: LoopPredictorConfig) -> Self {
+    pub(crate) fn new(cfg: LoopPredictorConfig) -> Self {
         LoopPredictor {
             entries: vec![LoopEntry::default(); 1 << cfg.log2_entries],
             cfg,
@@ -81,7 +81,7 @@ impl LoopPredictor {
 
     /// Looks up a prediction using the *speculative* iteration count.
     #[must_use]
-    pub fn lookup(&self, pc: Pc) -> Option<LoopLookup> {
+    pub(crate) fn lookup(&self, pc: Pc) -> Option<LoopLookup> {
         let e = &self.entries[self.index(pc)];
         if !e.valid || e.tag != self.tag(pc) || e.trip == 0 {
             return None;
@@ -94,7 +94,7 @@ impl LoopPredictor {
     }
 
     /// Advances the speculative iteration counter for a fetched branch.
-    pub fn spec_update(&mut self, pc: Pc, taken: bool) {
+    pub(crate) fn spec_update(&mut self, pc: Pc, taken: bool) {
         let idx = self.index(pc);
         let tag = self.tag(pc);
         let e = &mut self.entries[idx];
@@ -107,17 +107,9 @@ impl LoopPredictor {
         }
     }
 
-    /// Snapshots all speculative iteration counters (entry index, value).
-    #[must_use]
-    pub fn spec_checkpoint(&self) -> Vec<(usize, u16)> {
-        let mut out = Vec::new();
-        self.spec_checkpoint_into(&mut out);
-        out
-    }
-
-    /// [`Self::spec_checkpoint`] into an existing buffer, reusing its
-    /// allocation.
-    pub fn spec_checkpoint_into(&self, out: &mut Vec<(usize, u16)>) {
+    /// Snapshots all speculative iteration counters (entry index, value)
+    /// into `out`, reusing its allocation.
+    pub(crate) fn spec_checkpoint_into(&self, out: &mut Vec<(usize, u16)>) {
         out.clear();
         out.extend(
             self.entries
@@ -128,9 +120,9 @@ impl LoopPredictor {
         );
     }
 
-    /// Restores a snapshot from [`Self::spec_checkpoint`]. Entries
+    /// Restores a snapshot from [`Self::spec_checkpoint_into`]. Entries
     /// allocated since the snapshot keep their architectural count.
-    pub fn spec_restore(&mut self, snap: &[(usize, u16)]) {
+    pub(crate) fn spec_restore(&mut self, snap: &[(usize, u16)]) {
         // First, re-sync everything to the architectural count (covers
         // entries allocated after the checkpoint was taken)...
         for e in &mut self.entries {
@@ -146,7 +138,7 @@ impl LoopPredictor {
 
     /// Trains with a retired outcome. `mispredicted` is whether the outer
     /// predictor got this branch wrong (allocation trigger).
-    pub fn train(&mut self, pc: Pc, taken: bool, mispredicted: bool) {
+    pub(crate) fn train(&mut self, pc: Pc, taken: bool, mispredicted: bool) {
         let idx = self.index(pc);
         let tag = self.tag(pc);
         let e = &mut self.entries[idx];
@@ -198,7 +190,7 @@ impl LoopPredictor {
 
     /// Storage estimate in KiB.
     #[must_use]
-    pub fn storage_kib(&self) -> f64 {
+    pub(crate) fn storage_kib(&self) -> f64 {
         // tag(14) + trip(10) + 2x iter(10) + dir(1) + conf(2) + age(3) + v(1)
         self.entries.len() as f64 * 51.0 / 8.0 / 1024.0
     }
@@ -255,11 +247,14 @@ mod tests {
     fn spec_checkpoint_restore() {
         let mut p = LoopPredictor::new(LoopPredictorConfig::default());
         let _ = run_loop(&mut p, 0x40, 8, 10);
-        let snap = p.spec_checkpoint();
+        let mut snap = Vec::new();
+        p.spec_checkpoint_into(&mut snap);
         p.spec_update(0x40, true);
         p.spec_update(0x40, true);
         p.spec_restore(&snap);
-        assert_eq!(p.spec_checkpoint(), snap);
+        let mut after = Vec::new();
+        p.spec_checkpoint_into(&mut after);
+        assert_eq!(after, snap);
     }
 
     #[test]

@@ -12,21 +12,21 @@ use crate::inline_vec::InlineVec;
 
 /// Hard cap on corrector tables (bias table plus history-indexed tables),
 /// sized for the unlimited configuration so lookups stay inline.
-pub const MAX_SC_TABLES: usize = 8;
+pub(crate) const MAX_SC_TABLES: usize = 8;
 
 /// Configuration for [`StatisticalCorrector`].
 #[derive(Clone, Debug)]
-pub struct StatisticalCorrectorConfig {
+pub(crate) struct StatisticalCorrectorConfig {
     /// log2 entries per table.
-    pub table_log2: u32,
+    pub(crate) table_log2: u32,
     /// History lengths of the history-indexed tables (the bias table is
     /// always present and uses length 0).
-    pub history_lengths: Vec<u32>,
+    pub(crate) history_lengths: Vec<u32>,
     /// Weight given to the TAGE direction in the sum.
-    pub tage_weight: i32,
+    pub(crate) tage_weight: i32,
     /// Update threshold: counters train when `|sum| <= threshold` or the
     /// final direction was wrong.
-    pub threshold: i32,
+    pub(crate) threshold: i32,
 }
 
 impl Default for StatisticalCorrectorConfig {
@@ -42,18 +42,18 @@ impl Default for StatisticalCorrectorConfig {
 
 /// The SC verdict for one branch.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ScLookup {
+pub(crate) struct ScLookup {
     /// Final direction after the corrector's vote.
-    pub taken: bool,
+    pub(crate) taken: bool,
     /// Table indices used (bias table first).
-    pub indices: InlineVec<u32, MAX_SC_TABLES>,
+    pub(crate) indices: InlineVec<u32, MAX_SC_TABLES>,
     /// The weighted sum (sign = direction).
-    pub sum: i32,
+    pub(crate) sum: i32,
 }
 
 /// A statistical corrector over its own (speculative) short history.
 #[derive(Clone, Debug)]
-pub struct StatisticalCorrector {
+pub(crate) struct StatisticalCorrector {
     cfg: StatisticalCorrectorConfig,
     /// `tables[0]` is the bias (PC-only) table.
     tables: Vec<Vec<i8>>,
@@ -64,7 +64,7 @@ pub struct StatisticalCorrector {
 impl StatisticalCorrector {
     /// Builds a corrector from `cfg`.
     #[must_use]
-    pub fn new(cfg: StatisticalCorrectorConfig) -> Self {
+    pub(crate) fn new(cfg: StatisticalCorrectorConfig) -> Self {
         assert!(
             cfg.history_lengths.len() < MAX_SC_TABLES,
             "at most {MAX_SC_TABLES} corrector tables supported (incl. bias)"
@@ -96,7 +96,7 @@ impl StatisticalCorrector {
 
     /// Computes the corrected direction for a TAGE prediction.
     #[must_use]
-    pub fn lookup(&self, pc: Pc, tage_taken: bool) -> ScLookup {
+    pub(crate) fn lookup(&self, pc: Pc, tage_taken: bool) -> ScLookup {
         let indices = self.indices(pc);
         let mut sum: i32 = if tage_taken {
             self.cfg.tage_weight
@@ -116,7 +116,7 @@ impl StatisticalCorrector {
     /// Trains the counters with a retired outcome. `indices`/`sum` come
     /// from prediction time; `final_taken` is the direction the whole
     /// predictor ultimately chose.
-    pub fn train(&mut self, taken: bool, final_taken: bool, indices: &[u32], sum: i32) {
+    pub(crate) fn train(&mut self, taken: bool, final_taken: bool, indices: &[u32], sum: i32) {
         if final_taken != taken || sum.abs() <= self.cfg.threshold {
             for (t, &idx) in indices.iter().enumerate() {
                 let c = &mut self.tables[t][idx as usize];
@@ -130,29 +130,23 @@ impl StatisticalCorrector {
     }
 
     /// Pushes a speculative outcome into the corrector's history.
-    pub fn push_history(&mut self, pc: Pc, taken: bool) {
+    pub(crate) fn push_history(&mut self, pc: Pc, taken: bool) {
         self.hist.push(pc, taken);
     }
 
-    /// Checkpoints the speculative history.
-    #[must_use]
-    pub fn checkpoint(&self) -> HistoryCheckpoint {
-        self.hist.checkpoint()
-    }
-
     /// Checkpoints the speculative history into an existing buffer.
-    pub fn checkpoint_into(&self, cp: &mut HistoryCheckpoint) {
+    pub(crate) fn checkpoint_into(&self, cp: &mut HistoryCheckpoint) {
         self.hist.checkpoint_into(cp);
     }
 
     /// Restores the speculative history.
-    pub fn restore(&mut self, cp: &HistoryCheckpoint) {
+    pub(crate) fn restore(&mut self, cp: &HistoryCheckpoint) {
         self.hist.restore(cp);
     }
 
     /// Storage estimate in KiB (6-bit counters).
     #[must_use]
-    pub fn storage_kib(&self) -> f64 {
+    pub(crate) fn storage_kib(&self) -> f64 {
         self.tables.len() as f64 * (1 << self.cfg.table_log2) as f64 * 6.0 / 8.0 / 1024.0
     }
 }
@@ -196,7 +190,8 @@ mod tests {
         for i in 0..50 {
             sc.push_history(i, i % 2 == 0);
         }
-        let cp = sc.checkpoint();
+        let mut cp = HistoryCheckpoint::default();
+        sc.checkpoint_into(&mut cp);
         let before = sc.indices(0x99);
         sc.push_history(7, true);
         sc.push_history(8, false);

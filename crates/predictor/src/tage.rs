@@ -15,33 +15,33 @@ use crate::inline_vec::InlineVec;
 
 /// Hard cap on tagged tables: sized for the unlimited (MTAGE-like)
 /// configuration so [`TageMeta`]'s per-table lists stay inline.
-pub const MAX_TAGE_TABLES: usize = 20;
+pub(crate) const MAX_TAGE_TABLES: usize = 20;
 
 /// Configuration for a [`Tage`] predictor.
 #[derive(Clone, Debug)]
-pub struct TageConfig {
+pub(crate) struct TageConfig {
     /// Number of tagged tables.
-    pub num_tables: usize,
+    pub(crate) num_tables: usize,
     /// Shortest geometric history length.
-    pub min_hist: u32,
+    pub(crate) min_hist: u32,
     /// Longest geometric history length.
-    pub max_hist: u32,
+    pub(crate) max_hist: u32,
     /// log2 entries of each tagged table.
-    pub table_log2: u32,
+    pub(crate) table_log2: u32,
     /// Tag width in bits for tagged tables.
-    pub tag_bits: u32,
+    pub(crate) tag_bits: u32,
     /// log2 entries of the bimodal base table.
-    pub bimodal_log2: u32,
+    pub(crate) bimodal_log2: u32,
     /// Graceful useful-bit reset period (in updates).
-    pub reset_period: u64,
+    pub(crate) reset_period: u64,
     /// Capacity of the global history ring (power of two, > 2×max_hist).
-    pub history_capacity: usize,
+    pub(crate) history_capacity: usize,
 }
 
 impl TageConfig {
     /// A ~64 KB-class configuration (12 tables, histories 4..1000).
     #[must_use]
-    pub fn kb64() -> Self {
+    pub(crate) fn kb64() -> Self {
         TageConfig {
             num_tables: 12,
             min_hist: 4,
@@ -58,7 +58,7 @@ impl TageConfig {
     /// The paper uses this to show that *more TAGE storage barely helps*
     /// on data-dependent branches (§5.2).
     #[must_use]
-    pub fn kb80() -> Self {
+    pub(crate) fn kb80() -> Self {
         TageConfig {
             num_tables: 13,
             min_hist: 4,
@@ -75,7 +75,7 @@ impl TageConfig {
     /// track winner analogue): many large, wide-tagged tables and very
     /// long histories.
     #[must_use]
-    pub fn unlimited() -> Self {
+    pub(crate) fn unlimited() -> Self {
         TageConfig {
             num_tables: 20,
             min_hist: 4,
@@ -91,7 +91,7 @@ impl TageConfig {
     /// The geometric history length of tagged table `i` (0-based, shortest
     /// first).
     #[must_use]
-    pub fn history_length(&self, i: usize) -> u32 {
+    pub(crate) fn history_length(&self, i: usize) -> u32 {
         if self.num_tables == 1 {
             return self.min_hist;
         }
@@ -102,7 +102,7 @@ impl TageConfig {
 
     /// Total storage in KiB implied by this configuration.
     #[must_use]
-    pub fn storage_kib(&self) -> f64 {
+    pub(crate) fn storage_kib(&self) -> f64 {
         let tagged_bits =
             self.num_tables as u64 * (1u64 << self.table_log2) * (u64::from(self.tag_bits) + 3 + 2);
         let bimodal_bits = (1u64 << self.bimodal_log2) * 2;
@@ -120,29 +120,29 @@ struct TaggedEntry {
 /// Prediction-time metadata latched for training. Kept `Copy` (inline
 /// per-table lists) so predicting never allocates.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TageMeta {
+pub(crate) struct TageMeta {
     /// Per-table indices computed at prediction time.
-    pub indices: InlineVec<u32, MAX_TAGE_TABLES>,
+    pub(crate) indices: InlineVec<u32, MAX_TAGE_TABLES>,
     /// Per-table tags computed at prediction time.
-    pub tags: InlineVec<u16, MAX_TAGE_TABLES>,
+    pub(crate) tags: InlineVec<u16, MAX_TAGE_TABLES>,
     /// Provider table (`None` = bimodal provided).
-    pub provider: Option<usize>,
+    pub(crate) provider: Option<usize>,
     /// Alternate-prediction table (`None` = bimodal).
-    pub alt_table: Option<usize>,
+    pub(crate) alt_table: Option<usize>,
     /// Direction the provider gave.
-    pub provider_taken: bool,
+    pub(crate) provider_taken: bool,
     /// Direction the alternate gave.
-    pub alt_taken: bool,
+    pub(crate) alt_taken: bool,
     /// Whether the final TAGE output used the alternate.
-    pub used_alt: bool,
+    pub(crate) used_alt: bool,
     /// Bimodal index.
-    pub bimodal_index: usize,
+    pub(crate) bimodal_index: usize,
     /// Whether the provider entry was a weak (newly-allocated-like) one.
-    pub weak_provider: bool,
+    pub(crate) weak_provider: bool,
 }
 
 /// The TAGE predictor. See module docs.
-pub struct Tage {
+pub(crate) struct Tage {
     cfg: TageConfig,
     bimodal: Vec<u8>, // 2-bit counters
     tables: Vec<Vec<TaggedEntry>>,
@@ -170,7 +170,7 @@ impl std::fmt::Debug for Tage {
 impl Tage {
     /// Builds a TAGE predictor from `cfg`.
     #[must_use]
-    pub fn new(cfg: TageConfig) -> Self {
+    pub(crate) fn new(cfg: TageConfig) -> Self {
         assert!(
             cfg.num_tables <= MAX_TAGE_TABLES,
             "at most {MAX_TAGE_TABLES} tagged tables supported"
@@ -240,7 +240,7 @@ impl Tage {
     /// Computes the metadata and raw TAGE decision for `pc` without
     /// touching any state. Exposed so TAGE-SC-L can wrap it.
     #[must_use]
-    pub fn lookup(&self, pc: Pc) -> (bool, TageMeta) {
+    pub(crate) fn lookup(&self, pc: Pc) -> (bool, TageMeta) {
         let n = self.cfg.num_tables;
         let mut indices = InlineVec::new();
         let mut tags = InlineVec::new();
@@ -317,7 +317,7 @@ impl Tage {
     /// Trains TAGE with the resolved outcome using prediction-time `meta`.
     /// `final_taken` is the direction TAGE itself predicted (for useful-bit
     /// bookkeeping).
-    pub fn train(&mut self, taken: bool, tage_taken: bool, meta: &TageMeta) {
+    pub(crate) fn train(&mut self, taken: bool, tage_taken: bool, meta: &TageMeta) {
         self.updates += 1;
         // Graceful useful-bit reset.
         if self.updates.is_multiple_of(self.cfg.reset_period) {
@@ -398,34 +398,22 @@ impl Tage {
 
     /// The configuration this predictor was built with.
     #[must_use]
-    pub fn config(&self) -> &TageConfig {
+    pub(crate) fn config(&self) -> &TageConfig {
         &self.cfg
     }
 
-    /// Read-only access to the global history (TAGE-SC-L shares it).
-    #[must_use]
-    pub fn history(&self) -> &GlobalHistory {
-        &self.hist
-    }
-
     /// Pushes a speculative outcome into the global history.
-    pub fn push_history(&mut self, pc: Pc, taken: bool) {
+    pub(crate) fn push_history(&mut self, pc: Pc, taken: bool) {
         self.hist.push(pc, taken);
     }
 
-    /// Checkpoints the speculative history.
-    #[must_use]
-    pub fn history_checkpoint(&self) -> HistoryCheckpoint {
-        self.hist.checkpoint()
-    }
-
     /// Checkpoints the speculative history into an existing buffer.
-    pub fn history_checkpoint_into(&self, cp: &mut HistoryCheckpoint) {
+    pub(crate) fn history_checkpoint_into(&self, cp: &mut HistoryCheckpoint) {
         self.hist.checkpoint_into(cp);
     }
 
     /// Restores a speculative-history checkpoint.
-    pub fn restore_history(&mut self, cp: &HistoryCheckpoint) {
+    pub(crate) fn restore_history(&mut self, cp: &HistoryCheckpoint) {
         self.hist.restore(cp);
     }
 }
@@ -568,7 +556,8 @@ mod tests {
         for i in 0..300 {
             step(&mut p, 0x40 + (i % 7), i % 3 == 0);
         }
-        let cp = p.history_checkpoint();
+        let mut cp = HistoryCheckpoint::default();
+        p.history_checkpoint_into(&mut cp);
         let before = p.lookup(0x77).0;
         for i in 0..40 {
             p.push_history(0x600 + i, i % 2 == 0);

@@ -15,13 +15,13 @@ use crate::traits::{ConditionalPredictor, PredMeta, Prediction, PredictorCheckpo
 #[derive(Clone, Debug)]
 pub struct TageSclConfig {
     /// TAGE component configuration.
-    pub tage: TageConfig,
+    pub(crate) tage: TageConfig,
     /// Statistical-corrector configuration.
-    pub sc: StatisticalCorrectorConfig,
+    pub(crate) sc: StatisticalCorrectorConfig,
     /// Loop-predictor configuration.
-    pub loop_pred: LoopPredictorConfig,
+    pub(crate) loop_pred: LoopPredictorConfig,
     /// Display name (storage class).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
 }
 
 impl TageSclConfig {

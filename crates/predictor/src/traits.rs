@@ -13,17 +13,17 @@ use crate::tage::TageMeta;
 /// fields TAGE-SC-L trains with; a predictor that needs none of them
 /// returns the default.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PredMeta {
+pub(crate) struct PredMeta {
     /// TAGE metadata (see [`TageMeta`]).
-    pub tage: TageMeta,
+    pub(crate) tage: TageMeta,
     /// The raw TAGE direction before SC/loop overrides.
-    pub tage_taken: bool,
+    pub(crate) tage_taken: bool,
     /// Whether the loop predictor supplied the final direction.
-    pub loop_used: bool,
+    pub(crate) loop_used: bool,
     /// SC per-table indices at prediction time.
-    pub sc_indices: InlineVec<u32, MAX_SC_TABLES>,
+    pub(crate) sc_indices: InlineVec<u32, MAX_SC_TABLES>,
     /// SC weighted sum at prediction time.
-    pub sc_sum: i32,
+    pub(crate) sc_sum: i32,
 }
 
 /// A prediction: the direction plus trainer metadata.
@@ -32,7 +32,7 @@ pub struct Prediction {
     /// Predicted direction.
     pub taken: bool,
     /// Metadata to pass back to [`ConditionalPredictor::train`].
-    pub meta: PredMeta,
+    pub(crate) meta: PredMeta,
 }
 
 /// Checkpoint of a predictor's speculative state: the TAGE and SC global
@@ -41,11 +41,11 @@ pub struct Prediction {
 #[derive(Clone, Debug, Default)]
 pub struct PredictorCheckpoint {
     /// TAGE global-history checkpoint.
-    pub tage: HistoryCheckpoint,
+    pub(crate) tage: HistoryCheckpoint,
     /// Statistical-corrector history checkpoint.
-    pub sc: HistoryCheckpoint,
+    pub(crate) sc: HistoryCheckpoint,
     /// Loop-predictor speculative counters snapshot.
-    pub loop_spec: Vec<(usize, u16)>,
+    pub(crate) loop_spec: Vec<(usize, u16)>,
 }
 
 /// A conditional branch direction predictor with speculative history.

@@ -37,7 +37,7 @@ impl PredictorKind {
 
     /// Display name.
     #[must_use]
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             PredictorKind::TageScl64 => "tage-sc-l-64kb",
             PredictorKind::TageScl80 => "tage-sc-l-80kb",
@@ -140,7 +140,7 @@ impl SimConfig {
 
     /// MTAGE + Big Branch Runahead (Figure 11 top, right bar).
     #[must_use]
-    pub fn mtage_plus_big_br() -> Self {
+    pub(crate) fn mtage_plus_big_br() -> Self {
         SimConfig {
             predictor: PredictorKind::MtageUnlimited,
             runahead: Some(BranchRunaheadConfig::big()),
@@ -150,7 +150,7 @@ impl SimConfig {
 
     /// Renders Table 1 (baseline configuration).
     #[must_use]
-    pub fn render_table1(&self) -> String {
+    pub(crate) fn render_table1(&self) -> String {
         let c = &self.core;
         let m = &self.memory;
         format!(
@@ -190,7 +190,7 @@ impl SimConfig {
 
 /// Renders Table 2 (the three Branch Runahead configurations).
 #[must_use]
-pub fn render_table2() -> String {
+pub(crate) fn render_table2() -> String {
     let cfgs = [
         BranchRunaheadConfig::core_only(),
         BranchRunaheadConfig::mini(),

@@ -596,7 +596,7 @@ fn fig13(grid: &Grid) -> ExpTable {
 
 /// §5.2 area report.
 #[must_use]
-pub fn area_report() -> String {
+pub(crate) fn area_report() -> String {
     let a = AreaBreakdown::paper_mini();
     format!(
         "Area model (22nm, McPAT-substitute):\n\

@@ -3,20 +3,20 @@
 //! Branch Runahead's core contract is that DCE chain outcomes are *hints*:
 //! a wrong, late, or stale prediction may only cost performance, never
 //! correctness (§3, §4.2 of the paper). This module turns that claim into
-//! a testable property. A [`FaultInjector`], seeded from the job so every
+//! a testable property. A `FaultInjector`, seeded from the job so every
 //! schedule replays bit-identically, perturbs the BR/core boundary in five
 //! ways:
 //!
 //! * **outcome flips** — a chain-computed direction handed to fetch is
-//!   inverted ([`FaultKind::FlipOutcome`]);
+//!   inverted (`FaultKind::FlipOutcome`);
 //! * **dropped pushes** — a DCE→prediction-queue fill is swallowed, so the
-//!   slot stays empty and fetch sees `Late` ([`FaultKind::DropFill`]);
+//!   slot stays empty and fetch sees `Late` (`FaultKind::DropFill`);
 //! * **chain evictions** — a pseudo-random chain-cache entry vanishes
-//!   ([`FaultKind::EvictChain`]);
+//!   (`FaultKind::EvictChain`);
 //! * **decay storms** — the HBT decays early, delaying HTP detection
-//!   ([`FaultKind::DecayStorm`]);
+//!   (`FaultKind::DecayStorm`);
 //! * **memory delays** — DCE D-cache responses are withheld for extra
-//!   cycles, making chains late or stale ([`FaultKind::DelayMem`]).
+//!   cycles, making chains late or stale (`FaultKind::DelayMem`).
 //!
 //! [`run_soak`] then runs every job once fault-free and `N` times under
 //! seeded schedules, all with machine checks on, and demands the retired
@@ -37,7 +37,7 @@ use crate::runner::run_jobs_partial;
 /// The fault taxonomy. Discriminants are the stable `arg` codes carried
 /// by `EventKind::FaultInject` telemetry events.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultKind {
+pub(crate) enum FaultKind {
     /// A chain outcome delivered to fetch was bit-flipped.
     FlipOutcome = 0,
     /// A DCE→prediction-queue push was dropped.
@@ -97,7 +97,7 @@ impl Default for FaultSpec {
 
 /// Converts a probability in `[0, 1]` to the 16-bit fixed-point rate.
 #[must_use]
-pub fn rate_from_prob(p: f64) -> u16 {
+pub(crate) fn rate_from_prob(p: f64) -> u16 {
     (p.clamp(0.0, 1.0) * 65536.0).round().min(65535.0) as u16
 }
 
@@ -177,15 +177,15 @@ impl FaultSpec {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Chain outcomes bit-flipped on their way to fetch.
-    pub outcome_flips: u64,
+    pub(crate) outcome_flips: u64,
     /// DCE→queue pushes dropped.
-    pub dropped_fills: u64,
+    pub(crate) dropped_fills: u64,
     /// Chain-cache entries spuriously evicted.
-    pub chain_evictions: u64,
+    pub(crate) chain_evictions: u64,
     /// HBT decay storms forced.
-    pub decay_storms: u64,
+    pub(crate) decay_storms: u64,
     /// DCE memory responses delayed.
-    pub delayed_responses: u64,
+    pub(crate) delayed_responses: u64,
 }
 br_mem::counters!(FaultStats {
     outcome_flips,
@@ -212,7 +212,7 @@ impl FaultStats {
 /// and [`FaultInjector::chaos_tick`], and wraps the core's hooks in
 /// [`FaultedHooks`] so outcome flips happen at the prediction hand-off.
 #[derive(Clone, Debug)]
-pub struct FaultInjector {
+pub(crate) struct FaultInjector {
     spec: FaultSpec,
     rng: u64,
     /// Withheld DCE responses: `(deliver_at_cycle, response)`.
@@ -223,7 +223,7 @@ pub struct FaultInjector {
 impl FaultInjector {
     /// Creates an injector for `spec`.
     #[must_use]
-    pub fn new(spec: FaultSpec) -> Self {
+    pub(crate) fn new(spec: FaultSpec) -> Self {
         let mut rng = spec.seed ^ 0x9E37_79B9_7F4A_7C15;
         if rng == 0 {
             rng = 0x2545_F491_4F6C_DD1D;
@@ -236,15 +236,9 @@ impl FaultInjector {
         }
     }
 
-    /// The schedule being executed.
-    #[must_use]
-    pub fn spec(&self) -> &FaultSpec {
-        &self.spec
-    }
-
     /// Faults injected so far.
     #[must_use]
-    pub fn stats(&self) -> FaultStats {
+    pub(crate) fn stats(&self) -> FaultStats {
         self.stats
     }
 
@@ -267,7 +261,7 @@ impl FaultInjector {
     /// hold order, so delivery is deterministic). Core responses are
     /// never touched — the fault boundary is strictly the assist engine.
     /// Each delay is traced into the engine's telemetry.
-    pub fn filter_responses(
+    pub(crate) fn filter_responses(
         &mut self,
         cycle: u64,
         responses: Vec<MemResp>,
@@ -299,7 +293,7 @@ impl FaultInjector {
     /// to the engine. Sabotage (the CI fixture's deliberate corruption) is
     /// re-applied every chaos tick so a flush between ticks cannot hide it
     /// from the next invariant sweep.
-    pub fn chaos_tick(&mut self, cycle: u64, br: &mut BranchRunahead) {
+    pub(crate) fn chaos_tick(&mut self, cycle: u64, br: &mut BranchRunahead) {
         if self.spec.period == 0 || cycle == 0 || !cycle.is_multiple_of(self.spec.period) {
             return;
         }
@@ -308,17 +302,20 @@ impl FaultInjector {
         }
         if self.roll(self.spec.drop_fill) {
             self.stats.dropped_fills += 1;
-            br.chaos_drop_next_fill(cycle);
+            br.chaos_drop_next_fill();
+            br.record_external_fault(cycle, 0, FaultKind::DropFill as u64);
         }
         if self.roll(self.spec.evict_chain) {
             let sel = self.next_rand();
-            if br.chaos_evict_chain(sel, cycle) {
+            if br.chaos_evict_chain(sel) {
                 self.stats.chain_evictions += 1;
+                br.record_external_fault(cycle, 0, FaultKind::EvictChain as u64);
             }
         }
         if self.roll(self.spec.decay_storm) {
             self.stats.decay_storms += 1;
-            br.chaos_decay_storm(cycle);
+            br.chaos_decay_storm();
+            br.record_external_fault(cycle, 0, FaultKind::DecayStorm as u64);
         }
     }
 }
@@ -327,14 +324,14 @@ impl FaultInjector {
 /// outcomes on their way from the prediction queues to fetch. Every other
 /// hook delegates untouched: the fault surface is exactly the prediction
 /// hand-off, matching the paper's prediction-as-hint contract.
-pub struct FaultedHooks<'a> {
+pub(crate) struct FaultedHooks<'a> {
     br: &'a mut BranchRunahead,
     inj: &'a mut FaultInjector,
 }
 
 impl<'a> FaultedHooks<'a> {
     /// Wraps `br`, perturbing it per `inj`'s schedule.
-    pub fn new(br: &'a mut BranchRunahead, inj: &'a mut FaultInjector) -> Self {
+    pub(crate) fn new(br: &'a mut BranchRunahead, inj: &'a mut FaultInjector) -> Self {
         FaultedHooks { br, inj }
     }
 }
@@ -380,28 +377,28 @@ impl CoreHooks for FaultedHooks<'_> {
 #[derive(Clone, Debug)]
 pub struct SoakRun {
     /// [`SimJob::label`] of the job.
-    pub job: String,
+    pub(crate) job: String,
     /// The fault schedule's seed; `None` for the fault-free reference.
     pub fault_seed: Option<u64>,
     /// Retired-instruction-stream fingerprint (when the run completed).
-    pub retire_fingerprint: Option<u64>,
+    pub(crate) retire_fingerprint: Option<u64>,
     /// IPC of the run (performance metrics are allowed to move).
-    pub ipc: f64,
+    pub(crate) ipc: f64,
     /// MPKI of the run.
-    pub mpki: f64,
+    pub(crate) mpki: f64,
     /// Faults actually injected.
     pub faults: FaultStats,
     /// `"ok"`, or the [`SimError::kind`] of the failure.
-    pub status: String,
+    pub(crate) status: String,
 }
 
 /// One failed soak run with its typed error.
 #[derive(Clone, Debug)]
 pub struct SoakFailure {
     /// [`SimJob::label`] of the failing job.
-    pub job: String,
+    pub(crate) job: String,
     /// The fault schedule's seed (`None`: the reference run failed).
-    pub fault_seed: Option<u64>,
+    pub(crate) fault_seed: Option<u64>,
     /// What went wrong.
     pub error: SimError,
 }

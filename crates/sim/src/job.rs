@@ -76,7 +76,7 @@ impl SimError {
     /// Stable snake_case discriminant name, used as the `kind` field of
     /// machine-readable failure reports.
     #[must_use]
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             SimError::UnknownWorkload { .. } => "unknown_workload",
             SimError::JobPanicked { .. } => "job_panicked",
@@ -151,7 +151,7 @@ impl SimJob {
     /// The build parameters for this job's region: the base parameters
     /// with the seed salted by the region index.
     #[must_use]
-    pub fn effective_params(&self) -> WorkloadParams {
+    pub(crate) fn effective_params(&self) -> WorkloadParams {
         WorkloadParams {
             seed: self.params.seed ^ (self.region_seed.wrapping_mul(0x9E37_79B9)),
             ..self.params
@@ -159,7 +159,7 @@ impl SimJob {
     }
 
     /// Resolves the workload, or reports the valid names.
-    pub fn resolve(&self) -> Result<Box<dyn Workload>, SimError> {
+    pub(crate) fn resolve(&self) -> Result<Box<dyn Workload>, SimError> {
         workload_by_name(&self.workload).ok_or_else(|| SimError::UnknownWorkload {
             name: self.workload.clone(),
             valid: all_workloads().iter().map(|w| w.name()).collect(),
@@ -174,7 +174,7 @@ impl SimJob {
     }
 
     /// Executes the job against an already built image (the image must
-    /// match [`SimJob::effective_params`]), surfacing an
+    /// match `SimJob::effective_params`), surfacing an
     /// invalid core, memory or Branch Runahead configuration as
     /// [`SimError::InvalidConfig`] and machine-check violations as
     /// [`SimError::InvariantViolation`], both with this job's label.
@@ -228,7 +228,7 @@ impl SimJob {
     /// canonical debug form). Two jobs with the same fingerprint run the
     /// same simulation; useful for run logs and result caches.
     #[must_use]
-    pub fn fingerprint(&self) -> u64 {
+    pub(crate) fn fingerprint(&self) -> u64 {
         let repr = format!(
             "{:?}|{}|{:?}|{}|{}|{}",
             self.config,

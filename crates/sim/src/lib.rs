@@ -35,10 +35,17 @@ mod runner;
 mod system;
 mod table;
 
-pub use br_telemetry::{TelemetryConfig, TelemetryRun};
-pub use config::{render_table2, PredictorKind, SimConfig};
-pub use faults::{run_soak, FaultKind, FaultSpec, FaultStats, SoakReport};
-pub use job::{SimError, SimJob};
-pub use runner::{aggregate, resolve_threads, run_jobs, run_jobs_partial};
-pub use system::{RunResult, System};
+pub use br_telemetry::TelemetryConfig;
+pub use br_telemetry::TelemetryRun;
+pub use config::PredictorKind;
+pub use config::SimConfig;
+pub use faults::run_soak;
+pub use faults::FaultSpec;
+pub use faults::SoakReport;
+pub use job::SimError;
+pub use job::SimJob;
+pub use runner::run_jobs;
+pub use runner::run_jobs_partial;
+pub use system::RunResult;
+pub use system::System;
 pub use table::ExpTable;

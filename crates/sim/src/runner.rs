@@ -74,7 +74,7 @@ fn describe_panic(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Resolves a thread-count knob: `0` means one worker per available CPU.
 #[must_use]
-pub fn resolve_threads(threads: usize) -> usize {
+pub(crate) fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     } else {
@@ -170,7 +170,7 @@ pub fn run_jobs(jobs: &[SimJob], threads: usize) -> Result<Vec<RunResult>, SimEr
 /// driver bug, not a recoverable condition — or if the runs do not share
 /// one configuration (their counter lists differ).
 #[must_use]
-pub fn aggregate(mut runs: Vec<(f64, RunResult)>) -> RunResult {
+pub(crate) fn aggregate(mut runs: Vec<(f64, RunResult)>) -> RunResult {
     assert!(!runs.is_empty(), "need at least one region run");
     if runs.len() == 1 {
         return runs.pop().expect("one run").1;
@@ -250,9 +250,9 @@ mod tests {
     fn worker_panic_names_the_job() {
         let mut batch = jobs(2);
         let mut cfg = SimConfig::mini_br();
-        // Passes validation (96 entries divide into 4 ways) but 24 WPB
-        // sets are not a power of two, which the WPB asserts on.
-        cfg.runahead.as_mut().unwrap().wpb_entries = 96;
+        // Passes validation (sizes have no upper bound), but the CEB's
+        // ring buffer cannot be sized: its allocation panics up front.
+        cfg.runahead.as_mut().unwrap().ceb_entries = usize::MAX;
         batch[1].config = cfg;
         let err = run_jobs(&batch, 2).unwrap_err();
         match err {
@@ -260,7 +260,7 @@ mod tests {
                 assert!(job.contains("leela_17"), "label names the workload: {job}");
                 assert!(job.contains("r1"), "label names the region: {job}");
                 assert!(
-                    message.contains("power of two"),
+                    message.contains("capacity overflow"),
                     "payload preserved: {message}"
                 );
             }
@@ -278,6 +278,30 @@ mod tests {
         assert!(matches!(err, SimError::InvalidConfig(_)), "{err:?}");
         let what = err.to_string();
         assert!(what.contains(&batch[1].label()) && what.contains("window"));
+    }
+
+    /// Each single-field edit would panic in a constructor (or, for the
+    /// DRAM queue, stall to the cycle cap) if validation let it through.
+    #[test]
+    fn edits_constructors_reject_are_invalid_configs() {
+        let edits: [fn(&mut SimConfig); 5] = [
+            |c| c.memory.dram.banks = 0,
+            |c| c.memory.dram.banks = 3,
+            |c| c.memory.dram.queue_capacity = 0,
+            |c| c.runahead.as_mut().unwrap().wpb_entries = 0,
+            // Mini's WPB has 4 ways: 12 entries make 3 sets.
+            |c| c.runahead.as_mut().unwrap().wpb_entries = 12,
+        ];
+        let mut job = jobs(1).remove(0);
+        for (i, edit) in edits.into_iter().enumerate() {
+            job.config = SimConfig::mini_br();
+            edit(&mut job.config);
+            let err = job.run().unwrap_err();
+            assert!(
+                matches!(err, SimError::InvalidConfig(_)),
+                "edit {i}: {err:?}"
+            );
+        }
     }
 
     #[test]

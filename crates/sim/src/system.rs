@@ -67,7 +67,7 @@ impl RunResult {
     /// Fraction of retired conditional branches covered by a cached chain
     /// (Figure 12's denominator over all branches; 0 without BR).
     #[must_use]
-    pub fn coverage(&self) -> f64 {
+    pub(crate) fn coverage(&self) -> f64 {
         let covered = self.br.as_ref().map_or(0, |b| b.covered_branch_retires);
         if self.core.retired_branches == 0 {
             0.0
@@ -101,7 +101,7 @@ impl RunResult {
 
     /// Event counts for the energy model.
     #[must_use]
-    pub fn energy_events(&self) -> EnergyEvents {
+    pub(crate) fn energy_events(&self) -> EnergyEvents {
         let br = self.br.as_ref();
         EnergyEvents {
             cycles: self.core.cycles,

@@ -6,7 +6,7 @@ use br_telemetry::export::escape_json;
 
 /// How the summary row aggregates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MeanKind {
+pub(crate) enum MeanKind {
     /// Arithmetic mean (the paper's MPKI-improvement summaries).
     Arithmetic,
     /// Geometric mean over `1 + x/100` (the paper's IPC summaries).
@@ -17,19 +17,19 @@ pub enum MeanKind {
 #[derive(Clone, Debug)]
 pub struct ExpTable {
     /// Title, e.g. `"Figure 10: IPC improvement (%)"`.
-    pub title: String,
+    pub(crate) title: String,
     /// Column (series) names.
     pub series: Vec<String>,
     /// `(workload, values)` rows.
     pub rows: Vec<(String, Vec<f64>)>,
     /// Aggregation for the summary row.
-    pub mean: MeanKind,
+    pub(crate) mean: MeanKind,
 }
 
 impl ExpTable {
     /// Creates an empty table.
     #[must_use]
-    pub fn new(title: impl Into<String>, series: Vec<String>, mean: MeanKind) -> Self {
+    pub(crate) fn new(title: impl Into<String>, series: Vec<String>, mean: MeanKind) -> Self {
         ExpTable {
             title: title.into(),
             series,
@@ -43,7 +43,7 @@ impl ExpTable {
     /// # Panics
     ///
     /// Panics if the value count does not match the series count.
-    pub fn push_row(&mut self, workload: impl Into<String>, values: Vec<f64>) {
+    pub(crate) fn push_row(&mut self, workload: impl Into<String>, values: Vec<f64>) {
         assert_eq!(values.len(), self.series.len(), "row arity mismatch");
         self.rows.push((workload.into(), values));
     }

@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 
 /// The discrete event vocabulary. Each variant corresponds to one
 /// instrumentation site in the core or the Branch Runahead engine; the
-/// payload interpretation of [`TraceEvent::pc`] / [`TraceEvent::arg`] is
+/// payload interpretation of `TraceEvent::pc` / [`TraceEvent::arg`] is
 /// documented per variant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[non_exhaustive]
@@ -89,7 +89,7 @@ pub struct TraceEvent {
     /// What happened.
     pub kind: EventKind,
     /// Primary subject (usually a branch PC); see [`EventKind`].
-    pub pc: u64,
+    pub(crate) pc: u64,
     /// Kind-specific payload; see [`EventKind`].
     pub arg: u64,
 }
@@ -99,7 +99,7 @@ pub struct TraceEvent {
 /// holds the *most recent* window and memory stays bounded no matter how
 /// long the run.
 #[derive(Clone, Debug)]
-pub struct EventRing {
+pub(crate) struct EventRing {
     capacity: usize,
     events: VecDeque<TraceEvent>,
     dropped: u64,
@@ -109,7 +109,7 @@ impl EventRing {
     /// Creates a ring holding at most `capacity` events (a capacity of 0
     /// drops everything).
     #[must_use]
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         EventRing {
             capacity,
             events: VecDeque::with_capacity(capacity.min(4096)),
@@ -119,7 +119,7 @@ impl EventRing {
 
     /// Appends an event, evicting the oldest when full.
     #[inline]
-    pub fn push(&mut self, event: TraceEvent) {
+    pub(crate) fn push(&mut self, event: TraceEvent) {
         if self.capacity == 0 {
             self.dropped += 1;
             return;
@@ -131,28 +131,10 @@ impl EventRing {
         self.events.push_back(event);
     }
 
-    /// Number of buffered events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the ring holds no events.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events evicted (or rejected) because the ring was full.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Consumes the ring, returning the buffered events oldest-first and
     /// the dropped count.
     #[must_use]
-    pub fn into_parts(self) -> (Vec<TraceEvent>, u64) {
+    pub(crate) fn into_parts(self) -> (Vec<TraceEvent>, u64) {
         (self.events.into_iter().collect(), self.dropped)
     }
 }
@@ -160,6 +142,26 @@ impl EventRing {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl EventRing {
+        /// Number of buffered events.
+        #[must_use]
+        pub(crate) fn len(&self) -> usize {
+            self.events.len()
+        }
+
+        /// Whether the ring holds no events.
+        #[must_use]
+        pub(crate) fn is_empty(&self) -> bool {
+            self.events.is_empty()
+        }
+
+        /// Events evicted (or rejected) because the ring was full.
+        #[must_use]
+        pub(crate) fn dropped(&self) -> u64 {
+            self.dropped
+        }
+    }
 
     fn ev(cycle: u64) -> TraceEvent {
         TraceEvent {

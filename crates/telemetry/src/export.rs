@@ -8,7 +8,7 @@
 //!
 //! Formatting is hand-rolled (this workspace is offline and carries no
 //! serde); labels pass through [`escape_json`], numbers through
-//! [`crate::sample::json_f64`], so output always parses.
+//! `crate::sample::json_f64`, so output always parses.
 
 use crate::sample::json_f64;
 use crate::TelemetryRun;

@@ -8,7 +8,7 @@
 //! * an interval time series of [`Sample`]s (IPC, MPKI, coverage/late/
 //!   throttle rates, queue depths, chain-cache hit rate every N retired
 //!   uops), driven by the `br-sim` system loop,
-//! * a bounded [`EventRing`] of discrete [`TraceEvent`]s (chain
+//! * a bounded `EventRing` of discrete [`TraceEvent`]s (chain
 //!   extraction/rejection, HBT churn, WPB merge hits, DCE flush/sync,
 //!   recoveries), each stamped with its cycle and PC, filled through the
 //!   [`Telemetry`] sink, whose disabled path is a single predictable
@@ -25,15 +25,15 @@
 //! a testable property.
 //!
 //! ```
-//! use br_telemetry::{EventKind, Telemetry};
+//! use br_telemetry::{EventKind, Telemetry, TelemetryRun};
 //!
-//! let mut t = Telemetry::on(1024);
-//! t.event(100, EventKind::Recovery, 0x40, 12);
-//! let events = t.drain().unwrap();
-//! assert_eq!(events.len(), 1);
+//! let mut on = Telemetry::on(1024);
+//! on.event(100, EventKind::Recovery, 0x40, 12);
+//! let mut off = Telemetry::off();      // all updates are no-ops
+//! off.event(100, EventKind::Recovery, 0x40, 12);
 //!
-//! let off = Telemetry::off();          // all updates are no-ops
-//! assert!(!off.is_on());
+//! let run = TelemetryRun::collect(Vec::new(), vec![on, off]);
+//! assert_eq!(run.event_count(EventKind::Recovery), 1);
 //! ```
 
 #![warn(missing_docs)]
@@ -42,8 +42,10 @@ mod events;
 pub mod export;
 mod sample;
 
-pub use events::{EventKind, EventRing, TraceEvent};
-pub use sample::{json_f64, Sample};
+pub use events::EventKind;
+pub(crate) use events::EventRing;
+pub use events::TraceEvent;
+pub use sample::Sample;
 
 /// Telemetry collection knobs, carried inside the simulation
 /// configuration so every job is self-describing.
@@ -104,13 +106,6 @@ impl Telemetry {
         }
     }
 
-    /// Whether this sink records anything.
-    #[inline]
-    #[must_use]
-    pub fn is_on(&self) -> bool {
-        self.ring.is_some()
-    }
-
     /// Traces a discrete event (no-op when disabled).
     #[inline]
     pub fn event(&mut self, cycle: u64, kind: EventKind, pc: u64, arg: u64) {
@@ -127,7 +122,7 @@ impl Telemetry {
     /// Consumes the sink, returning its event ring (None for a disabled
     /// sink).
     #[must_use]
-    pub fn drain(self) -> Option<EventRing> {
+    pub(crate) fn drain(self) -> Option<EventRing> {
         self.ring.map(|ring| *ring)
     }
 }
@@ -218,16 +213,16 @@ mod tests {
     fn disabled_sink_is_inert() {
         let mut t = Telemetry::off();
         t.event(1, EventKind::Recovery, 0, 0);
-        assert!(!t.is_on());
+        assert!(t.ring.is_none());
         assert!(t.drain().is_none());
     }
 
     #[test]
     fn from_config_obeys_master_switch() {
         let mut cfg = TelemetryConfig::default();
-        assert!(!Telemetry::from_config(&cfg).is_on());
+        assert!(Telemetry::from_config(&cfg).ring.is_none());
         cfg.enabled = true;
-        assert!(Telemetry::from_config(&cfg).is_on());
+        assert!(Telemetry::from_config(&cfg).ring.is_some());
     }
 
     #[test]

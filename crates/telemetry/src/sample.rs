@@ -45,7 +45,7 @@ pub struct Sample {
 /// Formats an `f64` as a JSON-safe number (finite shortest-roundtrip
 /// form; non-finite values become 0 so exports always parse).
 #[must_use]
-pub fn json_f64(v: f64) -> String {
+pub(crate) fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {
@@ -56,7 +56,7 @@ pub fn json_f64(v: f64) -> String {
 impl Sample {
     /// The sample as a JSON object body (without a job label).
     #[must_use]
-    pub fn json_fields(&self) -> String {
+    pub(crate) fn json_fields(&self) -> String {
         format!(
             "\"cycle\":{},\"retired_uops\":{},\"ipc\":{},\"mpki\":{},\"l1_miss_rate\":{},\
              \"mshr_in_use\":{},\"dce_active\":{},\"queue_slots\":{},\"cached_chains\":{},\

@@ -44,7 +44,7 @@ fn emit_edge_walk(b: &mut ProgramBuilder, edges: u64) {
 /// labels of an edge's endpoints; the guarded path writes the smaller
 /// label forward (store → future loads).
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Cc;
+pub(crate) struct Cc;
 
 impl Workload for Cc {
     fn name(&self) -> &'static str {
@@ -101,7 +101,7 @@ impl Workload for Cc {
 /// `bfs`: breadth-first search frontier expansion — the canonical GAP
 /// hard branch: "is this random neighbour already visited?"
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Bfs;
+pub(crate) struct Bfs;
 
 impl Workload for Bfs {
     fn name(&self) -> &'static str {
@@ -156,7 +156,7 @@ impl Workload for Bfs {
 /// two-pointer merge branch, whose direction also steers its own index
 /// updates (a self-affecting branch).
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Tc;
+pub(crate) struct Tc;
 
 impl Workload for Tc {
     fn name(&self) -> &'static str {
@@ -223,7 +223,7 @@ impl Workload for Tc {
 /// `bc`: betweenness centrality accumulation — a visited-style check on a
 /// path-count parity, with a guarded update store.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Bc;
+pub(crate) struct Bc;
 
 impl Workload for Bc {
     fn name(&self) -> &'static str {
@@ -275,7 +275,7 @@ impl Workload for Bc {
 /// `pr`: PageRank — per-vertex convergence test comparing a scaled loaded
 /// rank against a loaded threshold (a 2-load + arithmetic slice).
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Pr;
+pub(crate) struct Pr;
 
 impl Workload for Pr {
     fn name(&self) -> &'static str {
@@ -331,7 +331,7 @@ impl Workload for Pr {
 /// `dist[u] + w < dist[v]` over random edges, with the guarded
 /// distance-update store.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Sssp;
+pub(crate) struct Sssp;
 
 impl Workload for Sssp {
     fn name(&self) -> &'static str {

@@ -11,7 +11,7 @@ const TABLE_B: u64 = 0x50_0000;
 /// `astar_06`: grid pathfinding. Loads a random cell's terrain cost and
 /// branches on passability; a guarded branch consults the heuristic map.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Astar06;
+pub(crate) struct Astar06;
 
 impl Workload for Astar06 {
     fn name(&self) -> &'static str {
@@ -70,7 +70,7 @@ impl Workload for Astar06 {
 /// `mcf_06`: like `mcf_17` but with a *two-deep* dependent-load chain
 /// (node → arc → cost), stressing chain timeliness.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Mcf06;
+pub(crate) struct Mcf06;
 
 impl Workload for Mcf06 {
     fn name(&self) -> &'static str {
@@ -129,7 +129,7 @@ impl Workload for Mcf06 {
 /// with a cascade of three compares — the first branches *guard* the
 /// later ones, giving a rich affector/guard web.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Gcc06;
+pub(crate) struct Gcc06;
 
 impl Workload for Gcc06 {
     fn name(&self) -> &'static str {
@@ -195,7 +195,7 @@ impl Workload for Gcc06 {
 /// source data is modified by earlier guarded stores, exercising the
 /// store→load pair handling in chain extraction.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Gobmk06;
+pub(crate) struct Gobmk06;
 
 impl Workload for Gobmk06 {
     fn name(&self) -> &'static str {
@@ -253,7 +253,7 @@ impl Workload for Gobmk06 {
 /// pseudo-random positions and branches on their order; the guarded path
 /// swaps them (stores), perturbing future comparisons.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Bzip206;
+pub(crate) struct Bzip206;
 
 impl Workload for Bzip206 {
     fn name(&self) -> &'static str {
@@ -310,7 +310,7 @@ impl Workload for Bzip206 {
 /// two table loads — a slightly longer arithmetic slice than a plain
 /// probe.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Sjeng06;
+pub(crate) struct Sjeng06;
 
 impl Workload for Sjeng06 {
     fn name(&self) -> &'static str {
@@ -368,7 +368,7 @@ impl Workload for Sjeng06 {
 /// `omnetpp_06`: message scheduling with an accumulated virtual clock; the
 /// branch tests a bit of the accumulated (data-dependent) time.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Omnetpp06;
+pub(crate) struct Omnetpp06;
 
 impl Workload for Omnetpp06 {
     fn name(&self) -> &'static str {

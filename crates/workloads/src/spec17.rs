@@ -19,7 +19,7 @@ const TABLE_C: u64 = 0x30_0000;
 /// arc's reduced cost — a value loaded from memory with no history
 /// correlation. A second, guarded branch checks residual capacity.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Mcf17;
+pub(crate) struct Mcf17;
 
 impl Workload for Mcf17 {
     fn name(&self) -> &'static str {
@@ -92,7 +92,7 @@ impl Workload for Mcf17 {
 /// GO board; branch A tests board emptiness, branch B (guarded by A) tests
 /// a second board property.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Leela17;
+pub(crate) struct Leela17;
 
 impl Workload for Leela17 {
     fn name(&self) -> &'static str {
@@ -155,7 +155,7 @@ impl Workload for Leela17 {
 /// pseudo-random windows; its exit is data-dependent with a short,
 /// erratic trip count — the classic hard inner-loop branch.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Xz17;
+pub(crate) struct Xz17;
 
 impl Workload for Xz17 {
     fn name(&self) -> &'static str {
@@ -232,7 +232,7 @@ impl Workload for Xz17 {
 /// an entry whose bound flag decides the branch; a guarded branch compares
 /// the stored score.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Deepsjeng17;
+pub(crate) struct Deepsjeng17;
 
 impl Workload for Deepsjeng17 {
     fn name(&self) -> &'static str {
@@ -292,7 +292,7 @@ impl Workload for Deepsjeng17 {
 /// timestamps loaded from a heap-like array and conditionally *stores* the
 /// winner back — creating store→load (affector-through-memory) structure.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct Omnetpp17;
+pub(crate) struct Omnetpp17;
 
 impl Workload for Omnetpp17 {
     fn name(&self) -> &'static str {

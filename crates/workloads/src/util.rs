@@ -4,21 +4,21 @@ use br_isa::{reg, ArchReg, ProgramBuilder};
 
 /// A deterministic xorshift64 generator for building workload data.
 #[derive(Clone, Debug)]
-pub struct XorShift64 {
+pub(crate) struct XorShift64 {
     state: u64,
 }
 
 impl XorShift64 {
     /// Creates a generator; zero seeds are remapped.
     #[must_use]
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         XorShift64 {
             state: if seed == 0 { 0x9e3779b97f4a7c15 } else { seed },
         }
     }
 
     /// Next 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let mut x = self.state;
         x ^= x << 13;
         x ^= x >> 7;
@@ -28,7 +28,7 @@ impl XorShift64 {
     }
 
     /// Uniform value in `0..bound` (bound > 0).
-    pub fn below(&mut self, bound: u64) -> u64 {
+    pub(crate) fn below(&mut self, bound: u64) -> u64 {
         debug_assert!(bound > 0);
         self.next_u64() % bound
     }
@@ -38,7 +38,7 @@ impl XorShift64 {
 /// This is the canonical "random probe" idiom: the resulting branch
 /// outcomes carry no history correlation, but the dependence chain can
 /// recompute them exactly.
-pub fn emit_xorshift(b: &mut ProgramBuilder, state: ArchReg, tmp: ArchReg) {
+pub(crate) fn emit_xorshift(b: &mut ProgramBuilder, state: ArchReg, tmp: ArchReg) {
     b.shl(tmp, state, 13i64);
     b.xor(state, state, tmp);
     b.shr(tmp, state, 7i64);
@@ -50,7 +50,7 @@ pub fn emit_xorshift(b: &mut ProgramBuilder, state: ArchReg, tmp: ArchReg) {
 /// Emits `rounds` of filler ALU work on scratch registers `r8`, `r9`,
 /// `r13` — the benchmark's "real work" per iteration, giving the DCE
 /// slack to run ahead (each round is 3 uops).
-pub fn emit_do_work(b: &mut ProgramBuilder, rounds: usize) {
+pub(crate) fn emit_do_work(b: &mut ProgramBuilder, rounds: usize) {
     for _ in 0..rounds {
         b.mul(reg::R8, reg::R8, 3i64);
         b.addi(reg::R9, reg::R9, 7);
@@ -61,7 +61,7 @@ pub fn emit_do_work(b: &mut ProgramBuilder, rounds: usize) {
 /// Returns `scale` clamped to at least `min` and rounded down to a power
 /// of two (index masks stay cheap).
 #[must_use]
-pub fn pow2_scale(scale: usize, min: usize) -> u64 {
+pub(crate) fn pow2_scale(scale: usize, min: usize) -> u64 {
     let s = scale.max(min);
     let mut p = 1usize;
     while p * 2 <= s {

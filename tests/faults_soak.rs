@@ -154,15 +154,16 @@ fn multi_panic_batch_reports_each_job_and_keeps_the_rest() {
         .iter()
         .map(|w| mini_job(w, 4_000))
         .collect();
-    // Two jobs panic concurrently: 96 WPB entries pass validation but
-    // make 24 sets, and the WPB asserts a power-of-two set count.
+    // Two jobs panic concurrently: a CEB of `usize::MAX` entries passes
+    // validation (sizes have no upper bound), but its ring buffer cannot
+    // be sized, so the allocation panics up front.
     for i in [1, 4] {
         batch[i]
             .config
             .runahead
             .as_mut()
             .expect("mini config has BR")
-            .wpb_entries = 96;
+            .ceb_entries = usize::MAX;
     }
     let partial = run_jobs_partial(&batch, 4);
     assert_eq!(partial.len(), batch.len());
@@ -171,7 +172,10 @@ fn multi_panic_batch_reports_each_job_and_keeps_the_rest() {
             match result {
                 Err(SimError::JobPanicked { job, message }) => {
                     assert_eq!(*job, batch[i].label(), "each panic names its own job");
-                    assert!(message.contains("power of two"), "payload kept: {message}");
+                    assert!(
+                        message.contains("capacity overflow"),
+                        "payload kept: {message}"
+                    );
                 }
                 other => panic!("job {i}: expected JobPanicked, got {other:?}"),
             }
