@@ -27,6 +27,9 @@ use crate::stats::BrStats;
 /// reused, so no instance ever has it.
 const FREE: u64 = u64::MAX;
 
+/// Cycles a deferred spawn may wait before it is dropped.
+const SPAWN_TIMEOUT: u64 = 256;
+
 /// An instance's id and slab slot. Ids are never reused, so the id is the
 /// slot's generation number: a handle whose slot now holds another id
 /// refers to an instance that was freed or killed.
@@ -214,6 +217,34 @@ fn remove_sorted(list: &mut Vec<Handle>, h: Handle) {
     }
 }
 
+/// What phase 6 knows of the deferred spawns without walking them. It
+/// covers every live entry, and may cover entries that have since left.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct RetrySummary {
+    /// No entry times out before this cycle.
+    expiry: u64,
+    /// The branch every entry targets; `None` when they target several.
+    pc: Option<Pc>,
+}
+
+impl RetrySummary {
+    /// The summary of one entry for branch `pc`, deferred since `since`.
+    fn of(pc: Pc, since: u64) -> Self {
+        RetrySummary {
+            expiry: since.saturating_add(SPAWN_TIMEOUT),
+            pc: Some(pc),
+        }
+    }
+
+    /// The summary of the entries both summaries cover.
+    fn merge(self, other: Self) -> Self {
+        RetrySummary {
+            expiry: self.expiry.min(other.expiry),
+            pc: self.pc.filter(|&pc| other.pc == Some(pc)),
+        }
+    }
+}
+
 /// How an initiation request fared.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Initiate {
@@ -278,6 +309,11 @@ pub(crate) struct DependenceChainEngine {
     ready: Vec<Handle>,
     /// The live instances with a deferred spawn (phase 6).
     deferred: Vec<Handle>,
+    /// Summary of the deferred spawns for phase 6's gate. The first spawn
+    /// deferred into an empty `deferred` list (after a flush, say) sets it
+    /// afresh, each later one merges into it, and each phase-6 walk
+    /// recomputes it.
+    retry: RetrySummary,
     /// Instances that may pull context in the next phase 2: new instances
     /// with a producer, instances that completed, and the dependents of an
     /// instance whose live-out or context just became known. Unsorted,
@@ -323,6 +359,7 @@ impl DependenceChainEngine {
             index: Vec::new(),
             ready: Vec::new(),
             deferred: Vec::new(),
+            retry: RetrySummary::of(0, 0),
             pulls: Vec::new(),
             completing: Vec::new(),
             drainable: Vec::new(),
@@ -363,11 +400,13 @@ impl DependenceChainEngine {
     /// each instance has consistent op-state masks, an outcome exactly
     /// when every op is done, and a `ready` mask equal to a recount; the
     /// ready and deferred-spawn lists hold exactly the instances they
-    /// describe; every instance with a pullable missing register is on
-    /// the pull list; each starved-dependent count matches a recount;
-    /// every live instance with a live producer is in its `spawned`; the
-    /// live-instance window bound; the DCE MSHR bound on outstanding
-    /// loads; and initiation counters within their 3-bit range.
+    /// describe; the retry summary covers every deferred spawn, and a
+    /// speculative mode defers only wildcard chains; every instance with
+    /// a pullable missing register is on the pull list; each
+    /// starved-dependent count matches a recount; every live instance
+    /// with a live producer is in its `spawned`; the live-instance window
+    /// bound; the DCE MSHR bound on outstanding loads; and initiation
+    /// counters within their 3-bit range.
     ///
     /// # Errors
     ///
@@ -441,6 +480,24 @@ impl DependenceChainEngine {
             .eq(listed(|i| !i.pending_spawn.is_empty()))
         {
             return Err("dce: deferred-spawn list disagrees with the instances".to_string());
+        }
+        let speculative = self.cfg.initiation != InitiationMode::NonSpeculative;
+        for h in &self.deferred {
+            for (chain, since) in &self.slots[h.slot as usize].pending_spawn {
+                let what = if since.saturating_add(SPAWN_TIMEOUT) < self.retry.expiry {
+                    "times out before the recorded expiry"
+                } else if self.retry.pc.is_some_and(|pc| pc != chain.branch_pc) {
+                    "targets another branch than recorded"
+                } else if speculative && !chain.tag.is_wildcard() {
+                    "is a non-wildcard chain in a speculative mode"
+                } else {
+                    continue;
+                };
+                return Err(format!(
+                    "dce: instance {}'s deferred spawn for {:#x} {what} (retry summary {:?})",
+                    h.id, chain.branch_pc, self.retry
+                ));
+            }
         }
         if self.active_instances() > self.cfg.window_instances {
             return Err(format!(
@@ -750,9 +807,10 @@ impl DependenceChainEngine {
 
     /// Initiates `chain` as a successor of instance `pid` and records it,
     /// if the window admits it. On window or queue pressure the spawn is
-    /// deferred on `pid`, unless it has waited 256 cycles since `since`,
-    /// the cycle it was first deferred: then it is dropped, and runahead
-    /// stops extending this lineage until the next synchronization.
+    /// deferred on `pid`, unless it has waited [`SPAWN_TIMEOUT`] cycles
+    /// since `since`, the cycle it was first deferred: then it is dropped,
+    /// and runahead stops extending this lineage until the next
+    /// synchronization.
     fn spawn_successor(
         &mut self,
         pid: Handle,
@@ -768,7 +826,13 @@ impl DependenceChainEngine {
         };
         match attempt {
             Initiate::Ok(nid) => self.record_spawn(pid, &chain, None, nid),
-            _ if self.cycle.saturating_sub(since) < 256 => {
+            _ if self.cycle.saturating_sub(since) < SPAWN_TIMEOUT => {
+                let entry = RetrySummary::of(chain.branch_pc, since);
+                self.retry = if self.deferred.is_empty() {
+                    entry
+                } else {
+                    self.retry.merge(entry)
+                };
                 if let Some(p) = self.get_mut(pid) {
                     p.pending_spawn.push((chain, since));
                     if p.pending_spawn.len() == 1 {
@@ -1282,8 +1346,61 @@ impl DependenceChainEngine {
         done.clear();
         self.completing = done;
 
-        // 6. Retry deferred spawns (window/queue pressure), oldest first;
-        // drop spawns stuck past the timeout so the engine can drain.
+        // 6. Retry deferred spawns (window/queue pressure), oldest first,
+        // and drop those stuck past the timeout so the engine can drain;
+        // skipped while every retry would be refused.
+        if !self.deferred.is_empty() && !self.retries_futile(queues) {
+            self.retry_deferred(cache, queues, stats);
+        }
+
+        // 7. Free drained instances, judged on the state at phase entry:
+        // a producer unblocked by a free here is a candidate next cycle.
+        let mut cands = std::mem::replace(
+            &mut self.drainable,
+            std::mem::take(&mut self.scratch.draining),
+        );
+        cands.sort_unstable();
+        cands.dedup();
+        cands.retain(|&h| {
+            stats.dce_instance_visits += 1;
+            self.get(h).is_some_and(Instance::drained)
+        });
+        for &h in &cands {
+            self.release(h);
+        }
+        cands.clear();
+        self.scratch.draining = cands;
+    }
+
+    /// Whether every phase-6 retry would be refused with no entry timing
+    /// out, so that the walk would change nothing (DESIGN.md §11): the
+    /// window refuses every deferred spawn (a speculative mode defers
+    /// only wildcard chains, which keep `spawn_reserve()` slots free), or
+    /// every one targets a branch whose queue exists and is full. In the
+    /// second case the refused allocations would have made that queue
+    /// the most recently used; the check stamps it once, which leaves the
+    /// order of the LRU stamps as the walk would.
+    fn retries_futile(&self, queues: &mut PredictionQueues) -> bool {
+        if self.cycle >= self.retry.expiry {
+            return false;
+        }
+        let reserve = if self.cfg.initiation == InitiationMode::NonSpeculative {
+            1
+        } else {
+            self.spawn_reserve()
+        };
+        self.active_instances() + reserve > self.cfg.window_instances
+            || self.retry.pc.is_some_and(|pc| queues.refuses_slot(pc))
+    }
+
+    /// Phase 6's walk: retries every deferred spawn, drops those past the
+    /// timeout, and recomputes the retry summary.
+    fn retry_deferred(
+        &mut self,
+        cache: &mut DependenceChainCache,
+        queues: &mut PredictionQueues,
+        stats: &mut BrStats,
+    ) {
         let mut stuck = std::mem::take(&mut self.scratch.stuck);
         stuck.clear();
         stuck.extend_from_slice(&self.deferred);
@@ -1301,7 +1418,7 @@ impl DependenceChainEngine {
                 let cycle = self.cycle;
                 let inst = &mut self.slots[h.slot as usize];
                 inst.pending_spawn
-                    .retain(|(_, since)| cycle.saturating_sub(*since) < 256);
+                    .retain(|(_, since)| cycle.saturating_sub(*since) < SPAWN_TIMEOUT);
                 if inst.pending_spawn.is_empty() {
                     self.drainable.push(h);
                 }
@@ -1322,30 +1439,23 @@ impl DependenceChainEngine {
             }
         }
         let slots = &self.slots;
+        let mut summary: Option<RetrySummary> = None;
         self.deferred.retain(|h| {
             let i = &slots[h.slot as usize];
-            i.id == h.id && !i.pending_spawn.is_empty()
+            if i.id != h.id {
+                return false;
+            }
+            for (chain, since) in &i.pending_spawn {
+                let entry = RetrySummary::of(chain.branch_pc, *since);
+                summary = Some(summary.map_or(entry, |s| s.merge(entry)));
+            }
+            !i.pending_spawn.is_empty()
         });
+        if let Some(summary) = summary {
+            self.retry = summary;
+        }
         self.scratch.pending = pending;
         self.scratch.stuck = stuck;
-
-        // 7. Free drained instances, judged on the state at phase entry:
-        // a producer unblocked by a free here is a candidate next cycle.
-        let mut cands = std::mem::replace(
-            &mut self.drainable,
-            std::mem::take(&mut self.scratch.draining),
-        );
-        cands.sort_unstable();
-        cands.dedup();
-        cands.retain(|&h| {
-            stats.dce_instance_visits += 1;
-            self.get(h).is_some_and(Instance::drained)
-        });
-        for &h in &cands {
-            self.release(h);
-        }
-        cands.clear();
-        self.scratch.draining = cands;
     }
 }
 
@@ -1526,6 +1636,83 @@ mod tests {
         assert_eq!(dce.slots[h.slot as usize].ready & 1, 1);
         dce.slots[h.slot as usize].ready &= !1;
         assert!(dce.check_invariants().is_err());
+    }
+
+    #[test]
+    fn machine_check_catches_a_stale_retry_summary() {
+        let mut cache = DependenceChainCache::new(8);
+        let mut queues = PredictionQueues::new(4, 16);
+        let mut stats = BrStats::default();
+        cache.install(self_chain());
+        let mut cfg = BranchRunaheadConfig::mini();
+        cfg.window_instances = 4;
+        let mut dce = DependenceChainEngine::new(cfg);
+        let cpu = CpuState::new();
+        dce.sync_initiate(0x50, true, &cpu, &mut cache, &mut queues, &mut stats);
+        // The wildcard cascade stops `spawn_reserve()` slots short of the
+        // window and defers its next spawn.
+        assert_eq!(dce.deferred.len(), 1);
+        assert_eq!(dce.check_invariants(), Ok(()));
+        let recorded = dce.retry;
+        // An expiry past the entry's timeout.
+        dce.retry.expiry += 1;
+        assert!(dce.check_invariants().is_err());
+        // A branch the entry does not target.
+        dce.retry = RetrySummary {
+            pc: Some(0x60),
+            ..recorded
+        };
+        assert!(dce.check_invariants().is_err());
+        // A non-wildcard chain deferred in a speculative mode.
+        dce.retry = RetrySummary {
+            pc: None,
+            ..recorded
+        };
+        assert_eq!(dce.check_invariants(), Ok(()));
+        let h = dce.deferred[0];
+        dce.slots[h.slot as usize].pending_spawn[0].0 = Arc::new(guarded_chain());
+        assert!(dce.check_invariants().is_err());
+    }
+
+    /// A skipped retry walk must leave the LRU order of the queues as the
+    /// walk's refused allocations would: the full queue it targets is the
+    /// most recently used, so a new branch evicts the other queue.
+    #[test]
+    fn skipped_retries_keep_the_full_queue_recently_used() {
+        let machine = machine_with(&[]);
+        let mut mem = MemorySystem::new(MemoryConfig::default());
+        let mut cache = DependenceChainCache::new(8);
+        let mut queues = PredictionQueues::new(2, 2);
+        let mut stats = BrStats::default();
+        cache.install(self_chain());
+        let mut dce = DependenceChainEngine::new(BranchRunaheadConfig::mini());
+        let cpu = CpuState::new();
+        dce.sync_initiate(0x50, true, &cpu, &mut cache, &mut queues, &mut stats);
+        // Two instances fill branch 0x50's two slots; the third spawn waits.
+        assert_eq!((dce.active_instances(), dce.deferred.len()), (2, 1));
+        assert_eq!(queues.allocate_slot(0x50), None);
+        assert!(queues.allocate_slot(0x60).is_some());
+        dce.tick(
+            1,
+            &machine,
+            &mut mem,
+            &[],
+            2,
+            4,
+            &mut cache,
+            &mut queues,
+            &mut stats,
+        );
+        assert_eq!(dce.check_invariants(), Ok(()));
+        assert!(queues.allocate_slot(0x70).is_some());
+        assert_eq!(
+            queues.consume_at_fetch(0x60),
+            crate::pqueue::FetchVerdict::NoQueue
+        );
+        assert_ne!(
+            queues.consume_at_fetch(0x50),
+            crate::pqueue::FetchVerdict::NoQueue
+        );
     }
 
     #[test]

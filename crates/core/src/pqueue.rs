@@ -162,6 +162,21 @@ impl PredictionQueues {
         Some(q.base + q.slots.len() as u64 - 1)
     }
 
+    /// Whether [`Self::allocate_slot`] would refuse `pc`: its queue exists
+    /// and is full. A refusal stamps the queue as recently used, as the
+    /// refused allocation would.
+    pub(crate) fn refuses_slot(&mut self, pc: Pc) -> bool {
+        let cap = self.entries_per_queue;
+        let full = self
+            .queues
+            .iter()
+            .any(|(p, q)| *p == pc && q.slots.len() >= cap);
+        if full {
+            self.queue_mut(pc, false);
+        }
+        full
+    }
+
     /// Fills a slot with a computed outcome. Silently ignores stale slot
     /// ids (queue cleared or entry retired since allocation).
     pub(crate) fn fill(&mut self, pc: Pc, slot: u64, outcome: bool) {
