@@ -1406,27 +1406,12 @@ impl DependenceChainEngine {
         stuck.extend_from_slice(&self.deferred);
         let mut pending = std::mem::take(&mut self.scratch.pending);
         for &h in &stuck {
-            let Some(inst) = self.get(h) else { continue };
-            stats.dce_instance_visits += 1;
-            // While the window admits none of them, a retry only ages the
-            // entries: drop the timed-out ones in place.
-            if !inst
-                .pending_spawn
-                .iter()
-                .any(|(c, _)| self.window_admits(c))
-            {
-                let cycle = self.cycle;
-                let inst = &mut self.slots[h.slot as usize];
-                inst.pending_spawn
-                    .retain(|(_, since)| cycle.saturating_sub(*since) < SPAWN_TIMEOUT);
-                if inst.pending_spawn.is_empty() {
-                    self.drainable.push(h);
-                }
+            let Some(inst) = self.get_mut(h) else {
                 continue;
-            }
+            };
+            stats.dce_instance_visits += 1;
             // `append` empties the instance's queue but keeps its capacity,
             // so requeued entries below don't reallocate it.
-            let inst = &mut self.slots[h.slot as usize];
             pending.clear();
             pending.append(&mut inst.pending_spawn);
             for (chain, since) in pending.drain(..) {
