@@ -15,7 +15,11 @@
 # alternating which side runs first, and prints for every end-to-end
 # metric (every per-layer metric the workload runs, when traced) each
 # side's median and quartiles, the ratio of the medians, and how many
-# pairs HEAD won, plus each side's attempted and failed checks.
+# pairs HEAD won, plus each side's attempted and failed checks. It also
+# writes the same result as JSON (to AB_JSON, default ab.json in the
+# scratch directory): both revisions as given and as commits, the run
+# settings, the host's CPU count and model from /proc/cpuinfo, and per
+# metric each side's runs, quartiles, the ratio and the pair wins.
 # Look at the whole distribution, not one run: a win needs most pairs and
 # a median gap wider than BASE's interquartile spread.
 #
@@ -79,12 +83,14 @@ for ((pair = 1; pair <= pairs; pair++)); do
 done
 
 python3 - "$work" "$pairs" "$work/head/src/BENCHMARK.json" "$base" "$head" "$workload" "$seed" \
-    "$trace" <<'EOF'
+    "$trace" "$(git -C "$root" rev-parse "$base^{commit}")" \
+    "$(git -C "$root" rev-parse "$head^{commit}")" "${AB_JSON:-$work/ab.json}" <<'EOF'
 import json
 import statistics
 import sys
 
-work, pairs, bench_path, base, head, workload, seed, trace = sys.argv[1:]
+(work, pairs, bench_path, base, head, workload, seed, trace, base_commit, head_commit,
+ json_path) = sys.argv[1:]
 pairs = int(pairs)
 kind = "per_layer" if trace == "1" else "end_to_end"
 bench = json.load(open(bench_path))
@@ -112,18 +118,51 @@ print(f"{workload}, seed {seed}, {pairs} {'traced ' if kind == 'per_layer' else 
       f"base {base} vs head {head}")
 print(f"{'metric':<{width}} {'base q1':>10} {'median':>10} {'q3':>10}   "
       f"{'head q1':>10} {'median':>10} {'q3':>10}   {'ratio':>7} {'wins':>6}")
+metrics = []
 for m in reported:
     name, lower = m["name"], m["better"] == "lower"
     b = [r["metrics"][name]["value"] for r in runs["base"]]
     h = [r["metrics"][name]["value"] for r in runs["head"]]
     bq, hq = quartiles(b), quartiles(h)
     wins = sum(1 for x, y in zip(b, h) if (y < x if lower else y > x))
-    ratio = hq[1] / bq[1] if bq[1] else float("nan")
+    ratio = hq[1] / bq[1] if bq[1] else None
     print(f"{name:<{width}} {bq[0]:>10.4g} {bq[1]:>10.4g} {bq[2]:>10.4g}   "
-          f"{hq[0]:>10.4g} {hq[1]:>10.4g} {hq[2]:>10.4g}   {ratio:>7.3f} {wins:>3}/{pairs}")
+          f"{hq[0]:>10.4g} {hq[1]:>10.4g} {hq[2]:>10.4g}   "
+          f"{ratio if ratio is not None else float('nan'):>7.3f} {wins:>3}/{pairs}")
+    metrics.append({
+        "name": name,
+        "unit": m["unit"],
+        "better": m["better"],
+        **{side: {"runs": v, "q1": q[0], "median": q[1], "q3": q[2]}
+           for side, v, q in (("base", b, bq), ("head", h, hq))},
+        "ratio": ratio,
+        "wins": wins,
+    })
+checks = {}
 for side in ("base", "head"):
     attempted = [r["attempted"] for r in runs[side]]
     failed = [r["failed"] for r in runs[side]]
     print(f"{side}: attempted {attempted}, failed {failed}")
-print(f"raw results: {work}")
+    checks[side] = {"attempted": attempted, "failed": failed}
+
+cpuinfo = open("/proc/cpuinfo").read().splitlines()
+models = [line.split(":", 1)[1].strip() for line in cpuinfo if line.startswith("model name")]
+record = {
+    "base": {"rev": base, "commit": base_commit},
+    "head": {"rev": head, "commit": head_commit},
+    "workload": workload,
+    "seed": int(seed),
+    "pairs": pairs,
+    "trace": trace == "1",
+    "host": {
+        "cpus": sum(1 for line in cpuinfo if line.startswith("processor")),
+        "model": models[0] if models else None,
+    },
+    "metrics": metrics,
+    "checks": checks,
+}
+with open(json_path, "w") as f:
+    json.dump(record, f, indent=2)
+    f.write("\n")
+print(f"raw results: {work}; JSON record: {json_path}")
 EOF
