@@ -82,11 +82,6 @@ impl ArchReg {
         self == FLAGS
     }
 
-    /// Iterates over every architectural register, including `FLAGS`.
-    pub(crate) fn all() -> impl Iterator<Item = ArchReg> {
-        (0..NUM_ARCH_REGS as u8).map(ArchReg)
-    }
-
     /// Iterates over the general-purpose registers only.
     pub fn gprs() -> impl Iterator<Item = ArchReg> {
         (0..16u8).map(ArchReg)
@@ -170,9 +165,14 @@ impl RegSet {
         self.0 & other.0 != 0
     }
 
-    /// Iterates over the members in index order.
+    /// Iterates over the members in index order, one step per set bit.
     pub fn iter(self) -> impl Iterator<Item = ArchReg> {
-        ArchReg::all().filter(move |r| self.contains(*r))
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            let index = bits.trailing_zeros();
+            bits &= bits.wrapping_sub(1);
+            (index < u32::BITS).then_some(ArchReg(index as u8))
+        })
     }
 }
 
@@ -216,6 +216,13 @@ impl fmt::Display for RegSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ArchReg {
+        /// Iterates over every architectural register, including `FLAGS`.
+        pub(crate) fn all() -> impl Iterator<Item = ArchReg> {
+            (0..NUM_ARCH_REGS as u8).map(ArchReg)
+        }
+    }
 
     impl RegSet {
         /// Whether the set contains no registers.
@@ -294,5 +301,16 @@ mod tests {
         let s: RegSet = [R9, R1, R4].into_iter().collect();
         let v: Vec<_> = s.iter().collect();
         assert_eq!(v, vec![R1, R4, R9]);
+    }
+
+    #[test]
+    fn regset_iter_walks_the_set_bits_in_index_order() {
+        // Every mask over the 17 registers: the set-bit walk must equal
+        // the filtered scan of all registers, order included.
+        for mask in 0..1u32 << NUM_ARCH_REGS {
+            let s = RegSet(mask);
+            let scan: Vec<_> = ArchReg::all().filter(|&r| s.contains(r)).collect();
+            assert!(s.iter().eq(scan.iter().copied()), "mask {mask:#x}");
+        }
     }
 }

@@ -1,10 +1,10 @@
 //! The cycle-level out-of-order core.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
 
-use br_isa::{ExecRecord, Machine, MachineCheckpoint, Program, Uop, NUM_ARCH_REGS};
+use br_isa::{AluOp, ExecRecord, Machine, MachineCheckpoint, Program, Uop, NUM_ARCH_REGS};
 use br_mem::{Cache, MemResp, MemorySystem, ReqId, ReqSource, RequestError};
 use br_predictor::{ConditionalPredictor, Prediction, PredictorCheckpoint};
 use br_telemetry::{EventKind, Telemetry};
@@ -48,8 +48,9 @@ struct StoreRef {
 }
 
 struct RobEntry {
-    /// ROB position identity: contiguous within the ROB. Reused after
-    /// squashes (`next_seq` rewinds on recovery).
+    /// ROB position identity: contiguous within the ROB, and the entry's
+    /// ring slot (`seq & mask`). Reused after squashes (`next_seq` rewinds
+    /// on recovery).
     seq: u64,
     /// Never-reused identity, guarding against stale completion events
     /// addressed to a squashed uop whose `seq` was recycled.
@@ -79,6 +80,80 @@ impl RobEntry {
     }
 }
 
+/// One slot of the ROB ring: the entry whose seq maps here, while it is
+/// in the ROB, and the consumers registered on it as `(seq, uid)`. The
+/// list is cleared when fetch refills the slot; the uid screens out
+/// consumers squashed since they registered.
+#[derive(Default)]
+struct RobSlot {
+    entry: Option<RobEntry>,
+    consumers: Vec<(u64, u64)>,
+}
+
+/// Functional-unit completions as `(done_at, seq, uid)`, in per-cycle
+/// buckets indexed by `done_at & mask`. Every latency is below the
+/// wheel's span, so a bucket only ever holds one cycle's completions.
+struct CompletionWheel {
+    buckets: Vec<Vec<(u64, u64, u64)>>,
+    mask: u64,
+}
+
+impl CompletionWheel {
+    /// A wheel spanning the smallest power of two above `longest` cycles.
+    fn new(longest: u64) -> Self {
+        let span = (longest + 1).next_power_of_two();
+        CompletionWheel {
+            buckets: vec![Vec::new(); span as usize],
+            mask: span - 1,
+        }
+    }
+
+    /// Schedules `(seq, uid)` to complete at `done_at`, which must lie
+    /// in `(now, now + span)`.
+    fn push(&mut self, now: u64, done_at: u64, seq: u64, uid: u64) {
+        debug_assert!(done_at > now && done_at - now <= self.mask);
+        self.buckets[(done_at & self.mask) as usize].push((done_at, seq, uid));
+    }
+
+    /// Takes the completions due at `now` in `(done_at, seq, uid)` order;
+    /// hand the buffer back with [`CompletionWheel::recycle`].
+    fn take_due(&mut self, now: u64) -> Vec<(u64, u64, u64)> {
+        let mut due = std::mem::take(&mut self.buckets[(now & self.mask) as usize]);
+        due.sort_unstable();
+        due
+    }
+
+    /// Returns `now`'s bucket buffer, emptied, so its capacity is reused.
+    fn recycle(&mut self, now: u64, mut due: Vec<(u64, u64, u64)>) {
+        due.clear();
+        self.buckets[(now & self.mask) as usize] = due;
+    }
+
+    /// Checks that every entry sits in bucket `done_at & mask` and is due
+    /// in `[now, now + span)`.
+    fn check(&self, now: u64) -> Result<(), String> {
+        for (b, bucket) in self.buckets.iter().enumerate() {
+            for &(done_at, seq, _) in bucket {
+                if (done_at & self.mask) as usize != b {
+                    return Err(format!(
+                        "core: seq {seq} due at {done_at} sits in wheel bucket {b}"
+                    ));
+                }
+                if done_at < now || done_at - now > self.mask {
+                    return Err(format!(
+                        "core: seq {seq} due at {done_at}, outside the wheel's span at {now}"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &(u64, u64, u64)> {
+        self.buckets.iter().flatten()
+    }
+}
+
 /// Summary of one core cycle, used by the composition layer to arbitrate
 /// shared resources (D-cache ports) and detect completion.
 #[derive(Clone, Copy, Debug)]
@@ -101,13 +176,15 @@ pub struct Core {
     program: Arc<Program>,
     machine: Machine,
     predictor: Box<dyn ConditionalPredictor>,
-    rob: VecDeque<RobEntry>,
+    /// The ROB: a ring of `rob_entries.next_power_of_two()` slots holding
+    /// seqs `rob_head..next_seq`, the entry with seq `s` in slot
+    /// `s & rob_mask`.
+    rob: Vec<RobSlot>,
+    rob_mask: u64,
+    /// The oldest entry's seq (`next_seq` when the ROB is empty).
+    rob_head: u64,
     /// Entries in the reservation station: the `Waiting` ones.
     rs_used: usize,
-    /// Each ROB slot's consumers (`seq % rob_entries`), as `(seq, uid)`.
-    /// A slot's list is cleared when fetch refills the slot; the uid
-    /// screens out consumers squashed since they registered.
-    consumers: Vec<Vec<(u64, u64)>>,
     /// `Waiting` entries with no pending producer, in seq order.
     ready: Vec<u64>,
     /// The stores in the ROB, in seq order.
@@ -120,7 +197,7 @@ pub struct Core {
     /// In-flight core loads, keyed by memory-request id. Bounded by the
     /// MSHR count, so a linear-scan list beats hashing.
     pending_mem: Vec<(ReqId, u64, u64)>,
-    completions: BinaryHeap<Reverse<(u64, u64, u64)>>,
+    completions: CompletionWheel,
     /// Scratch for `recover`'s wrong-path summary (reused across squashes).
     wrong_path_scratch: Vec<WrongPathUop>,
     /// Recycled branch-control boxes: checkpoint buffers (predictor
@@ -140,7 +217,7 @@ impl std::fmt::Debug for Core {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Core")
             .field("cycle", &self.cycle)
-            .field("rob", &self.rob.len())
+            .field("rob", &self.rob_len())
             .field("retired", &self.stats.retired_uops)
             .finish()
     }
@@ -165,15 +242,18 @@ impl Core {
         let program = program.into();
         cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         let icache = Cache::new(cfg.icache());
-        let rob_entries = cfg.rob_entries;
+        let ring = cfg.rob_entries.next_power_of_two();
+        let longest = u64::from(AluOp::Div.latency()).max(cfg.forward_latency);
         Core {
             icache,
-            cfg,
             program,
             machine,
             predictor,
-            consumers: vec![Vec::new(); rob_entries],
-            rob: VecDeque::new(),
+            rob: std::iter::repeat_with(RobSlot::default)
+                .take(ring)
+                .collect(),
+            rob_mask: ring as u64 - 1,
+            rob_head: 0,
             rs_used: 0,
             ready: Vec::new(),
             stores: VecDeque::new(),
@@ -183,12 +263,13 @@ impl Core {
             cycle: 0,
             fetch_stall_until: 0,
             pending_mem: Vec::new(),
-            completions: BinaryHeap::new(),
+            completions: CompletionWheel::new(longest),
             wrong_path_scratch: Vec::new(),
             ctl_pool: Vec::new(),
             stats: CoreStats::default(),
             max_retired: u64::MAX,
             tele: Telemetry::off(),
+            cfg,
         }
     }
 
@@ -231,39 +312,67 @@ impl Core {
     /// Whether the program has halted and the pipeline drained.
     #[must_use]
     pub(crate) fn is_done(&self) -> bool {
-        (self.machine.halted() && self.rob.is_empty())
+        (self.machine.halted() && self.rob_head == self.next_seq)
             || self.stats.retired_uops >= self.max_retired
     }
 
-    /// Machine check of the issue bookkeeping: recounts, against the ROB,
-    /// every pending count (from the consumer lists of the entries not
-    /// yet `Done`), the ready list (exactly the `Waiting` entries with
-    /// nothing pending, in seq order), the store queue and the RS count.
+    /// Machine check of the issue bookkeeping: the ROB ring (exactly the
+    /// slots of seqs `rob_head..next_seq` hold entries, each its own seq),
+    /// the completion wheel (each entry in its cycle's bucket and within
+    /// the span, one live entry per `Issued` uop), and recounts, against
+    /// the ROB, every pending count (from the consumer lists of the
+    /// entries not yet `Done`), the ready list (exactly the `Waiting`
+    /// entries with nothing pending, in seq order), the store queue and
+    /// the RS count.
     ///
     /// # Errors
     ///
     /// Returns the first violated invariant, described.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let head = self.rob.front().map_or(0, |e| e.seq);
-        let mut pending = vec![0u32; self.rob.len()];
-        for p in self.rob.iter().filter(|p| p.state != ExecState::Done) {
-            for &(seq, uid) in &self.consumers[self.slot(p.seq)] {
-                let Some(c) = self.idx_of(seq).filter(|&c| self.rob[c].uid == uid) else {
+        let (head, tail) = (self.rob_head, self.next_seq);
+        if tail < head || self.rob_len() > self.cfg.rob_entries {
+            return Err(format!("core: ROB ring head {head}, tail {tail}"));
+        }
+        for seq in self.rob_seqs() {
+            let held = self.rob[self.ring_index(seq)].entry.as_ref().map(|e| e.seq);
+            if held != Some(seq) {
+                return Err(format!("core: ring slot of seq {seq} holds {held:?}"));
+            }
+        }
+        let occupied = self.rob.iter().filter(|s| s.entry.is_some()).count();
+        if occupied != self.rob_len() {
+            return Err(format!(
+                "core: {occupied} ring slots occupied, {} seqs in the ROB",
+                self.rob_len()
+            ));
+        }
+        self.completions.check(self.cycle)?;
+        let live_completions = self
+            .completions
+            .iter()
+            .filter(|&&(_, seq, uid)| self.is_live(seq, uid, ExecState::Issued))
+            .count();
+
+        let mut pending = vec![0u32; self.rob_len()];
+        for p in self.rob_seqs().map(|s| self.entry(s)) {
+            if p.state == ExecState::Done {
+                continue;
+            }
+            for &(seq, uid) in &self.rob[self.ring_index(p.seq)].consumers {
+                if !self.in_rob(seq) || self.entry(seq).uid != uid {
                     continue; // squashed since it registered
-                };
+                }
                 if seq <= p.seq {
                     return Err(format!("core: seq {seq} waits on the younger {}", p.seq));
                 }
-                pending[c] += 1;
+                pending[(seq - head) as usize] += 1;
             }
         }
         let mut ready = Vec::new();
         let mut stores = Vec::new();
         let mut waiting = 0;
-        for (i, e) in self.rob.iter().enumerate() {
-            if e.seq != head + i as u64 {
-                return Err(format!("core: ROB seq {} at position {i}", e.seq));
-            }
+        let mut issued = 0;
+        for (i, e) in self.rob_seqs().map(|s| self.entry(s)).enumerate() {
             if u32::from(e.pending) != pending[i] {
                 return Err(format!(
                     "core: seq {} counts {} pending producers, its producers list {}",
@@ -281,9 +390,15 @@ impl Core {
                     e.seq
                 ));
             }
+            issued += usize::from(e.state == ExecState::Issued);
             if let Some(m) = e.rec.mem.filter(|m| m.is_store) {
                 stores.push((e.seq, m.addr, m.addr + m.width.bytes()));
             }
+        }
+        if live_completions != issued {
+            return Err(format!(
+                "core: {live_completions} live wheel entries, {issued} entries issued"
+            ));
         }
         if self.ready != ready {
             return Err(format!(
@@ -308,36 +423,60 @@ impl Core {
         Ok(())
     }
 
-    fn idx_of(&self, seq: u64) -> Option<usize> {
-        let head = self.rob.front()?.seq;
-        if seq < head {
-            return None;
+    /// The seqs in the ROB, oldest first.
+    fn rob_seqs(&self) -> Range<u64> {
+        self.rob_head..self.next_seq
+    }
+
+    fn rob_len(&self) -> usize {
+        (self.next_seq - self.rob_head) as usize
+    }
+
+    fn in_rob(&self, seq: u64) -> bool {
+        self.rob_seqs().contains(&seq)
+    }
+
+    /// The ring slot of `seq`.
+    fn ring_index(&self, seq: u64) -> usize {
+        (seq & self.rob_mask) as usize
+    }
+
+    /// The entry with this seq, which must be in the ROB.
+    fn entry(&self, seq: u64) -> &RobEntry {
+        self.rob[self.ring_index(seq)]
+            .entry
+            .as_ref()
+            .expect("seq in the ROB")
+    }
+
+    fn entry_mut(&mut self, seq: u64) -> &mut RobEntry {
+        let i = self.ring_index(seq);
+        self.rob[i].entry.as_mut().expect("seq in the ROB")
+    }
+
+    /// Whether `(seq, uid)` names an entry still in the ROB, in `state`.
+    fn is_live(&self, seq: u64, uid: u64, state: ExecState) -> bool {
+        self.in_rob(seq) && {
+            let e = self.entry(seq);
+            e.uid == uid && e.state == state
         }
-        let idx = (seq - head) as usize;
-        (idx < self.rob.len()).then_some(idx)
     }
 
-    /// The consumer-list slot of the entry with this seq.
-    fn slot(&self, seq: u64) -> usize {
-        (seq % self.cfg.rob_entries as u64) as usize
-    }
-
-    /// Marks the entry at ROB index `i` `Done` and wakes its consumers:
-    /// each one still in the ROB loses a pending producer and, at none
-    /// left, joins the ready list in seq order.
-    fn mark_done(&mut self, i: usize, now: u64) {
-        let e = &mut self.rob[i];
+    /// Marks the entry with this seq `Done` and wakes its consumers: each
+    /// one still in the ROB loses a pending producer and, at none left,
+    /// joins the ready list in seq order.
+    fn mark_done(&mut self, seq: u64, now: u64) {
+        let e = self.entry_mut(seq);
         e.state = ExecState::Done;
         e.completed_at = now;
-        let seq = e.seq;
-        let slot = self.slot(seq);
-        let consumers = std::mem::take(&mut self.consumers[slot]);
+        let slot = self.ring_index(seq);
+        let consumers = std::mem::take(&mut self.rob[slot].consumers);
         self.stats.issue_visits += consumers.len() as u64;
         for &(seq, uid) in &consumers {
-            let Some(c) = self.idx_of(seq) else {
+            if !self.in_rob(seq) {
                 continue; // squashed
-            };
-            let c = &mut self.rob[c];
+            }
+            let c = self.entry_mut(seq);
             if c.uid != uid {
                 continue; // squashed; the seq was refetched
             }
@@ -348,7 +487,7 @@ impl Core {
                 self.ready.insert(at, seq);
             }
         }
-        self.consumers[slot] = consumers;
+        self.rob[slot].consumers = consumers;
     }
 
     /// Advances the core one cycle. `responses` are this cycle's memory
@@ -395,61 +534,51 @@ impl Core {
         for r in responses {
             if let Some(p) = self.pending_mem.iter().position(|&(id, _, _)| id == r.id) {
                 let (_, seq, uid) = self.pending_mem.swap_remove(p);
-                if let Some(i) = self.idx_of(seq) {
-                    let e = &self.rob[i];
-                    if e.uid == uid && e.state == ExecState::MemPending(r.id) {
-                        self.mark_done(i, now);
-                        completed += 1;
-                    }
+                if self.is_live(seq, uid, ExecState::MemPending(r.id)) {
+                    self.mark_done(seq, now);
+                    completed += 1;
                 }
             }
         }
-        // Functional-unit completions (heap ordered by cycle then seq, so
-        // the oldest mispredicting branch recovers first).
-        while let Some(Reverse((c, _, _))) = self.completions.peek() {
-            if *c > now {
-                break;
-            }
-            let Reverse((_, seq, uid)) = self.completions.pop().expect("peeked");
-            let Some(i) = self.idx_of(seq) else {
+        // Functional-unit completions, in (seq, uid) order so the oldest
+        // mispredicting branch recovers first.
+        let due = self.completions.take_due(now);
+        for &(_, seq, uid) in &due {
+            if !self.is_live(seq, uid, ExecState::Issued) {
                 continue; // squashed
-            };
-            if self.rob[i].uid != uid || self.rob[i].state != ExecState::Issued {
-                continue;
             }
-            self.mark_done(i, now);
+            self.mark_done(seq, now);
             completed += 1;
             // Branch resolution: a conditional branch whose followed
             // next-PC differs from its actual next-PC mispredicted.
-            let mispredict = {
-                let e = &self.rob[i];
-                match (&e.branch, e.rec.branch) {
-                    (Some(_), Some(b)) => e.rec.next_pc != b.actual_next,
-                    _ => false,
-                }
+            let e = self.entry(seq);
+            let mispredict = match (&e.branch, e.rec.branch) {
+                (Some(_), Some(b)) => e.rec.next_pc != b.actual_next,
+                _ => false,
             };
             if mispredict {
-                self.recover(i, now, hooks);
+                self.recover(seq, now, hooks);
             }
         }
+        self.completions.recycle(now, due);
         completed
     }
 
-    fn recover(&mut self, idx: usize, now: u64, hooks: &mut dyn CoreHooks) {
+    /// Squashes every entry younger than the mispredicted branch `seq`
+    /// and restarts fetch down its correct path.
+    fn recover(&mut self, seq: u64, now: u64, hooks: &mut dyn CoreHooks) {
         self.stats.recoveries += 1;
+        let squashed = seq + 1..self.next_seq;
         let mut wrong_path = std::mem::take(&mut self.wrong_path_scratch);
         wrong_path.clear();
-        wrong_path.extend(
-            self.rob
-                .iter()
-                .skip(idx + 1)
-                .map(RobEntry::wrong_path_summary),
-        );
+        wrong_path.extend(squashed.clone().map(|s| self.entry(s).wrong_path_summary()));
         self.stats.squashed_uops += wrong_path.len() as u64;
 
         // Release resources held by squashed entries and recycle their
         // branch-control boxes.
-        for mut e in self.rob.drain(idx + 1..) {
+        for s in squashed {
+            let i = self.ring_index(s);
+            let mut e = self.rob[i].entry.take().expect("seq in the ROB");
             if e.state == ExecState::Waiting {
                 self.rs_used -= 1;
             }
@@ -464,18 +593,14 @@ impl Core {
         }
         // Sequence numbers are ROB positions: rewind so they stay
         // contiguous (uids preserve global uniqueness).
-        self.next_seq = self
-            .rob
-            .back()
-            .map(|e| e.seq + 1)
-            .expect("branch entry present");
-        let last = self.next_seq - 1;
+        self.next_seq = seq + 1;
         self.ready
-            .truncate(self.ready.partition_point(|&s| s <= last));
+            .truncate(self.ready.partition_point(|&s| s <= seq));
         self.stores
-            .truncate(self.stores.partition_point(|s| s.seq <= last));
+            .truncate(self.stores.partition_point(|s| s.seq <= seq));
 
-        let e = self.rob.back_mut().expect("branch entry present");
+        let i = self.ring_index(seq);
+        let e = self.rob[i].entry.as_mut().expect("branch entry present");
         let bx = e.rec.branch.expect("control uop has a branch record");
         let actual = bx.actual_taken;
         let ctl = e.branch.as_mut().expect("recover only on branches");
@@ -519,12 +644,16 @@ impl Core {
         hooks: &mut dyn CoreHooks,
     ) -> usize {
         let mut retired = 0;
-        while retired < self.cfg.retire_width {
-            let Some(e) = self.rob.front() else { break };
-            if e.state != ExecState::Done || e.completed_at >= now {
+        while retired < self.cfg.retire_width && self.rob_head < self.next_seq {
+            let head = &mut self.rob[(self.rob_head & self.rob_mask) as usize].entry;
+            if head
+                .as_ref()
+                .is_some_and(|e| e.state != ExecState::Done || e.completed_at >= now)
+            {
                 break;
             }
-            let mut e = self.rob.pop_front().expect("checked front");
+            let mut e = head.take().expect("head in the ROB");
+            self.rob_head += 1;
             retired += 1;
             self.stats.retired_uops += 1;
 
@@ -622,30 +751,28 @@ impl Core {
         let mut issued = 0;
         let mut alu_issued = 0;
         let mut loads_issued = 0;
-        let head = self.rob.front().map_or(0, |e| e.seq);
         let mut ready = std::mem::take(&mut self.ready);
         // `ready[..kept]` stays ready; `ready[kept..next]` issued.
         let mut kept = 0;
         let mut next = 0;
         while next < ready.len() && issued < self.cfg.issue_width {
             let seq = ready[next];
-            let i = (seq - head) as usize;
             self.stats.issue_visits += 1;
-            let e = &self.rob[i];
+            let e = self.entry(seq);
             if e.fetch_cycle + self.cfg.frontend_depth > now {
                 // Younger entries were fetched even later.
                 break;
             }
             let went = if e.uop.is_load() {
-                let went = loads_issued < self.cfg.load_ports && self.issue_load(i, now, mem);
+                let went = loads_issued < self.cfg.load_ports && self.issue_load(seq, now, mem);
                 loads_issued += usize::from(went);
                 went
             } else {
                 let went = alu_issued < self.cfg.num_alus;
                 if went {
                     let done_at = now + u64::from(e.uop.compute_latency());
-                    self.completions.push(Reverse((done_at, seq, e.uid)));
-                    self.begin_exec(i, ExecState::Issued);
+                    self.completions.push(now, done_at, seq, e.uid);
+                    self.begin_exec(seq, ExecState::Issued);
                     alu_issued += 1;
                 }
                 went
@@ -663,34 +790,34 @@ impl Core {
         (loads_issued, issued)
     }
 
-    /// Moves the `Waiting` entry at ROB index `i` out of the reservation
+    /// Moves the `Waiting` entry with this seq out of the reservation
     /// station into `state`.
-    fn begin_exec(&mut self, i: usize, state: ExecState) {
-        self.rob[i].state = state;
+    fn begin_exec(&mut self, seq: u64, state: ExecState) {
+        self.entry_mut(seq).state = state;
         self.rs_used -= 1;
         self.stats.issued_uops += 1;
     }
 
-    /// Issues the ready load at ROB index `i`: forwarded from the youngest
+    /// Issues the ready load with this seq: forwarded from the youngest
     /// older overlapping store if there is one, else sent to memory.
     /// Returns false if it must wait (store not executed, MSHRs full).
-    fn issue_load(&mut self, i: usize, now: u64, mem: &mut MemorySystem) -> bool {
-        let e = &self.rob[i];
-        let (seq, uid) = (e.seq, e.uid);
+    fn issue_load(&mut self, seq: u64, now: u64, mem: &mut MemorySystem) -> bool {
+        let e = self.entry(seq);
+        let uid = e.uid;
         let m = e.rec.mem.expect("loads carry a memory record");
         match self.forwarding_store(seq, m.addr, m.addr + m.width.bytes()) {
             Some(true) => {
                 // Forwarded from the store buffer.
                 let done_at = now + self.cfg.forward_latency;
-                self.completions.push(Reverse((done_at, seq, uid)));
-                self.begin_exec(i, ExecState::Issued);
+                self.completions.push(now, done_at, seq, uid);
+                self.begin_exec(seq, ExecState::Issued);
             }
             // Producing store not executed yet: stall.
             Some(false) => return false,
             None => match mem.request(m.addr, false, ReqSource::Core, now) {
                 Ok(id) => {
                     self.pending_mem.push((id, seq, uid));
-                    self.begin_exec(i, ExecState::MemPending(id));
+                    self.begin_exec(seq, ExecState::MemPending(id));
                 }
                 Err(RequestError::MshrFull) => return false,
             },
@@ -702,12 +829,11 @@ impl Core {
     /// The youngest store older than `seq` that overlaps bytes
     /// `[addr, end)`: `Some(executed?)`, or `None` if no store does.
     fn forwarding_store(&mut self, seq: u64, addr: u64, end: u64) -> Option<bool> {
-        let head = self.rob.front().map_or(0, |e| e.seq);
         let older = self.stores.partition_point(|s| s.seq < seq);
         for s in self.stores.range(..older).rev() {
             self.stats.issue_visits += 1;
             if s.addr < end && addr < s.end {
-                return Some(self.rob[(s.seq - head) as usize].state == ExecState::Done);
+                return Some(self.entry(s.seq).state == ExecState::Done);
             }
         }
         None
@@ -748,9 +874,10 @@ impl Core {
     }
 
     fn has_unresolved_branch(&self) -> bool {
-        self.rob
-            .iter()
-            .any(|e| e.branch.is_some() && e.state != ExecState::Done)
+        self.rob_seqs().any(|s| {
+            let e = self.entry(s);
+            e.branch.is_some() && e.state != ExecState::Done
+        })
     }
 
     fn fetch_phase(&mut self, now: u64, hooks: &mut dyn CoreHooks) {
@@ -758,7 +885,7 @@ impl Core {
             return;
         }
         for _ in 0..self.cfg.fetch_width {
-            if self.rob.len() >= self.cfg.rob_entries || self.rs_used >= self.cfg.rs_entries {
+            if self.rob_len() >= self.cfg.rob_entries || self.rs_used >= self.cfg.rs_entries {
                 break;
             }
             if self.machine.halted() {
@@ -812,18 +939,16 @@ impl Core {
             // already retired (a restored `writer_cp` can name one).
             let uid = self.next_uid;
             self.next_uid += 1;
-            let slot = self.slot(seq);
-            self.consumers[slot].clear();
+            let slot = self.ring_index(seq);
+            self.rob[slot].consumers.clear();
             let mut pending = 0;
             for r in uop.srcs().iter() {
-                let producer = self.last_writer[r.index()].filter(|&p| {
-                    self.idx_of(p)
-                        .is_some_and(|pi| self.rob[pi].state != ExecState::Done)
-                });
+                let producer = self.last_writer[r.index()]
+                    .filter(|&p| self.in_rob(p) && self.entry(p).state != ExecState::Done);
                 if let Some(p) = producer {
                     pending += 1;
-                    let ps = self.slot(p);
-                    self.consumers[ps].push((seq, uid));
+                    let ps = self.ring_index(p);
+                    self.rob[ps].consumers.push((seq, uid));
                 }
             }
             for r in uop.dsts().iter() {
@@ -842,7 +967,8 @@ impl Core {
 
             let taken_control = rec.branch.is_some_and(|b| b.followed_taken);
             let was_halt = rec.halt;
-            self.rob.push_back(RobEntry {
+            debug_assert!(self.rob[slot].entry.is_none());
+            self.rob[slot].entry = Some(RobEntry {
                 seq,
                 uid,
                 uop,
@@ -1196,7 +1322,10 @@ mod tests {
         for c in 0.. {
             let resps = mem.tick(c);
             core.tick(&resps, &mut mem, &mut NullHooks);
-            if core.rob.len() >= 2 && core.rob[1].pending == 1 && !core.ready.is_empty() {
+            if core.rob_len() >= 2
+                && core.entry(core.rob_head + 1).pending == 1
+                && !core.ready.is_empty()
+            {
                 break;
             }
             assert!(c < 1000, "the program never reached the ROB");
@@ -1205,16 +1334,113 @@ mod tests {
         let ready = core.ready.pop().expect("checked non-empty");
         assert!(core.check_invariants().is_err(), "a dropped ready entry");
         core.ready.push(ready);
-        core.rob[1].pending = 0;
+        core.entry_mut(core.rob_head + 1).pending = 0;
         assert!(core.check_invariants().is_err(), "a lost pending producer");
-        core.rob[1].pending = 1;
+        core.entry_mut(core.rob_head + 1).pending = 1;
         assert_eq!(core.check_invariants(), Ok(()));
     }
 
+    #[test]
+    fn machine_check_catches_a_misplaced_wheel_entry_and_a_bad_ring_head() {
+        let mut b = ProgramBuilder::new();
+        b.mov_imm(reg::R0, 5);
+        b.mul(reg::R1, reg::R0, 3i64);
+        b.mul(reg::R2, reg::R1, 7i64);
+        b.halt();
+        let mut core = Core::new(
+            CoreConfig::default(),
+            b.build().unwrap(),
+            Machine::new(MemoryImage::new().into_memory()),
+            Box::new(Bimodal::new(12)),
+        );
+        let mut mem = MemorySystem::new(MemoryConfig::default());
+        // Tick until a completion is on the wheel.
+        for c in 0.. {
+            let resps = mem.tick(c);
+            core.tick(&resps, &mut mem, &mut NullHooks);
+            if core.completions.iter().next().is_some() {
+                break;
+            }
+            assert!(c < 1000, "nothing ever issued");
+        }
+        assert_eq!(core.check_invariants(), Ok(()));
+        let w = &mut core.completions;
+        let b = w
+            .buckets
+            .iter()
+            .position(|b| !b.is_empty())
+            .expect("an entry");
+        let entry = w.buckets[b].pop().expect("checked non-empty");
+        let wrong = (b + 1) & w.mask as usize;
+        w.buckets[wrong].push(entry);
+        let err = core.check_invariants().unwrap_err();
+        assert!(err.contains("wheel bucket"), "{err}");
+        let w = &mut core.completions;
+        w.buckets[wrong].pop();
+        let span = w.mask + 1;
+        w.buckets[b].push((entry.0 + span, entry.1, entry.2));
+        let err = core.check_invariants().unwrap_err();
+        assert!(err.contains("span"), "{err}");
+        core.completions.buckets[b].pop();
+        let err = core.check_invariants().unwrap_err();
+        assert!(
+            err.contains("live wheel entries"),
+            "a lost completion: {err}"
+        );
+        core.completions.buckets[b].push(entry);
+        assert_eq!(core.check_invariants(), Ok(()));
+        core.rob_head += 1;
+        assert!(core.check_invariants().is_err(), "a head past an entry");
+        core.rob_head -= 1;
+        assert_eq!(core.check_invariants(), Ok(()));
+    }
+
+    #[test]
+    fn completion_wheel_drains_in_the_heap_order() {
+        // Random pushes at the core's latencies (1, 2 for a forward, 3,
+        // and a 20-cycle divide) with many same-cycle ties, drained one
+        // cycle at a time, against a min-heap of `(done_at, seq, uid)`.
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let mut wheel = CompletionWheel::new(u64::from(AluOp::Div.latency()));
+        let mut heap = BinaryHeap::new();
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let (mut drained, mut ties) = (0, 0);
+        for now in 0..20_000u64 {
+            let due = wheel.take_due(now);
+            let mut want = Vec::new();
+            while heap.peek().is_some_and(|&Reverse((at, _, _))| at <= now) {
+                want.push(heap.pop().expect("peeked").0);
+            }
+            assert_eq!(due, want, "cycle {now}");
+            drained += due.len();
+            ties += due.len().saturating_sub(1);
+            wheel.recycle(now, due);
+            for _ in 0..next(5) {
+                let latency = [1, 2, 3, 20][next(4) as usize];
+                let (seq, uid) = (next(16), next(4));
+                wheel.push(now, now + latency, seq, uid);
+                heap.push(Reverse((now + latency, seq, uid)));
+            }
+            assert_eq!(wheel.check(now + 1), Ok(()));
+        }
+        assert!(
+            drained > 30_000 && ties > 10_000,
+            "{drained} drained, {ties} ties"
+        );
+    }
+
     /// The old forwarding search: a backward walk of the ROB from the load.
-    fn forwarding_by_rob_walk(core: &Core, load: usize) -> Option<bool> {
-        let m = core.rob[load].rec.mem.expect("a load");
-        core.rob.range(..load).rev().find_map(|s| {
+    fn forwarding_by_rob_walk(core: &Core, load: u64) -> Option<bool> {
+        let m = core.entry(load).rec.mem.expect("a load");
+        (core.rob_head..load).rev().find_map(|s| {
+            let s = core.entry(s);
             let sm = s.rec.mem.filter(|sm| sm.is_store)?;
             let overlap = sm.addr < m.addr + m.width.bytes() && m.addr < sm.addr + sm.width.bytes();
             overlap.then_some(s.state == ExecState::Done)
@@ -1266,13 +1492,13 @@ mod tests {
         let mut hooks = SquashedStores::default();
         let (mut checked, mut matched) = (0u64, 0u64);
         let core = run_checked(b.build().unwrap(), img, &mut hooks, |core| {
-            for i in 0..core.rob.len() {
-                let e = &core.rob[i];
+            for seq in core.rob_seqs() {
+                let e = core.entry(seq);
                 if e.state != ExecState::Waiting || !e.uop.is_load() {
                     continue;
                 }
-                let (seq, m) = (e.seq, e.rec.mem.expect("a load"));
-                let want = forwarding_by_rob_walk(core, i);
+                let m = e.rec.mem.expect("a load");
+                let want = forwarding_by_rob_walk(core, seq);
                 let got = core.forwarding_store(seq, m.addr, m.addr + m.width.bytes());
                 assert_eq!(got, want, "load seq {seq}");
                 checked += 1;
@@ -1314,7 +1540,7 @@ mod tests {
                     seen = true;
                     let p = core.last_writer[reg::R1.index()].expect("restored writer");
                     assert_eq!(p, producer, "seqs match pcs before the first squash");
-                    assert_eq!(core.idx_of(p), None, "the producer has retired");
+                    assert!(!core.in_rob(p), "the producer has retired");
                 }
             },
         );
