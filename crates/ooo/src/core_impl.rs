@@ -178,7 +178,8 @@ pub struct Core {
     predictor: Box<dyn ConditionalPredictor>,
     /// The ROB: a ring of `rob_entries.next_power_of_two()` slots holding
     /// seqs `rob_head..next_seq`, the entry with seq `s` in slot
-    /// `s & rob_mask`.
+    /// `s & rob_mask`. Fetch appends each slot the first time it reaches
+    /// it, so building a core touches none of the ring's memory.
     rob: Vec<RobSlot>,
     rob_mask: u64,
     /// The oldest entry's seq (`next_seq` when the ROB is empty).
@@ -249,9 +250,7 @@ impl Core {
             program,
             machine,
             predictor,
-            rob: std::iter::repeat_with(RobSlot::default)
-                .take(ring)
-                .collect(),
+            rob: Vec::with_capacity(ring),
             rob_mask: ring as u64 - 1,
             rob_head: 0,
             rs_used: 0,
@@ -334,7 +333,8 @@ impl Core {
             return Err(format!("core: ROB ring head {head}, tail {tail}"));
         }
         for seq in self.rob_seqs() {
-            let held = self.rob[self.ring_index(seq)].entry.as_ref().map(|e| e.seq);
+            let slot = self.rob.get(self.ring_index(seq));
+            let held = slot.and_then(|s| s.entry.as_ref()).map(|e| e.seq);
             if held != Some(seq) {
                 return Err(format!("core: ring slot of seq {seq} holds {held:?}"));
             }
@@ -645,7 +645,8 @@ impl Core {
     ) -> usize {
         let mut retired = 0;
         while retired < self.cfg.retire_width && self.rob_head < self.next_seq {
-            let head = &mut self.rob[(self.rob_head & self.rob_mask) as usize].entry;
+            let i = self.ring_index(self.rob_head);
+            let head = &mut self.rob[i].entry;
             if head
                 .as_ref()
                 .is_some_and(|e| e.state != ExecState::Done || e.completed_at >= now)
@@ -940,6 +941,9 @@ impl Core {
             let uid = self.next_uid;
             self.next_uid += 1;
             let slot = self.ring_index(seq);
+            if slot == self.rob.len() {
+                self.rob.push(RobSlot::default());
+            }
             self.rob[slot].consumers.clear();
             let mut pending = 0;
             for r in uop.srcs().iter() {
