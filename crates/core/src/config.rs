@@ -1,5 +1,7 @@
 //! Branch Runahead configurations (paper Table 2).
 
+use crate::extract::LOCAL_REGS;
+
 /// Chain initiation policy (§4.1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum InitiationMode {
@@ -38,14 +40,6 @@ pub struct BranchRunaheadConfig {
     pub ceb_entries: usize,
     /// Maximum dependence-chain length in uops (§1: < 16).
     pub max_chain_len: usize,
-    /// Local registers per chain register file.
-    pub local_regs: usize,
-    /// Wrong Path Buffer entries.
-    pub wpb_entries: usize,
-    /// Wrong Path Buffer associativity.
-    pub(crate) wpb_ways: usize,
-    /// Maximum merge-point distance in uops (§4.4: 100 in experiments).
-    pub(crate) max_merge_distance: usize,
     /// Chain initiation policy.
     pub initiation: InitiationMode,
     /// Schedule chain uops in order instead of out of order (§4.2 reports
@@ -72,10 +66,6 @@ impl BranchRunaheadConfig {
             hbt_entries: 64,
             ceb_entries: 512,
             max_chain_len: 16,
-            local_regs: 8,
-            wpb_entries: 128,
-            wpb_ways: 4,
-            max_merge_distance: 100,
             initiation: InitiationMode::Predictive,
             dce_in_order: false,
             enable_affector_guards: true,
@@ -117,7 +107,7 @@ impl BranchRunaheadConfig {
     #[must_use]
     pub fn storage_kib(&self) -> f64 {
         let chain_cache = self.chain_cache_entries * self.max_chain_len * 4; // 4B/uop
-        let window = self.window_instances * (self.local_regs * 8 + 16); // RF + RS tags
+        let window = self.window_instances * (LOCAL_REGS * 8 + 16); // RF + RS tags
         let queues = self.num_queues * self.queue_entries / 8; // ~1 bit/entry + ctl
         let hbt = self.hbt_entries * 16;
         let ceb = self.ceb_entries * 4;
@@ -128,29 +118,18 @@ impl BranchRunaheadConfig {
     ///
     /// # Errors
     ///
-    /// Names the first zero-sized structure, a chain length cap outside
-    /// `1..=128`, a local register count outside `2..=32`, or a WPB whose
-    /// entries do not divide into a power-of-two number of sets of its
-    /// ways (the geometry `WrongPathBuffer::new` asserts).
+    /// Names the first zero-sized structure or a chain length cap
+    /// outside `1..=128`.
     pub fn validate(&self) -> Result<(), String> {
         let ensure = |ok: bool, what: &str| if ok { Ok(()) } else { Err(what.to_string()) };
         let chain_len_ok = (1..=128).contains(&self.max_chain_len);
-        let regs_ok = (2..=32).contains(&self.local_regs);
-        let wpb_ok = self.wpb_ways > 0
-            && self.wpb_entries.is_multiple_of(self.wpb_ways)
-            && (self.wpb_entries / self.wpb_ways).is_power_of_two();
         ensure(self.chain_cache_entries > 0, "chain cache must be nonzero")?;
         ensure(self.window_instances > 0, "window must be nonzero")?;
         ensure(self.num_queues > 0, "queues must be nonzero")?;
         ensure(self.queue_entries > 0, "queues must be nonzero")?;
         ensure(self.hbt_entries > 0, "HBT must be nonzero")?;
         ensure(self.ceb_entries > 0, "CEB must be nonzero")?;
-        ensure(chain_len_ok, "chain length cap out of range")?;
-        ensure(regs_ok, "local registers out of range")?;
-        ensure(
-            wpb_ok,
-            "WPB entries must divide into a power-of-two number of sets of its ways",
-        )
+        ensure(chain_len_ok, "chain length cap out of range")
     }
 }
 
@@ -182,21 +161,6 @@ mod tests {
         assert!(co < mini && mini < big);
         assert!(co < 12.0, "core-only should be ~9KB class: {co}");
         assert!((10.0..30.0).contains(&mini), "mini ~17KB class: {mini}");
-    }
-
-    #[test]
-    fn wpb_geometry_validated_as_its_constructor_asserts() {
-        for (entries, ways) in [(128, 0), (0, 4), (12, 4)] {
-            let cfg = BranchRunaheadConfig {
-                wpb_entries: entries,
-                wpb_ways: ways,
-                ..BranchRunaheadConfig::mini()
-            };
-            assert!(
-                cfg.validate().unwrap_err().contains("WPB"),
-                "{entries}/{ways}"
-            );
-        }
     }
 
     #[test]

@@ -1226,7 +1226,10 @@ impl DependenceChainEngine {
         } else {
             free_issue_slots
         };
-        let mut load_budget = free_load_ports;
+        // A load needs a free port and a free DCE MSHR; the walk ends once
+        // this budget and the ALUs' are both spent.
+        let mshrs_free = self.cfg.dce_mshrs.saturating_sub(self.pending_mem.len());
+        let mut load_budget = free_load_ports.min(mshrs_free);
         let mut k = 0;
         while k < self.ready.len() && (alu_budget > 0 || load_budget > 0) {
             let h = self.ready[k];
@@ -1245,7 +1248,7 @@ impl DependenceChainEngine {
                 }
                 let op = inst.chain.ops[op_idx];
                 if op.is_load() {
-                    if load_budget == 0 || self.pending_mem.len() >= self.cfg.dce_mshrs {
+                    if load_budget == 0 {
                         continue;
                     }
                     let ChainOp::Load { scale, disp, .. } = op else {

@@ -49,12 +49,16 @@ pub enum ExtractOutcome {
     TargetMissing = 6,
 }
 
+/// Local registers per chain register file (Table 2: 8 in every
+/// configuration): the most values a chain may hold live at once.
+pub(crate) const LOCAL_REGS: usize = 8;
+
 /// Limits applied during extraction.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct ExtractLimits {
     /// Maximum executable chain ops after elimination.
     pub(crate) max_chain_len: usize,
-    /// Local register file size.
+    /// Local register file size ([`LOCAL_REGS`] outside tests).
     pub(crate) local_regs: usize,
 }
 

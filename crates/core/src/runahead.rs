@@ -6,6 +6,8 @@
 //! predictor at fetch, and the DCE runs asynchronously, synchronized by
 //! mispredictions.
 
+use std::collections::VecDeque;
+
 use br_isa::{CpuState, Machine, Pc};
 use br_mem::{MemResp, MemorySystem};
 use br_ooo::{
@@ -18,24 +20,24 @@ use crate::ceb::{CebRecord, ChainExtractionBuffer};
 use crate::chain_cache::DependenceChainCache;
 use crate::config::BranchRunaheadConfig;
 use crate::dce::DependenceChainEngine;
-use crate::extract::{extract_chain_with, ExtractLimits, ExtractScratch};
+use crate::extract::{extract_chain_with, ExtractLimits, ExtractScratch, LOCAL_REGS};
 use crate::hbt::HardBranchTable;
 use crate::pqueue::{FetchVerdict, PredictionQueues, QueueCheckpoint};
 use crate::stats::{BrStats, PredictionCategory};
-use crate::wpb::WrongPathBuffer;
+use crate::wpb::{WrongPathBuffer, MAX_MERGE_DISTANCE};
 
-#[derive(Clone, Copy, Debug)]
-enum Consumed {
-    Used { slot: u64, value: bool },
-    Late { slot: u64 },
-    Throttled { slot: u64 },
-    Inactive,
-}
-
-#[derive(Clone, Copy, Debug)]
-struct Consumption {
-    pc: Pc,
-    kind: Consumed,
+/// A fetched conditional branch that has neither retired nor been
+/// squashed.
+#[derive(Debug)]
+struct InFlight {
+    /// Fetch sequence number.
+    seq: u64,
+    /// The prediction queues' fetch pointers just after its fetch, which
+    /// a misprediction of this branch restores.
+    checkpoint: QueueCheckpoint,
+    /// What its fetch consumed from its prediction queue, if the chain
+    /// cache covered it then.
+    consumed: Option<FetchVerdict>,
 }
 
 /// Diagnostic validation of merge-point predictions (the §4.4 "92%
@@ -80,14 +82,14 @@ pub struct BranchRunahead {
     dce: DependenceChainEngine,
     stats: BrStats,
 
-    pending_consumption: Option<Consumption>,
-    /// In-flight bookkeeping keyed by fetch sequence number. Every squash
-    /// funnels through [`CoreHooks::on_mispredict`] before sequence
-    /// numbers are recycled, so the live key sets stay strictly
-    /// increasing — sorted Vecs with binary search replace hash maps on
-    /// the per-fetched-branch path.
-    consumptions: Vec<(u64, Consumption)>,
-    checkpoints: Vec<(u64, QueueCheckpoint)>,
+    /// The verdict `override_prediction` got for the branch being
+    /// fetched, with its PC, until `on_branch_fetch` records it.
+    pending_consumption: Option<(Pc, FetchVerdict)>,
+    /// In-flight branches in fetch order. Branches retire oldest first
+    /// and every squash funnels through [`CoreHooks::on_mispredict`]
+    /// before sequence numbers are recycled, so retirement pops the
+    /// front and a misprediction truncates the back.
+    in_flight: VecDeque<InFlight>,
     /// Recycled checkpoint buffers: `on_branch_fetch` runs once per
     /// fetched branch, so pooling removes a per-branch allocation.
     checkpoint_pool: Vec<QueueCheckpoint>,
@@ -123,15 +125,14 @@ impl BranchRunahead {
             retire_width,
             hbt: HardBranchTable::new(cfg.hbt_entries),
             ceb: ChainExtractionBuffer::new(cfg.ceb_entries),
-            wpb: WrongPathBuffer::new(cfg.wpb_entries, cfg.wpb_ways, cfg.max_merge_distance),
+            wpb: WrongPathBuffer::new(),
             poison: None,
             cache: DependenceChainCache::new(cfg.chain_cache_entries),
             queues: PredictionQueues::new(cfg.num_queues, cfg.queue_entries),
             dce: DependenceChainEngine::new(cfg),
             stats: BrStats::default(),
             pending_consumption: None,
-            consumptions: Vec::new(),
-            checkpoints: Vec::new(),
+            in_flight: VecDeque::new(),
             checkpoint_pool: Vec::new(),
             validations: Vec::new(),
             finished_scans: Vec::new(),
@@ -296,7 +297,7 @@ impl BranchRunahead {
         ag.retain(|p| !self.hbt.is_biased(*p));
         let limits = ExtractLimits {
             max_chain_len: self.cfg.max_chain_len,
-            local_regs: self.cfg.local_regs,
+            local_regs: LOCAL_REGS,
         };
         match extract_chain_with(&mut self.extract_scratch, &self.ceb, pc, &ag, &limits) {
             Ok(chain) => {
@@ -384,7 +385,7 @@ impl BranchRunahead {
                         v.static_pc = Some(b.target);
                     }
                     if v.tracking.is_none() && v.seen[usize::from(dir)].is_none() {
-                        v.tracking = Some((dir, self.cfg.max_merge_distance, false, false));
+                        v.tracking = Some((dir, MAX_MERGE_DISTANCE, false, false));
                     }
                 }
             }
@@ -398,26 +399,27 @@ impl CoreHooks for BranchRunahead {
             self.pending_consumption = None;
             return None;
         }
-        let (kind, result) = match self.queues.consume_at_fetch(pc) {
-            FetchVerdict::Use { slot, value } => (Consumed::Used { slot, value }, Some(value)),
-            FetchVerdict::Throttled { slot, .. } => (Consumed::Throttled { slot }, None),
-            FetchVerdict::Late { slot } => (Consumed::Late { slot }, None),
-            FetchVerdict::Inactive | FetchVerdict::NoQueue => (Consumed::Inactive, None),
-        };
-        self.pending_consumption = Some(Consumption { pc, kind });
-        result
+        let verdict = self.queues.consume_at_fetch(pc);
+        self.pending_consumption = Some((pc, verdict));
+        match verdict {
+            FetchVerdict::Use { value, .. } => Some(value),
+            _ => None,
+        }
     }
 
     fn on_branch_fetch(&mut self, b: &FetchedBranch) {
-        if let Some(c) = self.pending_consumption.take() {
-            debug_assert_eq!(c.pc, b.pc, "consumption/fetch pairing broke");
-            debug_assert!(self.consumptions.last().is_none_or(|(s, _)| *s < b.seq));
-            self.consumptions.push((b.seq, c));
-        }
-        let mut cp = self.checkpoint_pool.pop().unwrap_or_default();
-        self.queues.checkpoint_into(&mut cp);
-        debug_assert!(self.checkpoints.last().is_none_or(|(s, _)| *s < b.seq));
-        self.checkpoints.push((b.seq, cp));
+        let consumed = self.pending_consumption.take().map(|(pc, verdict)| {
+            debug_assert_eq!(pc, b.pc, "consumption/fetch pairing broke");
+            verdict
+        });
+        let mut checkpoint = self.checkpoint_pool.pop().unwrap_or_default();
+        self.queues.checkpoint_into(&mut checkpoint);
+        debug_assert!(self.in_flight.back().is_none_or(|f| f.seq < b.seq));
+        self.in_flight.push_back(InFlight {
+            seq: b.seq,
+            checkpoint,
+            consumed,
+        });
     }
 
     fn on_mispredict(
@@ -426,16 +428,16 @@ impl CoreHooks for BranchRunahead {
         wrong_path: &[WrongPathUop],
         cpu: &CpuState,
     ) {
-        // Rewind prediction-queue fetch pointers to this branch.
-        if let Ok(i) = self.checkpoints.binary_search_by_key(&info.seq, |e| e.0) {
-            self.queues.restore(&self.checkpoints[i].1);
+        // Rewind prediction-queue fetch pointers to this branch, and drop
+        // the younger branches it squashed.
+        let keep = self.in_flight.partition_point(|f| f.seq <= info.seq);
+        if let Some(f) = keep.checked_sub(1).map(|i| &self.in_flight[i]) {
+            if f.seq == info.seq {
+                self.queues.restore(&f.checkpoint);
+            }
         }
-        // Squash bookkeeping for younger branches (keys sorted: truncate).
-        let keep = self.consumptions.partition_point(|e| e.0 <= info.seq);
-        self.consumptions.truncate(keep);
-        let keep = self.checkpoints.partition_point(|e| e.0 <= info.seq);
         self.checkpoint_pool
-            .extend(self.checkpoints.drain(keep..).map(|(_, cp)| cp));
+            .extend(self.in_flight.drain(keep..).map(|f| f.checkpoint));
 
         // Merge-point prediction: capture the wrong path.
         self.wpb
@@ -519,7 +521,7 @@ impl CoreHooks for BranchRunahead {
                 }
             }
             // Begin affector detection from the merge point.
-            self.poison = Some(PoisonDetector::new(&ev, self.cfg.max_merge_distance));
+            self.poison = Some(PoisonDetector::new(&ev, MAX_MERGE_DISTANCE));
             // Register for diagnostic validation (bounded).
             if self.validations.len() < 64
                 && !self.validations.iter().any(|(p, _)| *p == ev.branch_pc)
@@ -556,43 +558,44 @@ impl CoreHooks for BranchRunahead {
 
     fn on_branch_retire(&mut self, b: &BranchOutcome) {
         let churn = self.hbt.churn();
-        if let Ok(i) = self.checkpoints.binary_search_by_key(&b.seq, |e| e.0) {
-            self.checkpoint_pool.push(self.checkpoints.remove(i).1);
-        }
+        let consumed = self
+            .in_flight
+            .pop_front_if(|f| f.seq == b.seq)
+            .and_then(|f| {
+                self.checkpoint_pool.push(f.checkpoint);
+                f.consumed
+            });
         self.dce.train_init_counter(b.pc, b.taken);
 
         // Prediction-queue retirement + Figure 12 accounting.
-        let covered = self.cache.covers_branch(b.pc);
-        let consumed = self
-            .consumptions
-            .binary_search_by_key(&b.seq, |e| e.0)
-            .ok()
-            .map(|i| self.consumptions.remove(i).1);
-        if let Some(c) = consumed {
-            let tage_correct = b.base_prediction == b.taken;
-            match c.kind {
-                Consumed::Used { slot, value } => {
-                    self.queues.retire(b.pc, slot, b.taken, tage_correct);
-                    self.stats.count_category(if value == b.taken {
-                        PredictionCategory::Correct
-                    } else {
-                        PredictionCategory::Incorrect
-                    });
-                }
-                Consumed::Late { slot } => {
-                    self.queues.retire(b.pc, slot, b.taken, tage_correct);
-                    self.stats.count_category(PredictionCategory::Late);
-                }
-                Consumed::Throttled { slot } => {
-                    self.queues.retire(b.pc, slot, b.taken, tage_correct);
-                    self.stats.count_category(PredictionCategory::Throttled);
-                }
-                Consumed::Inactive => {
-                    self.stats.count_category(PredictionCategory::Inactive);
-                }
+        let tage_correct = b.base_prediction == b.taken;
+        let category = match consumed {
+            Some(FetchVerdict::Use { slot, value }) => {
+                self.queues.retire(b.pc, slot, b.taken, tage_correct);
+                Some(if value == b.taken {
+                    PredictionCategory::Correct
+                } else {
+                    PredictionCategory::Incorrect
+                })
             }
-        } else if covered {
-            self.stats.count_category(PredictionCategory::Inactive);
+            Some(FetchVerdict::Late { slot }) => {
+                self.queues.retire(b.pc, slot, b.taken, tage_correct);
+                Some(PredictionCategory::Late)
+            }
+            Some(FetchVerdict::Throttled { slot, .. }) => {
+                self.queues.retire(b.pc, slot, b.taken, tage_correct);
+                Some(PredictionCategory::Throttled)
+            }
+            Some(FetchVerdict::Inactive | FetchVerdict::NoQueue) => {
+                Some(PredictionCategory::Inactive)
+            }
+            None => self
+                .cache
+                .covers_branch(b.pc)
+                .then_some(PredictionCategory::Inactive),
+        };
+        if let Some(c) = category {
+            self.stats.count_category(c);
         }
 
         // HBT update; saturation or AG changes trigger chain extraction.

@@ -12,6 +12,19 @@
 use br_isa::{Pc, RegSet};
 use br_ooo::{RetiredUop, WrongPathUop};
 
+/// Wrong Path Buffer entries (§4.4: 128).
+const WPB_ENTRIES: usize = 128;
+/// Wrong Path Buffer associativity (§4.4: 4 ways).
+const WPB_WAYS: usize = 4;
+/// WPB sets: a power of two, so the low PC bits pick the set.
+const WPB_SETS: usize = WPB_ENTRIES / WPB_WAYS;
+const _: () = assert!(WPB_SETS.is_power_of_two() && WPB_SETS * WPB_WAYS == WPB_ENTRIES);
+
+/// Maximum merge-point distance in uops (§4.4: 100 in experiments). It
+/// bounds the wrong-path walk, the correct-path search, affector
+/// detection and the merge-point validation scan alike.
+pub(crate) const MAX_MERGE_DISTANCE: usize = 100;
+
 /// Bloom-filter word tracking memory destinations (the paper uses a bloom
 /// filter for store addresses on the wrong path).
 pub(crate) type MemBloom = u64;
@@ -66,11 +79,8 @@ pub(crate) struct MergeEvent {
 /// The Wrong Path Buffer and its correct-path comparison state machine.
 #[derive(Clone, Debug)]
 pub(crate) struct WrongPathBuffer {
-    sets: usize,
-    ways: usize,
     table: Vec<WpbWay>,
     tick: u64,
-    max_distance: usize,
 
     // Active comparison state.
     active: bool,
@@ -94,22 +104,13 @@ pub(crate) struct WrongPathBuffer {
 }
 
 impl WrongPathBuffer {
-    /// Creates a WPB with `entries` total entries and `ways` associativity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry is invalid (sets must be a power of two).
+    /// Creates an empty WPB of [`WPB_ENTRIES`] entries in [`WPB_WAYS`]
+    /// ways.
     #[must_use]
-    pub(crate) fn new(entries: usize, ways: usize, max_distance: usize) -> Self {
-        assert!(ways > 0 && entries.is_multiple_of(ways), "bad WPB geometry");
-        let sets = entries / ways;
-        assert!(sets.is_power_of_two(), "WPB sets must be a power of two");
+    pub(crate) fn new() -> Self {
         WrongPathBuffer {
-            sets,
-            ways,
-            table: vec![WpbWay::default(); entries],
+            table: vec![WpbWay::default(); WPB_ENTRIES],
             tick: 0,
-            max_distance,
             active: false,
             branch_pc: 0,
             branch_seq: 0,
@@ -127,13 +128,13 @@ impl WrongPathBuffer {
     }
 
     fn set_of(&self, pc: Pc) -> usize {
-        (pc as usize) & (self.sets - 1)
+        (pc as usize) & (WPB_SETS - 1)
     }
 
     fn insert(&mut self, pc: Pc, dest: RegSet, bloom: MemBloom, pos: usize) {
         self.tick += 1;
         let s = self.set_of(pc);
-        let ways = &mut self.table[s * self.ways..(s + 1) * self.ways];
+        let ways = &mut self.table[s * WPB_WAYS..(s + 1) * WPB_WAYS];
         // Prefer an existing entry for this pc (keep the OLDEST dest set:
         // the first occurrence is closest to the branch).
         if ways.iter().any(|w| w.valid && w.pc == pc) {
@@ -155,7 +156,7 @@ impl WrongPathBuffer {
 
     fn probe(&self, pc: Pc) -> Option<(RegSet, MemBloom, usize)> {
         let s = self.set_of(pc);
-        self.table[s * self.ways..(s + 1) * self.ways]
+        self.table[s * WPB_WAYS..(s + 1) * WPB_WAYS]
             .iter()
             .find(|w| w.valid && w.pc == pc)
             .map(|w| (w.dest, w.bloom, w.pos))
@@ -200,7 +201,7 @@ impl WrongPathBuffer {
             if u.pc == branch_pc {
                 break; // second dynamic instance: we are in a loop
             }
-            if copied >= self.max_distance {
+            if copied >= MAX_MERGE_DISTANCE {
                 break;
             }
             dest = dest.union(u.dsts);
@@ -234,7 +235,7 @@ impl WrongPathBuffer {
             self.invalidate();
             return None;
         }
-        if self.distance >= self.max_distance {
+        if self.distance >= MAX_MERGE_DISTANCE {
             self.searches_failed += 1;
             self.invalidate();
             return None;
@@ -334,7 +335,7 @@ mod tests {
     #[test]
     fn finds_hammock_merge_point() {
         // if (b) { pc 10,11 } else { pc 20,21 } ; merge at 30.
-        let mut wpb = WrongPathBuffer::new(128, 4, 100);
+        let mut wpb = WrongPathBuffer::new();
         wpb.arm(
             5,
             0,
@@ -368,7 +369,7 @@ mod tests {
 
     #[test]
     fn loop_branch_terminates_walk_at_second_instance() {
-        let mut wpb = WrongPathBuffer::new(128, 4, 100);
+        let mut wpb = WrongPathBuffer::new();
         // Wrong path re-encounters the branch (pc 5): stop copying there.
         wpb.arm(
             5,
@@ -384,7 +385,7 @@ mod tests {
 
     #[test]
     fn gives_up_at_second_correct_instance() {
-        let mut wpb = WrongPathBuffer::new(128, 4, 100);
+        let mut wpb = WrongPathBuffer::new();
         wpb.arm(5, 0, &[wp(10, None)], 0, 4);
         assert!(wpb.on_correct_retire(&retired(20, None, 10)).is_none());
         assert!(wpb.on_correct_retire(&retired(5, None, 10)).is_none());
@@ -394,18 +395,20 @@ mod tests {
 
     #[test]
     fn distance_bound_enforced() {
-        let mut wpb = WrongPathBuffer::new(128, 4, 3);
-        wpb.arm(5, 0, &[wp(99, None)], 0, 4);
-        for pc in 10..13 {
+        let mut wpb = WrongPathBuffer::new();
+        wpb.arm(5, 0, &[wp(9, None)], 0, 4);
+        let end = 10 + MAX_MERGE_DISTANCE as u64;
+        for pc in 10..end {
             assert!(wpb.on_correct_retire(&retired(pc, None, 10)).is_none());
         }
-        assert!(wpb.on_correct_retire(&retired(13, None, 10)).is_none());
+        assert!(wpb.active, "searching up to the bound");
+        assert!(wpb.on_correct_retire(&retired(end, None, 10)).is_none());
         assert!(!wpb.active);
     }
 
     #[test]
     fn rob_walk_races_the_retire_stream() {
-        let mut wpb = WrongPathBuffer::new(128, 4, 100);
+        let mut wpb = WrongPathBuffer::new();
         // 12 wrong-path uops; the walk copies 4 per cycle from the flush.
         let wrong: Vec<WrongPathUop> = (10..22).map(|p| wp(p, None)).collect();
         wpb.arm(5, 0, &wrong, 0, 4);
@@ -437,7 +440,7 @@ mod tests {
 
     #[test]
     fn guarded_branches_collected_from_both_paths() {
-        let mut wpb = WrongPathBuffer::new(128, 4, 100);
+        let mut wpb = WrongPathBuffer::new();
         let mut wrong = vec![wp(10, None)];
         wrong[0].branch = Some(true); // a branch on the wrong path
         wrong.push(wp(30, Some(reg::R5)));

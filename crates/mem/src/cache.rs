@@ -1,16 +1,14 @@
 //! Set-associative write-back cache tag store with LRU replacement.
 
-use crate::line_of;
+use crate::LINE_BYTES;
 
-/// Geometry and policy for a [`Cache`].
+/// Geometry of a [`Cache`]; every cache has [`LINE_BYTES`] lines.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,
     /// Associativity (ways per set).
     pub ways: usize,
-    /// Line size in bytes.
-    pub line_bytes: u64,
 }
 
 impl CacheConfig {
@@ -20,7 +18,6 @@ impl CacheConfig {
         CacheConfig {
             size_bytes: 32 * 1024,
             ways: 8,
-            line_bytes: 64,
         }
     }
 
@@ -33,7 +30,6 @@ impl CacheConfig {
         CacheConfig {
             size_bytes: 2 * 1024 * 1024,
             ways: 16,
-            line_bytes: 64,
         }
     }
 
@@ -41,24 +37,24 @@ impl CacheConfig {
     ///
     /// # Errors
     ///
-    /// Names a zero size, way count or line size, or a size that is not
-    /// a power-of-two number of whole sets.
+    /// Names a zero size or way count, or a size that is not a
+    /// power-of-two number of whole sets.
     pub fn validate(&self) -> Result<(), String> {
-        if self.size_bytes == 0 || self.ways == 0 || self.line_bytes == 0 {
+        if self.size_bytes == 0 || self.ways == 0 {
             return Err(format!(
-                "cache size, ways and line size must be nonzero, got {} B, {} ways, {} B lines",
-                self.size_bytes, self.ways, self.line_bytes
+                "cache size and ways must be nonzero, got {} B, {} ways",
+                self.size_bytes, self.ways
             ));
         }
-        let set_bytes = self.line_bytes.saturating_mul(self.ways as u64);
+        let set_bytes = LINE_BYTES.saturating_mul(self.ways as u64);
         let sets = self.size_bytes / set_bytes;
         if sets.is_power_of_two() && sets * set_bytes == self.size_bytes {
             Ok(())
         } else {
             Err(format!(
                 "cache size must be a power-of-two number of sets of ways x line size, \
-                 got {} B for {} ways of {} B lines",
-                self.size_bytes, self.ways, self.line_bytes
+                 got {} B for {} ways of {LINE_BYTES} B lines",
+                self.size_bytes, self.ways
             ))
         }
     }
@@ -72,7 +68,7 @@ impl CacheConfig {
     /// it).
     #[must_use]
     pub(crate) fn sets(&self) -> usize {
-        let lines = self.size_bytes / self.line_bytes;
+        let lines = self.size_bytes / LINE_BYTES;
         let sets = (lines / self.ways as u64) as usize;
         assert!(
             sets > 0 && sets.is_power_of_two(),
@@ -158,7 +154,7 @@ impl Cache {
     }
 
     fn set_and_tag(&self, addr: u64) -> (usize, u64) {
-        let line = addr / self.cfg.line_bytes;
+        let line = addr / LINE_BYTES;
         let set = (line as usize) & ((1 << self.sets_log2) - 1);
         (set, line >> self.sets_log2)
     }
@@ -212,7 +208,7 @@ impl Cache {
         self.tick += 1;
         self.stats.fills += 1;
         let (set, tag) = self.set_and_tag(addr);
-        let (sets_log2, line_bytes, tick) = (self.sets_log2, self.cfg.line_bytes, self.tick);
+        let (sets_log2, tick) = (self.sets_log2, self.tick);
         let set_ways = self.set_mut(set);
         // Already present (e.g. prefetch raced a demand fill): refresh.
         if let Some(w) = set_ways.iter_mut().find(|w| w.valid && w.tag == tag) {
@@ -231,7 +227,7 @@ impl Cache {
         let mut evicted_dirty = false;
         if victim.valid && victim.dirty {
             let line = (victim.tag << sets_log2) | set as u64;
-            writeback = Some(line * line_bytes);
+            writeback = Some(line * LINE_BYTES);
             evicted_dirty = true;
         }
         *victim = Way {
@@ -254,12 +250,6 @@ impl Cache {
     pub(crate) fn stats(&self) -> CacheStats {
         self.stats
     }
-
-    /// The line-aligned address containing `addr`.
-    #[must_use]
-    pub(crate) fn line_addr(&self, addr: u64) -> u64 {
-        line_of(addr) * self.cfg.line_bytes
-    }
 }
 
 #[cfg(test)]
@@ -271,7 +261,6 @@ mod tests {
         Cache::new(CacheConfig {
             size_bytes: 512,
             ways: 2,
-            line_bytes: 64,
         })
     }
 

@@ -6,6 +6,9 @@
 //! (row hits first, then oldest). Latencies are expressed in core cycles
 //! at the paper's 3.2 GHz.
 
+/// Data-bus occupancy per transfer in core cycles.
+const T_BUS: u64 = 4;
+
 /// Timing and geometry for `Dram`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DramConfig {
@@ -19,8 +22,6 @@ pub struct DramConfig {
     pub t_rcd: u64,
     /// Precharge latency (tRP) in core cycles.
     pub t_rp: u64,
-    /// Data-bus occupancy per transfer in core cycles.
-    pub(crate) t_bus: u64,
     /// Memory queue capacity (Table 1: 64).
     pub queue_capacity: usize,
 }
@@ -34,7 +35,6 @@ impl Default for DramConfig {
             t_cas: 45,
             t_rcd: 45,
             t_rp: 45,
-            t_bus: 4,
             queue_capacity: 64,
         }
     }
@@ -113,7 +113,7 @@ impl Dram {
             queue: Vec::new(),
             in_service: Vec::new(),
             bus_free_at: 0,
-            stats: cfg_stats(),
+            stats: DramStats::default(),
             cfg,
         }
     }
@@ -194,14 +194,13 @@ impl Dram {
             let data_at = now + access;
             // Serialize transfers on the shared data bus.
             let bus_start = self.bus_free_at.max(data_at);
-            self.bus_free_at = bus_start + self.cfg.t_bus;
+            self.bus_free_at = bus_start + T_BUS;
             bank.busy_until = data_at;
             if req.is_write {
                 self.stats.writes += 1;
             } else {
                 self.stats.reads += 1;
-                self.in_service
-                    .push((bus_start + self.cfg.t_bus, req.id, false));
+                self.in_service.push((bus_start + T_BUS, req.id, false));
             }
         }
 
@@ -226,10 +225,6 @@ impl Dram {
     pub(crate) fn outstanding(&self) -> usize {
         self.queue.len() + self.in_service.len()
     }
-}
-
-fn cfg_stats() -> DramStats {
-    DramStats::default()
 }
 
 #[cfg(test)]
@@ -304,7 +299,7 @@ mod tests {
         assert_eq!(finished.len(), 2);
         let spread = finished[1].1 - finished[0].1;
         assert!(
-            spread <= cfg.t_bus + 1,
+            spread <= T_BUS + 1,
             "bank-parallel requests should finish near-together, spread {spread}"
         );
     }

@@ -8,7 +8,7 @@
 //!
 //! * [`Cache`] — set-associative, write-back, LRU tag store,
 //! * `MshrFile` — miss-status holding registers with request merging,
-//! * `StreamPrefetcher` — 64 streams, configurable distance, prefetching
+//! * `StreamPrefetcher` — 64 streams, distance 16, prefetching
 //!   into the L2 (Table 1),
 //! * `Dram` — banked DDR4-style timing with open rows and FR-FCFS-like
 //!   scheduling,
@@ -59,11 +59,12 @@ pub use system::ReqId;
 pub use system::ReqSource;
 pub use system::RequestError;
 
-/// Cache line size in bytes used throughout the hierarchy (Table 1).
-pub(crate) const LINE_BYTES: u64 = 64;
+/// Cache line size in bytes of every cache in the hierarchy, the
+/// I-cache included (Table 1).
+pub const LINE_BYTES: u64 = 64;
 
-/// Converts a byte address to a line address.
+/// The line-aligned address containing `addr`.
 #[must_use]
-pub(crate) fn line_of(addr: u64) -> u64 {
-    addr / LINE_BYTES
+pub(crate) fn line_addr(addr: u64) -> u64 {
+    addr / LINE_BYTES * LINE_BYTES
 }

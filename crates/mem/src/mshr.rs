@@ -13,6 +13,9 @@ pub(crate) enum MshrOutcome {
     Full,
 }
 
+/// Core-side MSHR entries, shared by the core and the DCE.
+pub(crate) const MSHRS: usize = 32;
+
 /// A fixed-capacity MSHR file keyed by line address. Each entry carries the
 /// opaque request ids merged onto it. The file holds at most a handful of
 /// entries (the hardware MSHR count), so lookups are linear scans and the
@@ -20,24 +23,17 @@ pub(crate) enum MshrOutcome {
 /// reallocated per miss.
 #[derive(Clone, Debug)]
 pub(crate) struct MshrFile {
-    capacity: usize,
     entries: Vec<(u64, Vec<u64>)>,
     pool: Vec<Vec<u64>>,
 }
 
 impl MshrFile {
-    /// Creates an MSHR file with `capacity` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
+    /// Creates an MSHR file with [`MSHRS`] entries.
     #[must_use]
-    pub(crate) fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "MSHR capacity must be nonzero");
+    pub(crate) fn new() -> Self {
         MshrFile {
-            capacity,
-            entries: Vec::with_capacity(capacity),
-            pool: Vec::with_capacity(capacity),
+            entries: Vec::with_capacity(MSHRS),
+            pool: Vec::with_capacity(MSHRS),
         }
     }
 
@@ -47,7 +43,7 @@ impl MshrFile {
             ids.push(id);
             return MshrOutcome::Merged;
         }
-        if self.entries.len() >= self.capacity {
+        if self.entries.len() >= MSHRS {
             return MshrOutcome::Full;
         }
         let mut ids = self.pool.pop().unwrap_or_default();
@@ -82,32 +78,28 @@ mod tests {
 
     #[test]
     fn allocate_merge_complete() {
-        let mut m = MshrFile::new(2);
+        let mut m = MshrFile::new();
         assert_eq!(m.allocate(0x10, 1), MshrOutcome::Allocated);
         assert_eq!(m.allocate(0x10, 2), MshrOutcome::Merged);
-        assert_eq!(m.allocate(0x20, 3), MshrOutcome::Allocated);
-        assert_eq!(m.allocate(0x30, 4), MshrOutcome::Full);
+        for line in 1..MSHRS as u64 {
+            assert_eq!(m.allocate(0x100 + line, 2 + line), MshrOutcome::Allocated);
+        }
+        assert_eq!(m.allocate(0x30, 99), MshrOutcome::Full);
         let pending = |m: &MshrFile, line| m.entries.iter().any(|(l, _)| *l == line);
         assert!(pending(&m, 0x10));
         let mut ids = Vec::new();
         m.complete_into(0x10, &mut ids);
         assert_eq!(ids, vec![1, 2]);
         assert!(!pending(&m, 0x10));
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.allocate(0x30, 4), MshrOutcome::Allocated);
+        assert_eq!(m.len(), MSHRS - 1);
+        assert_eq!(m.allocate(0x30, 99), MshrOutcome::Allocated);
     }
 
     #[test]
     fn complete_unknown_line_is_empty() {
-        let mut m = MshrFile::new(1);
+        let mut m = MshrFile::new();
         let mut ids = vec![7];
         m.complete_into(0x99, &mut ids);
         assert!(ids.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "nonzero")]
-    fn zero_capacity_panics() {
-        let _ = MshrFile::new(0);
     }
 }

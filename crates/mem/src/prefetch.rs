@@ -3,29 +3,14 @@
 
 use crate::LINE_BYTES;
 
-/// Configuration for [`StreamPrefetcher`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct StreamPrefetcherConfig {
-    /// Maximum concurrently tracked streams.
-    pub(crate) streams: usize,
-    /// Prefetch distance in lines.
-    pub(crate) distance: u64,
-    /// Accesses within this many lines of a stream head extend the stream.
-    pub(crate) window: u64,
-    /// Misses needed to confirm a stream before prefetching starts.
-    pub(crate) train_threshold: u32,
-}
-
-impl Default for StreamPrefetcherConfig {
-    fn default() -> Self {
-        StreamPrefetcherConfig {
-            streams: 64,
-            distance: 16,
-            window: 4,
-            train_threshold: 2,
-        }
-    }
-}
+/// Maximum concurrently tracked streams.
+const STREAMS: usize = 64;
+/// Prefetch distance in lines.
+const DISTANCE: u64 = 16;
+/// Accesses within this many lines of a stream head extend the stream.
+const WINDOW: u64 = 4;
+/// Misses needed to confirm a stream before prefetching starts.
+const TRAIN_THRESHOLD: u32 = 2;
 
 #[derive(Clone, Copy, Debug)]
 struct Stream {
@@ -39,17 +24,15 @@ struct Stream {
 /// A classic unit-stride stream prefetcher trained on L1 misses.
 #[derive(Clone, Debug)]
 pub(crate) struct StreamPrefetcher {
-    cfg: StreamPrefetcherConfig,
     streams: Vec<Stream>,
     tick: u64,
 }
 
 impl StreamPrefetcher {
-    /// Builds a prefetcher from `cfg`.
+    /// Builds a prefetcher that tracks no stream yet.
     #[must_use]
-    pub(crate) fn new(cfg: StreamPrefetcherConfig) -> Self {
+    pub(crate) fn new() -> Self {
         StreamPrefetcher {
-            cfg,
             streams: Vec::new(),
             tick: 0,
         }
@@ -60,24 +43,22 @@ impl StreamPrefetcher {
     pub(crate) fn train(&mut self, addr: u64) -> Vec<u64> {
         self.tick += 1;
         let line = addr / LINE_BYTES;
-        let window = self.cfg.window;
         // Extend an existing stream?
         if let Some(s) = self.streams.iter_mut().find(|s| {
             let d = line as i64 - s.last_line as i64;
-            d != 0 && d.signum() == s.direction && d.unsigned_abs() <= window
+            d != 0 && d.signum() == s.direction && d.unsigned_abs() <= WINDOW
         }) {
             s.last_line = line;
             s.confidence += 1;
             s.lru = self.tick;
-            if s.confidence >= self.cfg.train_threshold {
+            if s.confidence >= TRAIN_THRESHOLD {
                 let mut out = Vec::new();
-                let target = line as i64 + s.direction * self.cfg.distance as i64;
+                let target = line as i64 + s.direction * DISTANCE as i64;
                 // Jump-start a newly confirmed stream so the prefetch head
                 // is ahead of the demand stream, not trailing it.
                 let behind = (s.next_prefetch as i64 - line as i64).signum() != s.direction;
                 if behind {
-                    s.next_prefetch =
-                        (line as i64 + s.direction * (self.cfg.distance as i64 - 2)) as u64;
+                    s.next_prefetch = (line as i64 + s.direction * (DISTANCE as i64 - 2)) as u64;
                 }
                 // Issue up to 2 prefetches per training event, walking the
                 // prefetch head toward (and not past) the target.
@@ -113,7 +94,7 @@ impl StreamPrefetcher {
             confidence: 0,
             lru: self.tick,
         };
-        if self.streams.len() < self.cfg.streams {
+        if self.streams.len() < STREAMS {
             self.streams.push(candidate);
         } else if let Some(victim) = self.streams.iter_mut().min_by_key(|s| s.lru) {
             *victim = candidate;
@@ -128,15 +109,15 @@ mod tests {
 
     #[test]
     fn sequential_misses_trigger_prefetches() {
-        let mut p = StreamPrefetcher::new(StreamPrefetcherConfig::default());
+        let mut p = StreamPrefetcher::new();
         let mut count = 0;
         for i in 0..20u64 {
             let demand = 0x10000 + i * LINE_BYTES;
             for pf in p.train(demand) {
                 // Every prefetch is ahead of the demand stream at issue
-                // time, by at most the configured distance.
+                // time, by at most `DISTANCE`.
                 assert!(pf > demand, "prefetch {pf:#x} behind demand {demand:#x}");
-                assert!(pf <= demand + 16 * LINE_BYTES);
+                assert!(pf <= demand + DISTANCE * LINE_BYTES);
                 count += 1;
             }
         }
@@ -145,7 +126,7 @@ mod tests {
 
     #[test]
     fn descending_stream_detected() {
-        let mut p = StreamPrefetcher::new(StreamPrefetcherConfig::default());
+        let mut p = StreamPrefetcher::new();
         let mut count = 0;
         for i in (0..20u64).rev() {
             let demand = 0x40000 + i * LINE_BYTES;
@@ -159,7 +140,7 @@ mod tests {
 
     #[test]
     fn random_misses_do_not_prefetch() {
-        let mut p = StreamPrefetcher::new(StreamPrefetcherConfig::default());
+        let mut p = StreamPrefetcher::new();
         let mut x: u64 = 42;
         let mut total = 0;
         for _ in 0..200 {
@@ -173,13 +154,10 @@ mod tests {
 
     #[test]
     fn stream_table_capacity_bounded() {
-        let mut p = StreamPrefetcher::new(StreamPrefetcherConfig {
-            streams: 4,
-            ..StreamPrefetcherConfig::default()
-        });
-        for i in 0..100u64 {
+        let mut p = StreamPrefetcher::new();
+        for i in 0..2 * STREAMS as u64 {
             let _ = p.train(i * 0x100000);
         }
-        assert!(p.streams.len() <= 4);
+        assert_eq!(p.streams.len(), STREAMS);
     }
 }

@@ -5,9 +5,10 @@ use std::collections::BinaryHeap;
 
 use crate::cache::{Cache, CacheConfig, CacheStats};
 use crate::dram::{Dram, DramConfig, DramResp, DramStats};
+use crate::line_addr;
 use crate::mshr::{MshrFile, MshrOutcome};
-use crate::prefetch::{StreamPrefetcher, StreamPrefetcherConfig};
-use crate::tlb::{Tlb, TlbConfig, TlbStats};
+use crate::prefetch::StreamPrefetcher;
+use crate::tlb::{Tlb, TlbStats};
 
 /// Identifies a memory request across its lifetime.
 pub type ReqId = u64;
@@ -62,31 +63,28 @@ pub struct MemoryConfig {
     pub l1_hit_latency: u64,
     /// L2 hit latency in cycles (total, from request).
     pub l2_hit_latency: u64,
-    /// Core-side MSHR entries.
-    pub(crate) mshrs: usize,
     /// DRAM timing.
     pub dram: DramConfig,
-    /// Stream prefetcher settings; `None` disables prefetching.
-    pub(crate) prefetcher: Option<StreamPrefetcherConfig>,
-    /// Data TLB (shared by core and DCE, §4.2).
-    pub(crate) tlb: TlbConfig,
 }
 
 impl MemoryConfig {
     /// Validates everything the memory system's constructors assert,
-    /// plus a DRAM queue that can accept a request.
+    /// plus an L2 no faster than the L1 and a DRAM queue that can accept
+    /// a request.
     ///
     /// # Errors
     ///
     /// Names the first cache whose geometry [`CacheConfig::validate`]
-    /// rejects, or the first other structure whose size would panic in
-    /// its constructor or deadlock the DRAM controller.
+    /// rejects, an L2 hit latency below the L1's, or a DRAM geometry that
+    /// would panic in its constructor or deadlock the DRAM controller.
     pub fn validate(&self) -> Result<(), String> {
         let ensure = |ok: bool, what: &str| if ok { Ok(()) } else { Err(what.to_string()) };
         self.l1.validate().map_err(|e| format!("L1: {e}"))?;
         self.l2.validate().map_err(|e| format!("L2: {e}"))?;
-        ensure(self.mshrs > 0, "MSHRs must be nonzero")?;
-        ensure(self.tlb.entries > 0, "TLB entries must be nonzero")?;
+        ensure(
+            self.l2_hit_latency >= self.l1_hit_latency,
+            "L2 hit latency must be at least the L1's",
+        )?;
         ensure(
             self.dram.banks.is_power_of_two(),
             "DRAM banks must be a power of two",
@@ -105,10 +103,7 @@ impl Default for MemoryConfig {
             l2: CacheConfig::l2(),
             l1_hit_latency: 3,
             l2_hit_latency: 18,
-            mshrs: 32,
             dram: DramConfig::default(),
-            prefetcher: Some(StreamPrefetcherConfig::default()),
-            tlb: TlbConfig::default(),
         }
     }
 }
@@ -167,7 +162,7 @@ pub struct MemorySystem {
     l2: Cache,
     tlb: Tlb,
     mshr: MshrFile,
-    prefetcher: Option<StreamPrefetcher>,
+    prefetcher: StreamPrefetcher,
     dram: Dram,
     events: BinaryHeap<Reverse<(u64, u64, PendingCell)>>,
     /// DRAM id → purpose.
@@ -216,9 +211,9 @@ impl MemorySystem {
         MemorySystem {
             l1: Cache::new(cfg.l1),
             l2: Cache::new(cfg.l2),
-            tlb: Tlb::new(cfg.tlb),
-            mshr: MshrFile::new(cfg.mshrs),
-            prefetcher: cfg.prefetcher.map(StreamPrefetcher::new),
+            tlb: Tlb::new(),
+            mshr: MshrFile::new(),
+            prefetcher: StreamPrefetcher::new(),
             dram: Dram::new(cfg.dram),
             events: BinaryHeap::new(),
             dram_reqs: Vec::new(),
@@ -252,7 +247,7 @@ impl MemorySystem {
         who: ReqSource,
         now: u64,
     ) -> Result<ReqId, RequestError> {
-        let line_addr = self.l1.line_addr(addr);
+        let line_addr = line_addr(addr);
         let id = self.next_id;
         // Address translation first; a D-TLB miss delays the whole access
         // by the page-walk latency.
@@ -323,11 +318,7 @@ impl MemorySystem {
 
     fn handle_l2_lookup(&mut self, line_addr: u64, write_allocate: bool, now: u64) {
         // Train the prefetcher on L1 misses (demand L2 accesses).
-        let prefetches: Vec<u64> = match &mut self.prefetcher {
-            Some(p) => p.train(line_addr),
-            None => Vec::new(),
-        };
-        for pf_addr in prefetches {
+        for pf_addr in self.prefetcher.train(line_addr) {
             if !self.l2.probe(pf_addr) {
                 self.note_source(ReqSource::Prefetch);
                 self.enqueue_dram(DramPurpose::PrefetchFill { line_addr: pf_addr }, false, now);
@@ -481,9 +472,8 @@ mod tests {
     fn validate_rejects_what_constructors_assert() {
         type Edit = fn(&mut MemoryConfig);
         assert_eq!(MemoryConfig::default().validate(), Ok(()));
-        let edits: [(&str, Edit); 5] = [
-            ("MSHRs", |c| c.mshrs = 0),
-            ("TLB", |c| c.tlb.entries = 0),
+        let edits: [(&str, Edit); 4] = [
+            ("L2 hit latency", |c| c.l2_hit_latency = 0),
             ("banks", |c| c.dram.banks = 0),
             ("banks", |c| c.dram.banks = 3),
             ("queue", |c| c.dram.queue_capacity = 0),
@@ -518,10 +508,7 @@ mod tests {
 
     #[test]
     fn l2_hit_latency_between_l1_and_dram() {
-        let mut mem = MemorySystem::new(MemoryConfig {
-            prefetcher: None,
-            ..MemoryConfig::default()
-        });
+        let mut mem = MemorySystem::new(MemoryConfig::default());
         // Fill the line, then evict it from L1 only by filling conflicting
         // lines (L1: 64 sets × 8 ways; same set stride = 64*64 = 4096).
         let id = mem.request(0x10000, false, ReqSource::Core, 0).unwrap();
@@ -557,14 +544,13 @@ mod tests {
 
     #[test]
     fn mshr_exhaustion_rejects() {
-        let mut mem = MemorySystem::new(MemoryConfig {
-            mshrs: 2,
-            ..MemoryConfig::default()
-        });
-        mem.request(0x1000, false, ReqSource::Core, 0).unwrap();
-        mem.request(0x2000, false, ReqSource::Core, 0).unwrap();
+        let mut mem = MemorySystem::new(MemoryConfig::default());
+        for line in 1..=crate::mshr::MSHRS as u64 {
+            mem.request(line * 0x1000, false, ReqSource::Core, 0)
+                .unwrap();
+        }
         assert_eq!(
-            mem.request(0x3000, false, ReqSource::Core, 0),
+            mem.request(0x100_0000, false, ReqSource::Core, 0),
             Err(RequestError::MshrFull)
         );
         // Same-line merge still accepted.
@@ -598,11 +584,9 @@ mod tests {
         // victims must be absorbed by the L2 and, once the L2 set
         // overflows, produce DRAM writes.
         let mut mem = MemorySystem::new(MemoryConfig {
-            prefetcher: None,
-            l2: crate::cache::CacheConfig {
+            l2: CacheConfig {
                 size_bytes: 8 * 1024, // tiny L2 to force overflow
                 ways: 2,
-                line_bytes: 64,
             },
             ..MemoryConfig::default()
         });

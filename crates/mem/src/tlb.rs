@@ -5,26 +5,12 @@
 //! adds a fixed page-walk latency to the access that triggered it. The
 //! simulator is physically-mapped, so the TLB models *timing only*.
 
-/// Configuration for [`Tlb`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct TlbConfig {
-    /// Number of entries.
-    pub(crate) entries: usize,
-    /// log2 page size in bytes (4 KB pages → 12).
-    pub(crate) page_log2: u32,
-    /// Page-walk latency in cycles added to a missing access.
-    pub(crate) walk_latency: u64,
-}
-
-impl Default for TlbConfig {
-    fn default() -> Self {
-        TlbConfig {
-            entries: 64,
-            page_log2: 12,
-            walk_latency: 25,
-        }
-    }
-}
+/// Number of entries.
+const ENTRIES: usize = 64;
+/// log2 page size in bytes (4 KB pages).
+const PAGE_LOG2: u32 = 12;
+/// Page-walk latency in cycles added to a missing access.
+const WALK_LATENCY: u64 = 25;
 
 /// TLB statistics.
 #[derive(Clone, Copy, Debug, Default)]
@@ -39,7 +25,6 @@ crate::counters!(TlbStats { hits, misses });
 /// A fully-associative, LRU data TLB.
 #[derive(Clone, Debug)]
 pub(crate) struct Tlb {
-    cfg: TlbConfig,
     /// (page number, lru tick)
     entries: Vec<(u64, u64)>,
     tick: u64,
@@ -47,16 +32,10 @@ pub(crate) struct Tlb {
 }
 
 impl Tlb {
-    /// Creates a TLB.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entries` is zero.
+    /// Creates an empty TLB.
     #[must_use]
-    pub(crate) fn new(cfg: TlbConfig) -> Self {
-        assert!(cfg.entries > 0, "TLB must have entries");
+    pub(crate) fn new() -> Self {
         Tlb {
-            cfg,
             entries: Vec::new(),
             tick: 0,
             stats: TlbStats::default(),
@@ -67,14 +46,14 @@ impl Tlb {
     /// (0 on a hit, the walk latency on a miss, which also fills).
     pub(crate) fn access(&mut self, addr: u64) -> u64 {
         self.tick += 1;
-        let page = addr >> self.cfg.page_log2;
+        let page = addr >> PAGE_LOG2;
         if let Some(e) = self.entries.iter_mut().find(|(p, _)| *p == page) {
             e.1 = self.tick;
             self.stats.hits += 1;
             return 0;
         }
         self.stats.misses += 1;
-        if self.entries.len() >= self.cfg.entries {
+        if self.entries.len() >= ENTRIES {
             let victim = self
                 .entries
                 .iter_mut()
@@ -84,7 +63,7 @@ impl Tlb {
         } else {
             self.entries.push((page, self.tick));
         }
-        self.cfg.walk_latency
+        WALK_LATENCY
     }
 
     /// Accumulated statistics.
@@ -100,7 +79,7 @@ mod tests {
 
     #[test]
     fn miss_then_hit_same_page() {
-        let mut t = Tlb::new(TlbConfig::default());
+        let mut t = Tlb::new();
         assert_eq!(t.access(0x1234), 25);
         assert_eq!(t.access(0x1FFF), 0, "same 4KB page");
         assert_eq!(t.access(0x2000), 25, "next page misses");
@@ -110,15 +89,14 @@ mod tests {
 
     #[test]
     fn lru_eviction_at_capacity() {
-        let mut t = Tlb::new(TlbConfig {
-            entries: 2,
-            ..TlbConfig::default()
-        });
-        t.access(0x0000); // page 0
-        t.access(0x1000); // page 1
-        t.access(0x0000); // refresh page 0
-        t.access(0x2000); // page 2 evicts page 1
-        assert_eq!(t.access(0x0000), 0);
-        assert_eq!(t.access(0x1000), 25, "page 1 was evicted");
+        let mut t = Tlb::new();
+        let page = |p: usize| (p as u64) << PAGE_LOG2;
+        for p in 0..ENTRIES {
+            t.access(page(p));
+        }
+        t.access(page(0)); // refresh page 0
+        t.access(page(ENTRIES)); // evicts page 1
+        assert_eq!(t.access(page(0)), 0);
+        assert_eq!(t.access(page(1)), WALK_LATENCY, "page 1 was evicted");
     }
 }

@@ -5,7 +5,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use br_isa::{AluOp, ExecRecord, Machine, MachineCheckpoint, Program, Uop, NUM_ARCH_REGS};
-use br_mem::{Cache, MemResp, MemorySystem, ReqId, ReqSource, RequestError};
+use br_mem::{Cache, CacheConfig, MemResp, MemorySystem, ReqId, ReqSource, RequestError};
 use br_predictor::{ConditionalPredictor, Prediction, PredictorCheckpoint};
 use br_telemetry::{EventKind, Telemetry};
 
@@ -15,6 +15,17 @@ use crate::hooks::{
     WrongPathUop,
 };
 use crate::stats::CoreStats;
+
+/// Instruction-cache size in bytes (Table 1: 32 KB).
+const ICACHE_BYTES: u64 = 32 * 1024;
+/// I-cache associativity.
+const ICACHE_WAYS: usize = 8;
+/// Fetch-stall cycles on an I-cache miss (L2 service).
+const ICACHE_MISS_LATENCY: u64 = 15;
+/// Uops fetched per cycle (fetch breaks on a taken branch).
+const FETCH_WIDTH: usize = 4;
+/// Store-to-load forwarding latency in cycles.
+const FORWARD_LATENCY: u64 = 2;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum ExecState {
@@ -242,9 +253,12 @@ impl Core {
     ) -> Self {
         let program = program.into();
         cfg.validate().unwrap_or_else(|e| panic!("{e}"));
-        let icache = Cache::new(cfg.icache());
+        let icache = Cache::new(CacheConfig {
+            size_bytes: ICACHE_BYTES,
+            ways: ICACHE_WAYS,
+        });
         let ring = cfg.rob_entries.next_power_of_two();
-        let longest = u64::from(AluOp::Div.latency()).max(cfg.forward_latency);
+        let longest = u64::from(AluOp::Div.latency()).max(FORWARD_LATENCY);
         Core {
             icache,
             program,
@@ -721,9 +735,6 @@ impl Core {
                 }
                 if ctl.provenance == PredictionProvenance::Dce {
                     site.dce_provided += 1;
-                    if ctl.mispredicted {
-                        site.dce_wrong += 1;
-                    }
                 }
                 self.predictor.train(e.uop.pc, actual, &ctl.prediction);
                 hooks.on_branch_retire(&BranchOutcome {
@@ -809,7 +820,7 @@ impl Core {
         match self.forwarding_store(seq, m.addr, m.addr + m.width.bytes()) {
             Some(true) => {
                 // Forwarded from the store buffer.
-                let done_at = now + self.cfg.forward_latency;
+                let done_at = now + FORWARD_LATENCY;
                 self.completions.push(now, done_at, seq, uid);
                 self.begin_exec(seq, ExecState::Issued);
             }
@@ -885,7 +896,7 @@ impl Core {
         if now < self.fetch_stall_until {
             return;
         }
-        for _ in 0..self.cfg.fetch_width {
+        for _ in 0..FETCH_WIDTH {
             if self.rob_len() >= self.cfg.rob_entries || self.rs_used >= self.cfg.rs_entries {
                 break;
             }
@@ -899,7 +910,7 @@ impl Core {
             if !self.icache.access(iaddr, false).hit {
                 self.icache.fill(iaddr, false);
                 self.stats.icache_misses += 1;
-                self.fetch_stall_until = now + self.cfg.icache_miss_latency;
+                self.fetch_stall_until = now + ICACHE_MISS_LATENCY;
                 break;
             }
             let Some(uop) = self.program.fetch(pc).copied() else {

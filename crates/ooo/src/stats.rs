@@ -17,9 +17,6 @@ pub struct BranchSiteStats {
     pub base_wrong: u64,
     /// Retired with the direction supplied by the DCE.
     pub dce_provided: u64,
-    /// Retired mispredicted with a DCE-supplied direction (chain
-    /// divergence events).
-    pub(crate) dce_wrong: u64,
 }
 
 impl BranchSiteStats {
@@ -187,7 +184,6 @@ mod tests {
                     mispredicted: m,
                     base_wrong: m,
                     dce_provided: 0,
-                    dce_wrong: 0,
                 },
             );
         }

@@ -1,7 +1,7 @@
 //! Simulation configurations (paper Tables 1 and 2).
 
 use br_core::BranchRunaheadConfig;
-use br_mem::MemoryConfig;
+use br_mem::{MemoryConfig, LINE_BYTES};
 use br_ooo::CoreConfig;
 use br_predictor::{ConditionalPredictor, TageScl, TageSclConfig};
 use br_telemetry::TelemetryConfig;
@@ -171,7 +171,7 @@ impl SimConfig {
             c.redirect_latency,
             self.predictor.name(),
             m.l1.size_bytes / 1024,
-            m.l1.line_bytes,
+            LINE_BYTES,
             c.load_ports,
             m.l1_hit_latency,
             m.l1.ways,

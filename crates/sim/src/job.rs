@@ -328,11 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_l1_line_is_invalid_config() {
-        assert!(invalid(|c| c.memory.l1.line_bytes = 0).contains("L1"));
-    }
-
-    #[test]
     fn non_power_of_two_l1_sets_is_invalid_config() {
         assert!(invalid(|c| c.memory.l1.ways = 3).contains("power-of-two"));
     }
@@ -345,21 +340,6 @@ mod tests {
     #[test]
     fn too_small_l2_is_invalid_config() {
         assert!(invalid(|c| c.memory.l2.size_bytes = 1000).contains("L2"));
-    }
-
-    #[test]
-    fn zero_l2_line_is_invalid_config() {
-        assert!(invalid(|c| c.memory.l2.line_bytes = 0).contains("L2"));
-    }
-
-    #[test]
-    fn zero_icache_ways_is_invalid_config() {
-        assert!(invalid(|c| c.core.icache_ways = 0).contains("I-cache"));
-    }
-
-    #[test]
-    fn zero_icache_size_is_invalid_config() {
-        assert!(invalid(|c| c.core.icache_bytes = 0).contains("I-cache"));
     }
 
     #[test]

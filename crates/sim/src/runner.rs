@@ -284,13 +284,10 @@ mod tests {
     /// DRAM queue, stall to the cycle cap) if validation let it through.
     #[test]
     fn edits_constructors_reject_are_invalid_configs() {
-        let edits: [fn(&mut SimConfig); 5] = [
+        let edits: [fn(&mut SimConfig); 3] = [
             |c| c.memory.dram.banks = 0,
             |c| c.memory.dram.banks = 3,
             |c| c.memory.dram.queue_capacity = 0,
-            |c| c.runahead.as_mut().unwrap().wpb_entries = 0,
-            // Mini's WPB has 4 ways: 12 entries make 3 sets.
-            |c| c.runahead.as_mut().unwrap().wpb_entries = 12,
         ];
         let mut job = jobs(1).remove(0);
         for (i, edit) in edits.into_iter().enumerate() {
