@@ -3,7 +3,7 @@
 //! ```text
 //! figures [--quick] [--json] [--threads N] [--retired N] [--regions K]
 //!         [--workloads a,b,c] [--telemetry-out DIR] [--sample-interval N]
-//!         [--faults SPEC [--soak N]] [<experiment>|all]
+//!         [--faults NAME [--soak N]] [<experiment>|all]
 //! ```
 
 use std::path::{Path, PathBuf};
@@ -16,14 +16,14 @@ use br_telemetry::export;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: figures [--quick] [--json] [--threads N] [--retired N] [--regions K] [--workloads a,b,c] [--telemetry-out DIR] [--sample-interval N] [--faults SPEC [--soak N]] <experiment>|all\n\
+        "usage: figures [--quick] [--json] [--threads N] [--retired N] [--regions K] [--workloads a,b,c] [--telemetry-out DIR] [--sample-interval N] [--faults NAME [--soak N]] <experiment>|all\n\
          \x20 --threads N          run simulations on N worker threads (0 = one per CPU; default 1)\n\
          \x20 --telemetry-out DIR  also run the workloads with telemetry enabled and write\n\
          \x20                      trace.json/samples.jsonl/events.jsonl/counters.json to DIR\n\
          \x20 --sample-interval N  telemetry sample cadence in retired uops (default 10000)\n\
-         \x20 --faults SPEC        run the fault-injection soak: \"default\" or key=value list\n\
-         \x20                      (flip/drop/evict/decay/delaymem=<prob>, delay/period/seed=<int>,\n\
-         \x20                      sabotage=0|1); prints a JSON report, exits nonzero on failure\n\
+         \x20 --faults NAME        run the fault-injection soak under the \"default\" schedule,\n\
+         \x20                      or \"sabotage\" (corrupts state, so machine checks must fail);\n\
+         \x20                      prints a JSON report, exits nonzero on failure\n\
          \x20 --soak N             fault schedules per job in the soak (default 4)\n\
          experiments: {}",
         EXPERIMENTS.join(", ")

@@ -23,8 +23,6 @@
 //! instruction stream (via `CoreStats::retire_fingerprint`) be
 //! bit-identical across all of them — only IPC/MPKI/coverage may move.
 
-use std::collections::HashMap;
-
 use br_core::BranchRunahead;
 use br_isa::{CpuState, Pc};
 use br_mem::MemResp;
@@ -50,125 +48,65 @@ pub(crate) enum FaultKind {
     DelayMem = 4,
 }
 
-/// A fault schedule: per-opportunity rates (16-bit fixed point, chances
-/// out of 65536) plus the structural-chaos cadence and the seed that
-/// makes the whole schedule reproducible.
+/// Chance (per 65536 opportunities) that an overridden prediction is
+/// bit-flipped: 2%.
+const FLIP_OUTCOME: u16 = 1311;
+/// Chance (per 65536, rolled each chaos tick) that the next queue fill is
+/// dropped: 10%.
+const DROP_FILL: u16 = 6554;
+/// Chance (per 65536, rolled each chaos tick) that a chain is evicted: 10%.
+const EVICT_CHAIN: u16 = 6554;
+/// Chance (per 65536, rolled each chaos tick) of an HBT decay storm: 2%.
+const DECAY_STORM: u16 = 1311;
+/// Chance (per 65536, per DCE response) that the response is delayed: 5%.
+const DELAY_MEM: u16 = 3277;
+/// Extra cycles a delayed DCE response is withheld.
+const DELAY_CYCLES: u64 = 48;
+/// Cycles between structural chaos ticks.
+const PERIOD: u64 = 512;
+
+/// One of the two named fault schedules, with the seed that makes it
+/// reproducible. `default` rolls every fault class at the rates above,
+/// often enough to fire many times per quick run without drowning it;
+/// `sabotage` injects none of them and instead corrupts a
+/// prediction-queue pointer on every chaos tick, the fixture proving that
+/// machine checks catch real damage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultSpec {
-    /// Seed of the schedule's deterministic RNG. [`run_soak`] derives a
-    /// distinct seed per `(job, schedule)` from this base.
+    /// Seed of the schedule's deterministic RNG. [`run_soak`] replaces it
+    /// per run with [`schedule_seed`].
     pub seed: u64,
-    /// Chance (per 65536) an overridden prediction is bit-flipped.
-    pub flip_outcome: u16,
-    /// Chance (per 65536, rolled each chaos tick) a queue fill is dropped.
-    pub drop_fill: u16,
-    /// Chance (per 65536, rolled each chaos tick) a chain is evicted.
-    pub evict_chain: u16,
-    /// Chance (per 65536, rolled each chaos tick) of an HBT decay storm.
-    pub decay_storm: u16,
-    /// Chance (per 65536, per DCE response) the response is delayed.
-    pub delay_mem: u16,
-    /// Extra cycles a delayed DCE response is withheld.
-    pub delay_cycles: u64,
-    /// Cycles between structural chaos ticks (0 disables them).
-    pub period: u64,
-    /// Deliberately corrupt a prediction-queue pointer on every chaos
-    /// tick — the CI fixture proving machine checks catch real damage.
+    /// The `sabotage` schedule rather than `default`.
     pub sabotage: bool,
 }
 
 impl Default for FaultSpec {
-    /// The `--faults default` schedule: every fault class active at a
-    /// rate that fires many times per quick run without drowning it.
+    /// The `--faults default` schedule.
     fn default() -> Self {
         FaultSpec {
             seed: 0xB12A_5EED,
-            flip_outcome: rate_from_prob(0.02),
-            drop_fill: rate_from_prob(0.10),
-            evict_chain: rate_from_prob(0.10),
-            decay_storm: rate_from_prob(0.02),
-            delay_mem: rate_from_prob(0.05),
-            delay_cycles: 48,
-            period: 512,
             sabotage: false,
         }
     }
-}
-
-/// Converts a probability in `[0, 1]` to the 16-bit fixed-point rate.
-#[must_use]
-pub(crate) fn rate_from_prob(p: f64) -> u16 {
-    (p.clamp(0.0, 1.0) * 65536.0).round().min(65535.0) as u16
 }
 
 impl FaultSpec {
-    /// A schedule injecting nothing (useful as a parse base).
-    #[must_use]
-    pub fn none() -> Self {
-        FaultSpec {
-            seed: 0xB12A_5EED,
-            flip_outcome: 0,
-            drop_fill: 0,
-            evict_chain: 0,
-            decay_storm: 0,
-            delay_mem: 0,
-            delay_cycles: 48,
-            period: 512,
-            sabotage: false,
-        }
-    }
-
-    /// Parses a `--faults` specification: `default` for the stock
-    /// schedule, or a comma-separated `key=value` list over a silent
-    /// base. Keys: `flip`, `drop`, `evict`, `decay`, `delaymem`
-    /// (probabilities in `[0,1]`), `delay` (cycles), `period` (cycles),
-    /// `seed` (u64), `sabotage` (`0`/`1`). Example:
-    /// `flip=0.05,drop=0.2,period=256,seed=7`.
+    /// Parses a `--faults` schedule name: `default` or `sabotage`.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] naming the offending token and
-    /// the accepted keys.
+    /// Returns [`SimError::InvalidConfig`] naming both schedules.
     pub fn parse(spec: &str) -> Result<Self, SimError> {
-        if spec == "default" {
-            return Ok(FaultSpec::default());
+        match spec {
+            "default" => Ok(FaultSpec::default()),
+            "sabotage" => Ok(FaultSpec {
+                sabotage: true,
+                ..FaultSpec::default()
+            }),
+            _ => Err(SimError::InvalidConfig(format!(
+                "unknown --faults schedule {spec:?}; expected \"default\" or \"sabotage\""
+            ))),
         }
-        let mut out = FaultSpec::none();
-        let bad = |token: &str, why: &str| {
-            SimError::InvalidConfig(format!(
-                "bad --faults token {token:?}: {why}; expected \"default\" or a \
-                 comma list of flip/drop/evict/decay/delaymem=<prob 0..1>, \
-                 delay/period/seed=<int>, sabotage=0|1"
-            ))
-        };
-        for token in spec.split(',').filter(|t| !t.is_empty()) {
-            let Some((key, value)) = token.split_once('=') else {
-                return Err(bad(token, "missing '='"));
-            };
-            let prob = || -> Result<u16, SimError> {
-                let p: f64 = value.parse().map_err(|_| bad(token, "not a probability"))?;
-                if !(0.0..=1.0).contains(&p) {
-                    return Err(bad(token, "probability outside [0, 1]"));
-                }
-                Ok(rate_from_prob(p))
-            };
-            let int = || -> Result<u64, SimError> {
-                value.parse().map_err(|_| bad(token, "not an integer"))
-            };
-            match key {
-                "flip" => out.flip_outcome = prob()?,
-                "drop" => out.drop_fill = prob()?,
-                "evict" => out.evict_chain = prob()?,
-                "decay" => out.decay_storm = prob()?,
-                "delaymem" => out.delay_mem = prob()?,
-                "delay" => out.delay_cycles = int()?,
-                "period" => out.period = int()?,
-                "seed" => out.seed = int()?,
-                "sabotage" => out.sabotage = int()? != 0,
-                _ => return Err(bad(token, "unknown key")),
-            }
-        }
-        Ok(out)
     }
 }
 
@@ -251,12 +189,14 @@ impl FaultInjector {
         x
     }
 
+    /// Rolls one fault of chance `rate` per 65536. The sabotage schedule
+    /// rolls nothing, so it draws no random numbers either.
     fn roll(&mut self, rate: u16) -> bool {
-        rate > 0 && (self.next_rand() & 0xFFFF) < u64::from(rate)
+        !self.spec.sabotage && (self.next_rand() & 0xFFFF) < u64::from(rate)
     }
 
     /// Filters one cycle's memory responses: DCE-owned responses selected
-    /// by the schedule are withheld for `delay_cycles`, and previously
+    /// by the schedule are withheld for `DELAY_CYCLES`, and previously
     /// held responses that have come due are re-delivered (appended in
     /// hold order, so delivery is deterministic). Core responses are
     /// never touched — the fault boundary is strictly the assist engine.
@@ -269,10 +209,10 @@ impl FaultInjector {
     ) -> Vec<MemResp> {
         let mut out = Vec::with_capacity(responses.len());
         for r in responses {
-            if br.owns_mem_request(r.id) && self.roll(self.spec.delay_mem) {
+            if br.owns_mem_request(r.id) && self.roll(DELAY_MEM) {
                 self.stats.delayed_responses += 1;
                 br.record_external_fault(cycle, 0, FaultKind::DelayMem as u64);
-                self.held.push((cycle + self.spec.delay_cycles.max(1), r));
+                self.held.push((cycle + DELAY_CYCLES, r));
             } else {
                 out.push(r);
             }
@@ -288,31 +228,31 @@ impl FaultInjector {
         out
     }
 
-    /// The structural chaos of one cycle: on every `period`-th cycle,
+    /// The structural chaos of one cycle: on every `PERIOD`-th cycle,
     /// rolls each structural fault class and applies the ones that fire
     /// to the engine. Sabotage (the CI fixture's deliberate corruption) is
     /// re-applied every chaos tick so a flush between ticks cannot hide it
     /// from the next invariant sweep.
     pub(crate) fn chaos_tick(&mut self, cycle: u64, br: &mut BranchRunahead) {
-        if self.spec.period == 0 || cycle == 0 || !cycle.is_multiple_of(self.spec.period) {
+        if cycle == 0 || !cycle.is_multiple_of(PERIOD) {
             return;
         }
         if self.spec.sabotage {
             br.chaos_sabotage();
         }
-        if self.roll(self.spec.drop_fill) {
+        if self.roll(DROP_FILL) {
             self.stats.dropped_fills += 1;
             br.chaos_drop_next_fill();
             br.record_external_fault(cycle, 0, FaultKind::DropFill as u64);
         }
-        if self.roll(self.spec.evict_chain) {
+        if self.roll(EVICT_CHAIN) {
             let sel = self.next_rand();
             if br.chaos_evict_chain(sel) {
                 self.stats.chain_evictions += 1;
                 br.record_external_fault(cycle, 0, FaultKind::EvictChain as u64);
             }
         }
-        if self.roll(self.spec.decay_storm) {
+        if self.roll(DECAY_STORM) {
             self.stats.decay_storms += 1;
             br.chaos_decay_storm();
             br.record_external_fault(cycle, 0, FaultKind::DecayStorm as u64);
@@ -339,7 +279,7 @@ impl<'a> FaultedHooks<'a> {
 impl CoreHooks for FaultedHooks<'_> {
     fn override_prediction(&mut self, pc: Pc, base: bool, cycle: u64) -> Option<bool> {
         let value = self.br.override_prediction(pc, base, cycle)?;
-        if self.inj.roll(self.inj.spec.flip_outcome) {
+        if self.inj.roll(FLIP_OUTCOME) {
             self.inj.stats.outcome_flips += 1;
             self.br
                 .record_external_fault(cycle, pc, FaultKind::FlipOutcome as u64);
@@ -489,104 +429,76 @@ pub fn schedule_seed(base: u64, job: &SimJob, k: u32) -> u64 {
 /// results plus every failure, in job order.
 #[must_use]
 pub fn run_soak(jobs: &[SimJob], spec: FaultSpec, schedules: u32, threads: usize) -> SoakReport {
-    let mut batch: Vec<SimJob> = Vec::with_capacity(jobs.len() * (schedules as usize + 1));
-    let mut seeds: Vec<Option<u64>> = Vec::with_capacity(batch.capacity());
+    let per_job = schedules as usize + 1;
+    let mut batch: Vec<SimJob> = Vec::with_capacity(jobs.len() * per_job);
     for job in jobs {
         let mut reference = job.clone();
         reference.config.machine_check = true;
         reference.config.faults = None;
-        batch.push(reference);
-        seeds.push(None);
+        batch.push(reference.clone());
         for k in 0..schedules {
-            let mut faulted = job.clone();
-            faulted.config.machine_check = true;
-            let mut s = spec;
-            s.seed = schedule_seed(spec.seed, job, k);
-            faulted.config.faults = Some(s);
+            let mut faulted = reference.clone();
+            faulted.config.faults = Some(FaultSpec {
+                seed: schedule_seed(spec.seed, job, k),
+                ..spec
+            });
             batch.push(faulted);
-            seeds.push(Some(s.seed));
         }
     }
 
-    let results = run_jobs_partial(&batch, threads);
+    let mut results = run_jobs_partial(&batch, threads).into_iter();
     let mut report = SoakReport::default();
-    // Reference fingerprints by job index into `jobs`.
-    let mut references: HashMap<usize, (u64, u64)> = HashMap::new();
-    let stride = schedules as usize + 1;
-    for (i, (job, result)) in batch.iter().zip(results).enumerate() {
-        let base_index = i / stride;
-        let fault_seed = seeds[i];
-        match result {
-            Ok(r) => {
-                let fp = r.core.retire_fingerprint;
-                let mut status = "ok".to_string();
-                if fault_seed.is_none() {
-                    references.insert(base_index, (fp, r.core.retired_uops));
-                } else {
-                    match references.get(&base_index) {
-                        Some(&(ref_fp, ref_retired)) => {
-                            if fp != ref_fp || r.core.retired_uops != ref_retired {
-                                let error = SimError::FaultedRun {
-                                    job: job.label(),
-                                    fault_seed: fault_seed.unwrap_or_default(),
-                                    what: format!(
-                                        "retired stream diverged from the fault-free run: \
-                                         fingerprint {fp:#018x} vs {ref_fp:#018x}, \
-                                         {} vs {ref_retired} uops retired",
-                                        r.core.retired_uops
-                                    ),
-                                };
-                                status = error.kind().to_string();
-                                report.failures.push(SoakFailure {
-                                    job: job.label(),
-                                    fault_seed,
-                                    error,
-                                });
-                            }
-                        }
-                        None => {
-                            // The reference itself failed; every fault run
-                            // of the job is unjudgeable.
-                            let error = SimError::FaultedRun {
-                                job: job.label(),
-                                fault_seed: fault_seed.unwrap_or_default(),
-                                what: "no reference run to compare against (it failed)".to_string(),
-                            };
-                            status = error.kind().to_string();
-                            report.failures.push(SoakFailure {
-                                job: job.label(),
-                                fault_seed,
-                                error,
-                            });
-                        }
-                    }
-                }
-                report.runs.push(SoakRun {
-                    job: job.label(),
-                    fault_seed,
-                    retire_fingerprint: Some(fp),
-                    ipc: r.ipc(),
-                    mpki: r.mpki(),
-                    faults: r.faults.unwrap_or_default(),
-                    status,
-                });
-            }
-            Err(error) => {
-                report.runs.push(SoakRun {
-                    job: job.label(),
-                    fault_seed,
-                    retire_fingerprint: None,
-                    ipc: 0.0,
-                    mpki: 0.0,
-                    faults: FaultStats::default(),
-                    status: error.kind().to_string(),
-                });
+    // Each job's runs form one chunk, the reference first.
+    for chunk in batch.chunks(per_job) {
+        let label = chunk[0].label();
+        // The reference's (fingerprint, retired uops), once it completed.
+        let mut reference = None;
+        for (job, result) in chunk.iter().zip(results.by_ref()) {
+            let fault_seed = job.config.faults.map(|s| s.seed);
+            let mut run = SoakRun {
+                job: label.clone(),
+                fault_seed,
+                retire_fingerprint: None,
+                ipc: 0.0,
+                mpki: 0.0,
+                faults: FaultStats::default(),
+                status: "ok".to_string(),
+            };
+            let verdict = result.and_then(|r| {
+                let got = (r.core.retire_fingerprint, r.core.retired_uops);
+                run.retire_fingerprint = Some(got.0);
+                run.ipc = r.ipc();
+                run.mpki = r.mpki();
+                run.faults = r.faults.unwrap_or_default();
+                let Some(seed) = fault_seed else {
+                    reference = Some(got);
+                    return Ok(());
+                };
+                let what = match reference {
+                    Some(want) if want == got => return Ok(()),
+                    Some((ref_fp, ref_retired)) => format!(
+                        "retired stream diverged from the fault-free run: \
+                         fingerprint {:#018x} vs {ref_fp:#018x}, \
+                         {} vs {ref_retired} uops retired",
+                        got.0, got.1
+                    ),
+                    None => "no reference run to compare against (it failed)".to_string(),
+                };
+                Err(SimError::FaultedRun {
+                    job: label.clone(),
+                    fault_seed: seed,
+                    what,
+                })
+            });
+            if let Err(error) = verdict {
+                run.status = error.kind().to_string();
                 report.failures.push(SoakFailure {
-                    job: job.label(),
+                    job: label.clone(),
                     fault_seed,
                     error,
                 });
             }
+            report.runs.push(run);
         }
     }
     report
@@ -597,35 +509,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parse_default_and_overrides() {
-        let d = FaultSpec::parse("default").unwrap();
-        assert_eq!(d, FaultSpec::default());
-        let s = FaultSpec::parse("flip=0.5,delay=7,period=128,seed=42,sabotage=1").unwrap();
-        assert_eq!(s.flip_outcome, 32768);
-        assert_eq!(s.delay_cycles, 7);
-        assert_eq!(s.period, 128);
-        assert_eq!(s.seed, 42);
+    fn parse_accepts_the_two_named_schedules() {
+        assert_eq!(FaultSpec::parse("default").unwrap(), FaultSpec::default());
+        let s = FaultSpec::parse("sabotage").unwrap();
         assert!(s.sabotage);
-        assert_eq!(s.drop_fill, 0, "unset keys stay silent");
+        assert_eq!(s.seed, FaultSpec::default().seed);
     }
 
     #[test]
-    fn parse_rejects_bad_tokens() {
-        for bad in ["flip", "flip=2.0", "nope=1", "delay=x"] {
+    fn parse_rejects_anything_else_naming_both_schedules() {
+        for bad in ["flip=0.5", "sabotage=1", "seed=7", "", "Default"] {
             let err = FaultSpec::parse(bad).unwrap_err();
             assert!(matches!(err, SimError::InvalidConfig(_)), "{bad}: {err:?}");
-            assert!(err.to_string().contains("--faults"), "actionable: {err}");
+            let msg = err.to_string();
+            assert!(msg.contains("--faults"), "actionable: {msg}");
+            assert!(msg.contains("\"default\"") && msg.contains("\"sabotage\""), "{msg}");
         }
     }
 
     #[test]
     fn injector_replays_deterministically() {
-        let spec = FaultSpec {
-            flip_outcome: 30000,
-            ..FaultSpec::default()
-        };
-        let mut a = FaultInjector::new(spec);
-        let mut b = FaultInjector::new(spec);
+        let mut a = FaultInjector::new(FaultSpec::default());
+        let mut b = FaultInjector::new(FaultSpec::default());
         let rolls_a: Vec<bool> = (0..64).map(|_| a.roll(30000)).collect();
         let rolls_b: Vec<bool> = (0..64).map(|_| b.roll(30000)).collect();
         assert_eq!(rolls_a, rolls_b);

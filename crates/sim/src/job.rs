@@ -50,7 +50,8 @@ pub enum SimError {
     },
     /// A fault-injected run broke the prediction-as-hint contract: its
     /// retired instruction stream diverged from the fault-free reference
-    /// run. Replay deterministically with the same `(job, fault_seed)`.
+    /// run. Seeds depend only on the job and the schedule index, so the
+    /// same soak command restricted to the job's workload replays it.
     FaultedRun {
         /// [`SimJob::label`] of the failing job.
         job: String,
@@ -114,8 +115,8 @@ impl std::fmt::Display for SimError {
             } => {
                 write!(
                     f,
-                    "job {job} under fault seed {fault_seed}: {what} \
-                     (replay with --faults seed={fault_seed} on this job)"
+                    "job {job} under fault seed {fault_seed}: {what} (replay: rerun \
+                     the same soak command with --workloads <this job's workload>)"
                 )
             }
             SimError::InvalidConfig(what) => write!(f, "invalid configuration: {what}"),

@@ -94,7 +94,7 @@ fn sabotage_fixture_trips_machine_check() {
     job.config.machine_check = true;
     job.config.faults = Some(FaultSpec {
         sabotage: true,
-        ..FaultSpec::none()
+        ..FaultSpec::default()
     });
     let err = job.run().expect_err("corruption must be caught");
     match err {
