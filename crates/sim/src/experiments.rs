@@ -680,7 +680,7 @@ mod tests {
         assert_eq!(jobs.len(), 3);
         assert_eq!(jobs[2].region_seed, 2);
         assert!((jobs[1].weight - 0.5).abs() < 1e-12);
-        // Each job is independently hashable and distinct.
-        assert_ne!(jobs[0].fingerprint(), jobs[1].fingerprint());
+        // Each job names its own region.
+        assert_ne!(jobs[0].label(), jobs[1].label());
     }
 }

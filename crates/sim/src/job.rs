@@ -3,8 +3,7 @@
 //! A [`SimJob`] bundles everything one simulation run needs — the system
 //! configuration, the workload name, the region's seed salt and SimPoint
 //! weight, and the retired-uop budget — into a self-contained value that
-//! is `Send`, independently executable, and hashable (for caching and
-//! run-log identification). Experiments *enumerate* jobs up front
+//! is `Send` and independently executable. Experiments *enumerate* jobs up front
 //! and hand them to a runner (sequential or the sharded thread pool in
 //! [`crate::runner`]); they never interleave enumeration with execution,
 //! which is what makes the parallel and sequential paths bit-identical.
@@ -224,28 +223,6 @@ impl SimJob {
     pub fn image_key(&self) -> (String, WorkloadParams) {
         (self.workload.clone(), self.effective_params())
     }
-
-    /// A stable 64-bit fingerprint of the whole job (FNV-1a over the
-    /// canonical debug form). Two jobs with the same fingerprint run the
-    /// same simulation; useful for run logs and result caches.
-    #[must_use]
-    pub(crate) fn fingerprint(&self) -> u64 {
-        let repr = format!(
-            "{:?}|{}|{:?}|{}|{}|{}",
-            self.config,
-            self.workload,
-            self.params,
-            self.region_seed,
-            self.weight.to_bits(),
-            self.max_retired,
-        );
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in repr.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
 }
 
 #[cfg(test)]
@@ -341,16 +318,5 @@ mod tests {
     #[test]
     fn too_small_l2_is_invalid_config() {
         assert!(invalid(|c| c.memory.l2.size_bytes = 1000).contains("L2"));
-    }
-
-    #[test]
-    fn fingerprint_distinguishes_jobs() {
-        let a = job("leela_17");
-        let mut b = job("leela_17");
-        assert_eq!(a.fingerprint(), b.fingerprint());
-        b.region_seed = 3;
-        assert_ne!(a.fingerprint(), b.fingerprint());
-        let c = job("bfs");
-        assert_ne!(a.fingerprint(), c.fingerprint());
     }
 }

@@ -6,7 +6,7 @@
 
 use branch_runahead::sim::experiments::ExperimentSetup;
 use branch_runahead::sim::faults::{run_soak, schedule_seed};
-use branch_runahead::sim::{run_jobs_partial, FaultSpec, SimConfig, SimError, SimJob};
+use branch_runahead::sim::{run_jobs_partial, FaultSpec, SimConfig, SimError, SimJob, SoakReport};
 
 /// One Mini-BR job on `workload`, sized for test runtime.
 fn mini_job(workload: &str, max_retired: u64) -> SimJob {
@@ -49,12 +49,40 @@ fn quick_workloads_hold_equivalence_under_default_faults() {
 }
 
 #[test]
+fn one_job_soak_replays_that_job_of_a_four_job_soak() {
+    // Seeds depend only on the job and the schedule index, so the replay
+    // hint of a failed run ("rerun with --workloads <its workload>")
+    // reproduces exactly the runs the wider soak made for that job.
+    let jobs: Vec<SimJob> = ["leela_17", "mcf_06", "bfs", "sssp"]
+        .iter()
+        .map(|w| mini_job(w, 10_000))
+        .collect();
+    let four = run_soak(&jobs, FaultSpec::default(), 2, 2);
+    let one = run_soak(&jobs[2..3], FaultSpec::default(), 2, 1);
+    let third = SoakReport {
+        runs: four.runs[6..9].to_vec(),
+        failures: Vec::new(),
+    };
+    // The JSON carries each run's label, seed, fingerprint, IPC, MPKI and
+    // fault total; the fault counts are also compared kind by kind.
+    assert_eq!(one.to_json(), third.to_json());
+    for (a, b) in one.runs.iter().zip(&third.runs) {
+        assert_eq!(a.faults, b.faults);
+    }
+    assert!(
+        one.runs[1].faults.total() > 0,
+        "the schedules inject faults"
+    );
+}
+
+#[test]
 fn fault_schedule_replays_bit_identically() {
-    let mut spec = FaultSpec::default();
-    spec.seed = schedule_seed(spec.seed, &mini_job("leela_17", 15_000), 2);
     let mut job = mini_job("leela_17", 15_000);
     job.config.machine_check = true;
-    job.config.faults = Some(spec);
+    job.config.faults = Some(FaultSpec {
+        seed: schedule_seed(&job, 2),
+        ..FaultSpec::default()
+    });
     let a = job.run().expect("faulted run completes");
     let b = job.run().expect("replay completes");
     assert_eq!(a.faults, b.faults, "same faults injected");
@@ -66,7 +94,7 @@ fn fault_schedule_replays_bit_identically() {
 #[test]
 fn distinct_seeds_give_distinct_schedules() {
     let base = mini_job("bfs", 15_000);
-    let mut seeds: Vec<u64> = (0..4).map(|k| schedule_seed(7, &base, k)).collect();
+    let mut seeds: Vec<u64> = (0..4).map(|k| schedule_seed(&base, k)).collect();
     seeds.dedup();
     assert_eq!(seeds.len(), 4, "four schedules, four distinct seeds");
     let run = |seed: u64| {
