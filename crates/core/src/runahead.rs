@@ -446,12 +446,12 @@ impl CoreHooks for BranchRunahead {
         // Synchronization policy (§3, §4.1): chains run asynchronously
         // "until a misprediction from the dependence chains is detected".
         // A misprediction the DCE caused means the chains diverged —
-        // flush and re-copy live-ins. A TAGE misprediction while the DCE
-        // is idle is the entry into runahead mode. A TAGE misprediction
-        // while chains are already running leaves them alone: the queue
-        // fetch-pointer restore above re-aligns consumption.
-        let dce_diverged = info.provenance == br_ooo::PredictionProvenance::Dce;
-        if dce_diverged {
+        // flush, then re-copy live-ins below. A TAGE misprediction while
+        // the DCE is idle is the entry into runahead mode. A TAGE
+        // misprediction while chains are already running leaves them
+        // alone: the queue fetch-pointer restore above re-aligns
+        // consumption.
+        if info.provenance == br_ooo::PredictionProvenance::Dce {
             // Throttle bookkeeping must happen *before* the slots vanish
             // in the flush: a DCE-wrong/TAGE-right event silences this
             // branch's queue (§4.2 Prediction Throttling).
@@ -467,25 +467,10 @@ impl CoreHooks for BranchRunahead {
             );
             self.dce.flush_all(&mut self.queues, &mut self.stats);
             self.queues.clear_all();
-            if self.cache.has_match(info.pc, info.actual_taken) {
-                self.tele.event(
-                    info.cycle,
-                    EventKind::DceSync,
-                    info.pc,
-                    u64::from(info.actual_taken),
-                );
-                self.dce.sync_initiate(
-                    info.pc,
-                    info.actual_taken,
-                    cpu,
-                    &mut self.cache,
-                    &mut self.queues,
-                    &mut self.stats,
-                );
-            }
-        } else if self.dce.active_instances() == 0
-            && self.cache.has_match(info.pc, info.actual_taken)
-        {
+        }
+        // After a flush the DCE is idle, and a second `clear_all` changes
+        // nothing, so one block serves both synchronizations.
+        if self.dce.active_instances() == 0 && self.cache.has_match(info.pc, info.actual_taken) {
             self.queues.clear_all();
             self.tele.event(
                 info.cycle,

@@ -8,24 +8,21 @@
 
 use br_isa::Pc;
 
+/// Confidence at which predictions are used.
+const CONFIDENCE_MAX: u8 = 3;
+/// Maximum trackable trip count.
+const MAX_ITER: u16 = 1023;
+
 /// Configuration for [`LoopPredictor`].
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct LoopPredictorConfig {
     /// log2 number of entries.
     pub(crate) log2_entries: u32,
-    /// Confidence threshold at which predictions are used.
-    pub(crate) confidence_max: u8,
-    /// Maximum trackable trip count.
-    pub(crate) max_iter: u16,
 }
 
 impl Default for LoopPredictorConfig {
     fn default() -> Self {
-        LoopPredictorConfig {
-            log2_entries: 6,
-            confidence_max: 3,
-            max_iter: 1023,
-        }
+        LoopPredictorConfig { log2_entries: 6 }
     }
 }
 
@@ -89,7 +86,7 @@ impl LoopPredictor {
         let exit = e.iter_spec + 1 > e.trip;
         Some(LoopLookup {
             taken: if exit { !e.dir } else { e.dir },
-            confident: e.confidence >= self.cfg.confidence_max,
+            confident: e.confidence >= CONFIDENCE_MAX,
         })
     }
 
@@ -100,7 +97,7 @@ impl LoopPredictor {
         let e = &mut self.entries[idx];
         if e.valid && e.tag == tag {
             if taken == e.dir {
-                e.iter_spec = e.iter_spec.saturating_add(1).min(self.cfg.max_iter);
+                e.iter_spec = e.iter_spec.saturating_add(1).min(MAX_ITER);
             } else {
                 e.iter_spec = 0;
             }
@@ -144,7 +141,7 @@ impl LoopPredictor {
         let e = &mut self.entries[idx];
         if e.valid && e.tag == tag {
             if taken == e.dir {
-                e.iter_retire = e.iter_retire.saturating_add(1).min(self.cfg.max_iter);
+                e.iter_retire = e.iter_retire.saturating_add(1).min(MAX_ITER);
                 if e.iter_retire > e.trip && e.confidence > 0 {
                     // Ran past the learned trip count: trip was wrong.
                     e.confidence = 0;
@@ -153,7 +150,7 @@ impl LoopPredictor {
             } else {
                 // Exit observed: check the trip count.
                 if e.trip == e.iter_retire && e.trip != 0 {
-                    e.confidence = (e.confidence + 1).min(self.cfg.confidence_max);
+                    e.confidence = (e.confidence + 1).min(CONFIDENCE_MAX);
                 } else {
                     if e.confidence == 0 {
                         e.trip = e.iter_retire;

@@ -14,6 +14,12 @@ use crate::inline_vec::InlineVec;
 /// sized for the unlimited configuration so lookups stay inline.
 pub(crate) const MAX_SC_TABLES: usize = 8;
 
+/// Weight given to the TAGE direction in the sum.
+const TAGE_WEIGHT: i32 = 6;
+/// Update threshold: counters train when `|sum| <= THRESHOLD` or the
+/// final direction was wrong.
+const THRESHOLD: i32 = 10;
+
 /// Configuration for [`StatisticalCorrector`].
 #[derive(Clone, Debug)]
 pub(crate) struct StatisticalCorrectorConfig {
@@ -22,11 +28,6 @@ pub(crate) struct StatisticalCorrectorConfig {
     /// History lengths of the history-indexed tables (the bias table is
     /// always present and uses length 0).
     pub(crate) history_lengths: Vec<u32>,
-    /// Weight given to the TAGE direction in the sum.
-    pub(crate) tage_weight: i32,
-    /// Update threshold: counters train when `|sum| <= threshold` or the
-    /// final direction was wrong.
-    pub(crate) threshold: i32,
 }
 
 impl Default for StatisticalCorrectorConfig {
@@ -34,8 +35,6 @@ impl Default for StatisticalCorrectorConfig {
         StatisticalCorrectorConfig {
             table_log2: 10,
             history_lengths: vec![4, 10, 20],
-            tage_weight: 6,
-            threshold: 10,
         }
     }
 }
@@ -99,9 +98,9 @@ impl StatisticalCorrector {
     pub(crate) fn lookup(&self, pc: Pc, tage_taken: bool) -> ScLookup {
         let indices = self.indices(pc);
         let mut sum: i32 = if tage_taken {
-            self.cfg.tage_weight
+            TAGE_WEIGHT
         } else {
-            -self.cfg.tage_weight
+            -TAGE_WEIGHT
         };
         for (t, &idx) in indices.iter().enumerate() {
             sum += 2 * i32::from(self.tables[t][idx as usize]) + 1;
@@ -117,7 +116,7 @@ impl StatisticalCorrector {
     /// from prediction time; `final_taken` is the direction the whole
     /// predictor ultimately chose.
     pub(crate) fn train(&mut self, taken: bool, final_taken: bool, indices: &[u32], sum: i32) {
-        if final_taken != taken || sum.abs() <= self.cfg.threshold {
+        if final_taken != taken || sum.abs() <= THRESHOLD {
             for (t, &idx) in indices.iter().enumerate() {
                 let c = &mut self.tables[t][idx as usize];
                 if taken {

@@ -17,13 +17,14 @@ use crate::inline_vec::InlineVec;
 /// configuration so [`TageMeta`]'s per-table lists stay inline.
 pub(crate) const MAX_TAGE_TABLES: usize = 20;
 
+/// Shortest geometric history length, the same in every configuration.
+const MIN_HIST: u32 = 4;
+
 /// Configuration for a [`Tage`] predictor.
 #[derive(Clone, Debug)]
 pub(crate) struct TageConfig {
     /// Number of tagged tables.
     pub(crate) num_tables: usize,
-    /// Shortest geometric history length.
-    pub(crate) min_hist: u32,
     /// Longest geometric history length.
     pub(crate) max_hist: u32,
     /// log2 entries of each tagged table.
@@ -44,7 +45,6 @@ impl TageConfig {
     pub(crate) fn kb64() -> Self {
         TageConfig {
             num_tables: 12,
-            min_hist: 4,
             max_hist: 1000,
             table_log2: 11,
             tag_bits: 12,
@@ -61,7 +61,6 @@ impl TageConfig {
     pub(crate) fn kb80() -> Self {
         TageConfig {
             num_tables: 13,
-            min_hist: 4,
             max_hist: 1200,
             table_log2: 11,
             tag_bits: 13,
@@ -78,7 +77,6 @@ impl TageConfig {
     pub(crate) fn unlimited() -> Self {
         TageConfig {
             num_tables: 20,
-            min_hist: 4,
             max_hist: 3000,
             table_log2: 16,
             tag_bits: 16,
@@ -93,11 +91,11 @@ impl TageConfig {
     #[must_use]
     pub(crate) fn history_length(&self, i: usize) -> u32 {
         if self.num_tables == 1 {
-            return self.min_hist;
+            return MIN_HIST;
         }
-        let ratio = f64::from(self.max_hist) / f64::from(self.min_hist);
+        let ratio = f64::from(self.max_hist) / f64::from(MIN_HIST);
         let exp = i as f64 / (self.num_tables - 1) as f64;
-        (f64::from(self.min_hist) * ratio.powf(exp)).round() as u32
+        (f64::from(MIN_HIST) * ratio.powf(exp)).round() as u32
     }
 
     /// Total storage in KiB implied by this configuration.
@@ -425,7 +423,6 @@ mod tests {
     fn small() -> Tage {
         Tage::new(TageConfig {
             num_tables: 6,
-            min_hist: 4,
             max_hist: 128,
             table_log2: 9,
             tag_bits: 9,
@@ -452,7 +449,7 @@ mod tests {
             assert!(l > prev, "table {i} length {l} not > {prev}");
             prev = l;
         }
-        assert_eq!(cfg.history_length(0), cfg.min_hist);
+        assert_eq!(cfg.history_length(0), MIN_HIST);
         assert_eq!(cfg.history_length(cfg.num_tables - 1), cfg.max_hist);
     }
 

@@ -57,13 +57,8 @@ impl TageSclConfig {
             sc: StatisticalCorrectorConfig {
                 table_log2: 14,
                 history_lengths: vec![4, 8, 13, 20, 32, 50],
-                tage_weight: 6,
-                threshold: 10,
             },
-            loop_pred: LoopPredictorConfig {
-                log2_entries: 9,
-                ..LoopPredictorConfig::default()
-            },
+            loop_pred: LoopPredictorConfig { log2_entries: 9 },
             name: "mtage-unlimited",
         }
     }
