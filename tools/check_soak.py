@@ -6,7 +6,9 @@ Two modes, matching the CI steps:
   check_soak.py pass REPORT.json
       The equivalence soak must have passed: no failures, every job has
       one fault-free reference plus >= 1 fault schedules, every fault
-      run carries a replay seed, and at least one fault was injected.
+      run carries a replay seed and retired its reference's fingerprint
+      (checked here, not taken from "status"), and at least one fault
+      was injected.
 
   check_soak.py sabotage REPORT.json
       The deliberately corrupted run must have FAILED: the report names
@@ -47,13 +49,24 @@ def check_pass(report: dict) -> None:
     if report["fault_runs"] < 1:
         fail("no fault schedules ran")
     by_job = defaultdict(lambda: {"reference": 0, "faulted": 0})
+    # Runs come in job order, the reference first, so each fault run is
+    # judged against a reference already seen.
+    reference_fp = {}
     for run in report["runs"]:
         if run["status"] != "ok":
             fail(f"run not ok in a passing report: {run}")
         if run["fault_seed"] is None:
             by_job[run["job"]]["reference"] += 1
+            reference_fp[run["job"]] = run["fingerprint"]
         else:
             by_job[run["job"]]["faulted"] += 1
+            if run["job"] not in reference_fp:
+                fail(f"fault run before its job's reference: {run}")
+            if run["fingerprint"] != reference_fp[run["job"]]:
+                fail(
+                    f"{run['job']} seed {run['fault_seed']}: fingerprint "
+                    f"{run['fingerprint']} != reference {reference_fp[run['job']]}"
+                )
     for job, counts in by_job.items():
         if counts["reference"] != 1:
             fail(f"{job}: expected exactly one reference run, got {counts}")
