@@ -74,7 +74,6 @@ fn bench_system() {
         TelemetryConfig {
             enabled: true,
             sample_interval: 1_000,
-            event_capacity: 65_536,
         },
     );
     println!(

@@ -5,20 +5,23 @@
 //!         [--workloads a,b,c] [--telemetry-out DIR] [--sample-interval N]
 //!         [--faults NAME [--soak N]] [<experiment>|all]
 //! ```
+//!
+//! `--telemetry-out` records telemetry on the jobs the named experiments
+//! run, so it needs one; `--faults` alone runs only the soak.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use br_bench::EXPERIMENTS;
 use br_sim::experiments::{self, ExperimentSetup};
-use br_sim::{run_jobs, run_soak, FaultSpec, SimConfig, SimError, SimJob, TelemetryRun};
+use br_sim::{run_soak, FaultSpec, SimConfig, SimError, TelemetryRun};
 use br_telemetry::export;
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: figures [--quick] [--json] [--threads N] [--retired N] [--regions K] [--workloads a,b,c] [--telemetry-out DIR] [--sample-interval N] [--faults NAME [--soak N]] <experiment>|all\n\
          \x20 --threads N          run simulations on N worker threads (0 = one per CPU; default 1)\n\
-         \x20 --telemetry-out DIR  also run the workloads with telemetry enabled and write\n\
+         \x20 --telemetry-out DIR  record telemetry on every job the experiments run and write\n\
          \x20                      trace.json/samples.jsonl/events.jsonl/counters.json to DIR\n\
          \x20 --sample-interval N  telemetry sample cadence in retired uops (default 10000)\n\
          \x20 --faults NAME        run the fault-injection soak under the \"default\" schedule,\n\
@@ -83,7 +86,7 @@ fn parse(mut args: impl Iterator<Item = String>) -> Option<Args> {
             _ => setup.telemetry.sample_interval = value.parse().ok()?,
         }
     }
-    if targets.is_empty() && telemetry_out.is_none() && faults.is_none() {
+    if targets.is_empty() && (faults.is_none() || telemetry_out.is_some()) {
         return None;
     }
     if targets.iter().any(|t| t == "all") {
@@ -99,58 +102,28 @@ fn parse(mut args: impl Iterator<Item = String>) -> Option<Args> {
     })
 }
 
-/// Runs the setup's workloads under Mini Branch Runahead with telemetry
-/// enabled and writes every exporter's output into `dir`:
+/// Writes a campaign's telemetry into `dir`, one file at a time:
 /// `trace.json` (Chrome trace viewer), `samples.jsonl` (interval
-/// samples), `events.jsonl` (the event ring), and
-/// `counters.json` (each job's dropped-event count and final counter
-/// values). Jobs execute on `setup.threads` workers; the files are
-/// assembled from results in job order, so output is byte-identical for
-/// any thread count. Returns the written paths.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the runs; filesystem failures creating
-/// `dir` or writing the files surface as [`SimError::Io`] naming the
-/// path.
-fn export_telemetry(setup: &ExperimentSetup, dir: &Path) -> Result<Vec<PathBuf>, SimError> {
+/// samples), `events.jsonl` (the event ring) and `counters.json` (each
+/// job's dropped-event count and final counter values). The runs come in
+/// plan order, so the files are byte-identical for any thread count.
+fn write_telemetry(runs: &[(String, TelemetryRun)], dir: &Path) -> Result<(), SimError> {
     let io_err = |path: &Path, e: std::io::Error| SimError::Io {
         path: path.display().to_string(),
         message: e.to_string(),
     };
-    let mut setup = setup.clone();
-    setup.telemetry.enabled = true;
-    let jobs = mini_jobs(&setup);
-    let results = run_jobs(&jobs, setup.threads)?;
-    let runs: Vec<(String, TelemetryRun)> = jobs
-        .iter()
-        .zip(results)
-        .filter_map(|(job, r)| r.telemetry.map(|t| (job.label(), t)))
-        .collect();
     std::fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
-    let files: [(&str, String); 4] = [
-        ("trace.json", export::chrome_trace(&runs)),
-        ("samples.jsonl", export::samples_jsonl(&runs)),
-        ("events.jsonl", export::events_jsonl(&runs)),
-        ("counters.json", export::counters_json(&runs)),
-    ];
-    let mut written = Vec::with_capacity(files.len());
-    for (name, contents) in files {
+    for (name, render) in [
+        ("trace.json", export::chrome_trace as fn(&_) -> String),
+        ("samples.jsonl", export::samples_jsonl),
+        ("events.jsonl", export::events_jsonl),
+        ("counters.json", export::counters_json),
+    ] {
         let path = dir.join(name);
-        std::fs::write(&path, contents).map_err(|e| io_err(&path, e))?;
-        written.push(path);
+        std::fs::write(&path, render(runs)).map_err(|e| io_err(&path, e))?;
+        eprintln!("wrote {}", path.display());
     }
-    Ok(written)
-}
-
-/// The setup's jobs under Mini Branch Runahead, workload by workload.
-fn mini_jobs(setup: &ExperimentSetup) -> Vec<SimJob> {
-    let mini = SimConfig::mini_br();
-    setup
-        .workloads
-        .iter()
-        .flat_map(|w| setup.jobs(&mini, w))
-        .collect()
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -159,11 +132,13 @@ fn main() -> ExitCode {
     };
     let setup = &args.setup;
     if !args.targets.is_empty() {
-        // One campaign: every distinct simulation of every requested
-        // experiment runs once, then each experiment renders from it.
+        // One campaign: every distinct simulation runs once, and each
+        // experiment and the telemetry are taken from those runs.
         let started = std::time::Instant::now();
         let names: Vec<&str> = args.targets.iter().map(String::as_str).collect();
-        let campaign = match experiments::run(&names, setup) {
+        let mut traced = setup.clone();
+        traced.telemetry.enabled = args.telemetry_out.is_some();
+        let campaign = match experiments::run(&names, &traced) {
             Ok(c) => c,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -183,26 +158,23 @@ fn main() -> ExitCode {
             campaign.unique_jobs,
             started.elapsed().as_secs_f64()
         );
-    }
-    if let Some(dir) = &args.telemetry_out {
-        let started = std::time::Instant::now();
-        match export_telemetry(setup, dir) {
-            Ok(files) => files
-                .iter()
-                .for_each(|f| eprintln!("wrote {}", f.display())),
-            Err(e) => {
+        if let Some(dir) = &args.telemetry_out {
+            if let Err(e) = write_telemetry(&campaign.telemetry, dir) {
                 eprintln!("error: telemetry export failed: {e}");
                 return ExitCode::FAILURE;
             }
         }
-        eprintln!("[telemetry: {:.1}s]", started.elapsed().as_secs_f64());
     }
     if let Some(spec) = args.faults {
         let started = std::time::Instant::now();
         // Each Mini Branch Runahead job runs once fault-free and
         // `soak_schedules` times under seeded fault schedules; see
         // `run_soak` for the pass criterion.
-        let report = run_soak(&mini_jobs(setup), spec, args.soak_schedules, setup.threads);
+        let mut jobs = Vec::new();
+        for w in &setup.workloads {
+            jobs.extend(setup.jobs(&SimConfig::mini_br(), w));
+        }
+        let report = run_soak(&jobs, spec, args.soak_schedules, setup.threads);
         // The JSON report is the machine-readable contract (see
         // tools/check_soak.py); human-readable failure lines go to stderr.
         println!("{}", report.to_json());

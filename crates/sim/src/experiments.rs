@@ -14,7 +14,7 @@
 use br_core::{BrStats, BranchRunaheadConfig, InitiationMode, PredictionCategory};
 use br_energy::{AreaBreakdown, EnergyModel};
 use br_telemetry::export::escape_json;
-use br_telemetry::TelemetryConfig;
+use br_telemetry::{TelemetryConfig, TelemetryRun};
 use br_workloads::{all_workloads, WorkloadParams};
 
 use crate::config::{render_table2, SimConfig};
@@ -116,9 +116,10 @@ impl ExperimentSetup {
     }
 
     /// Runs a batch of specs and returns one aggregated result per spec,
-    /// in spec order. All regions of all specs execute as one job batch,
+    /// in spec order, and each job's telemetry in job order (empty with
+    /// telemetry off). All regions of all specs execute as one job batch,
     /// so parallelism spans the whole campaign.
-    fn run_specs(&self, specs: &[Spec]) -> Result<Vec<RunResult>, SimError> {
+    fn run_specs(&self, specs: &[Spec]) -> Result<(Vec<RunResult>, Vec<Labelled>), SimError> {
         assert!(!self.regions.is_empty(), "need at least one region");
         let mut jobs = Vec::with_capacity(specs.len() * self.regions.len());
         for (cfg, workload, budget) in specs {
@@ -127,9 +128,25 @@ impl ExperimentSetup {
                 jobs.push(job);
             }
         }
-        let results = run_jobs(&jobs, self.threads)?;
+        let mut results = run_jobs(&jobs, self.threads)?;
+        // Taken before `aggregate`, which keeps only the heaviest region.
+        let mut telemetry: Vec<Labelled> = jobs
+            .iter()
+            .zip(&mut results)
+            .filter_map(|(job, r)| r.telemetry.take().map(|t| (job.label(), t)))
+            .collect();
+        // Distinct specs can share a label (fig13's Mini sweep points), so
+        // a repeat is numbered: `<label>#2`, `<label>#3`, ...
+        let mut seen = std::collections::HashMap::new();
+        for (label, _) in &mut telemetry {
+            let n = seen.entry(label.clone()).or_insert(0_usize);
+            *n += 1;
+            if *n > 1 {
+                label.push_str(&format!("#{n}"));
+            }
+        }
         let mut iter = results.into_iter();
-        Ok(specs
+        let results = specs
             .iter()
             .map(|_| {
                 let runs: Vec<(f64, RunResult)> = self
@@ -139,13 +156,15 @@ impl ExperimentSetup {
                     .collect();
                 aggregate(runs)
             })
-            .collect())
+            .collect();
+        Ok((results, telemetry))
     }
 
     /// Runs one workload under one configuration. With multiple regions,
     /// scalar statistics are combined as the weighted average (the
     /// paper's SimPoint methodology); structural results (chains, branch
-    /// sites, breakdowns) come from the heaviest region's run.
+    /// sites, breakdowns) come from the heaviest region's run. The result
+    /// carries no telemetry; a [`Campaign`] does.
     ///
     /// # Errors
     ///
@@ -154,6 +173,7 @@ impl ExperimentSetup {
     pub fn run(&self, cfg: SimConfig, workload: &str) -> Result<RunResult, SimError> {
         Ok(self
             .run_specs(&[(cfg, workload, self.max_retired)])?
+            .0
             .pop()
             .expect("one spec yields one result"))
     }
@@ -162,6 +182,9 @@ impl ExperimentSetup {
 /// One simulation: a configuration on a workload with a retired-uop
 /// budget. Equal specs are the same simulation.
 type Spec<'a> = (SimConfig, &'a str, u64);
+
+/// One job's telemetry under its campaign-unique label.
+type Labelled = (String, TelemetryRun);
 
 /// The `(configuration, budget)` pairs an experiment runs on every
 /// workload, in the order its renderer reads them.
@@ -332,6 +355,10 @@ pub struct Campaign {
     pub jobs: usize,
     /// Jobs simulated: the distinct specs × regions.
     pub unique_jobs: usize,
+    /// Each simulated job's telemetry, in plan order, under its
+    /// [`SimJob::label`] plus `#n` on the label's `n`th use (empty unless
+    /// [`ExperimentSetup::telemetry`] is enabled).
+    pub telemetry: Vec<(String, TelemetryRun)>,
 }
 
 /// A campaign before execution: each requested experiment with its spec
@@ -388,7 +415,7 @@ fn plan<'a>(names: &[&str], setup: &'a ExperimentSetup) -> Result<Plan<'a>, SimE
 /// unknown workload name in the setup.
 pub fn run(names: &[&str], setup: &ExperimentSetup) -> Result<Campaign, SimError> {
     let plan = plan(names, setup)?;
-    let results = setup.run_specs(&plan.unique)?;
+    let (results, telemetry) = setup.run_specs(&plan.unique)?;
     let outputs = plan
         .experiments
         .iter()
@@ -414,6 +441,7 @@ pub fn run(names: &[&str], setup: &ExperimentSetup) -> Result<Campaign, SimError
         outputs,
         jobs: plan.requested * regions,
         unique_jobs: plan.unique.len() * regions,
+        telemetry,
     })
 }
 
@@ -655,9 +683,13 @@ mod tests {
 
     #[test]
     fn quick_all_runs_112_unique_jobs_of_208() {
-        let setup = ExperimentSetup::quick();
-        let plan = plan(EXPERIMENTS, &setup).unwrap();
-        assert_eq!((plan.requested, plan.unique.len()), (208, 112));
+        // Telemetry settings do not change which jobs are the same.
+        for enabled in [false, true] {
+            let mut setup = ExperimentSetup::quick();
+            setup.telemetry.enabled = enabled;
+            let plan = plan(EXPERIMENTS, &setup).unwrap();
+            assert_eq!((plan.requested, plan.unique.len()), (208, 112));
+        }
     }
 
     #[test]

@@ -56,17 +56,17 @@ pub struct TelemetryConfig {
     pub enabled: bool,
     /// Retired uops between interval samples.
     pub sample_interval: u64,
-    /// Event-ring capacity per sink (the trace keeps the most recent
-    /// window; older events are counted as dropped).
-    pub event_capacity: usize,
 }
+
+/// Event-ring capacity of an enabled sink: the trace keeps the most
+/// recent window, and older events are counted as dropped.
+const EVENT_CAPACITY: usize = 65_536;
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
             enabled: false,
             sample_interval: 10_000,
-            event_capacity: 65_536,
         }
     }
 }
@@ -100,7 +100,7 @@ impl Telemetry {
     #[must_use]
     pub fn from_config(cfg: &TelemetryConfig) -> Self {
         if cfg.enabled {
-            Telemetry::on(cfg.event_capacity)
+            Telemetry::on(EVENT_CAPACITY)
         } else {
             Telemetry::off()
         }

@@ -41,7 +41,6 @@ fn main() {
     cfg.telemetry = TelemetryConfig {
         enabled: true,
         sample_interval: interval,
-        event_capacity: 65_536,
     };
     let mut result = System::new(cfg, &image).run();
     let run = result.telemetry.take().expect("telemetry was enabled");

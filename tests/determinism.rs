@@ -2,6 +2,8 @@
 //! runner returns results in job order and every simulation is
 //! deterministic, so any thread count must produce bit-identical tables.
 
+use std::collections::HashSet;
+
 use branch_runahead::sim::experiments::{self, ExperimentSetup};
 use branch_runahead::sim::{run_jobs, ExpTable, SimConfig};
 use branch_runahead::workloads::WorkloadParams;
@@ -73,8 +75,10 @@ fn regions_aggregate_identically_across_thread_counts() {
 }
 
 /// Telemetry rides the same guarantee: interval samples and merged event
-/// traces — rendered through every exporter — must be byte-identical
-/// between the sequential path and four worker threads.
+/// traces of a campaign's runs — rendered through every exporter — must
+/// be byte-identical between the sequential path and four worker
+/// threads, and each run must have its own label although fig13's sweep
+/// points share `SimJob::label`s.
 #[test]
 fn telemetry_exports_identical_across_thread_counts() {
     use branch_runahead::telemetry::export;
@@ -84,18 +88,12 @@ fn telemetry_exports_identical_across_thread_counts() {
         setup.telemetry = branch_runahead::sim::TelemetryConfig {
             enabled: true,
             sample_interval: 1_000,
-            event_capacity: 4_096,
         };
-        let mut jobs = Vec::new();
-        for w in &setup.workloads {
-            jobs.extend(setup.jobs(&SimConfig::mini_br(), w));
-        }
-        let results = run_jobs(&jobs, threads).unwrap();
-        let runs: Vec<_> = jobs
-            .iter()
-            .zip(results)
-            .map(|(j, r)| (j.label(), r.telemetry.expect("telemetry enabled")))
-            .collect();
+        let campaign = experiments::run(&["fig2", "fig13"], &setup).unwrap();
+        let runs = campaign.telemetry;
+        assert_eq!(runs.len(), campaign.unique_jobs, "one run per job");
+        let labels: HashSet<&str> = runs.iter().map(|(l, _)| l.as_str()).collect();
+        assert_eq!(labels.len(), runs.len(), "labels are unique");
         assert!(
             runs.iter().any(|(_, t)| !t.samples.is_empty()),
             "sampler produced nothing"

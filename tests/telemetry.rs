@@ -7,6 +7,7 @@
 
 use branch_runahead::mem::Counters;
 use branch_runahead::runahead::ExtractOutcome;
+use branch_runahead::sim::experiments::{self, ExperimentSetup};
 use branch_runahead::sim::{SimConfig, System, TelemetryConfig};
 use branch_runahead::telemetry::EventKind;
 use branch_runahead::workloads::{workload_by_name, WorkloadParams};
@@ -30,7 +31,6 @@ fn run_with_telemetry_on(mut cfg: SimConfig) -> branch_runahead::sim::RunResult 
     cfg.telemetry = TelemetryConfig {
         enabled: true,
         sample_interval: 5_000,
-        event_capacity: 1 << 16,
     };
     System::new(cfg, &image()).run()
 }
@@ -161,7 +161,6 @@ fn disabled_telemetry_changes_nothing() {
     cfg.telemetry = TelemetryConfig {
         enabled: true,
         sample_interval: 2_000,
-        event_capacity: 1 << 14,
     };
     let traced = System::new(cfg, &image()).run();
     // Observation must not perturb the simulation.
@@ -172,4 +171,36 @@ fn disabled_telemetry_changes_nothing() {
         plain.br.as_ref().map(|b| b.dce_uops),
         traced.br.as_ref().map(|b| b.dce_uops)
     );
+}
+
+/// Telemetry comes from the runs a figure prints: quick fig10 renders the
+/// same text with it on, and returns one telemetry run per unique job,
+/// across the baseline, 80 KB TAGE-SC-L, Core-Only, Mini and Big.
+#[test]
+fn fig10_telemetry_comes_from_the_figure_runs() {
+    let plain = ExperimentSetup::quick();
+    let mut traced = plain.clone();
+    traced.telemetry.enabled = true;
+    let off = experiments::run(&["fig10"], &plain).unwrap();
+    let on = experiments::run(&["fig10"], &traced).unwrap();
+    assert_eq!(on.outputs[0].1.text(), off.outputs[0].1.text());
+    assert!(off.telemetry.is_empty(), "no telemetry unless enabled");
+    assert_eq!((on.unique_jobs, on.telemetry.len()), (20, 20));
+    for config in [
+        "tage-sc-l-64kb/",
+        "tage-sc-l-80kb/",
+        "tage-sc-l-64kb+br-core-only/",
+        "tage-sc-l-64kb+br-mini/",
+        "tage-sc-l-64kb+br-big/",
+    ] {
+        let jobs = on.telemetry.iter().filter(|(l, _)| l.starts_with(config));
+        assert_eq!(jobs.count(), plain.workloads.len(), "{config}");
+    }
+    for (label, run) in &on.telemetry {
+        assert_eq!(
+            run.counter("core.retired_uops"),
+            Some(plain.max_retired),
+            "{label}"
+        );
+    }
 }

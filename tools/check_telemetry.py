@@ -3,10 +3,11 @@
 
 Checks that every exporter's output parses (Chrome trace JSON, JSONL)
 and that the views agree with each other: typed sample columns, nonzero
-progress counters and, for every job that dropped no events, traced
-events that reconcile with its counters.json totals (one line per
-counted event of each traced kind; recovery args summing to the
-squashed uops and chain_extract args to the installed chain lengths).
+progress counters, a distinct label for every counters.json job and,
+for every job that dropped no events, traced events that reconcile
+with its counters.json totals (one line per counted event of each
+traced kind; recovery args summing to the squashed uops and
+chain_extract args to the installed chain lengths).
 
 Usage: check_telemetry.py DIR
 """
@@ -90,6 +91,11 @@ def main() -> None:
     jobs = counters.get("jobs")
     if not isinstance(jobs, list) or not jobs:
         fail("counters.json has no jobs")
+    # Events are matched to counters by label, so a repeated label would
+    # pool two jobs' events against one job's counters.
+    repeated = [label for label, n in Counter(j["job"] for j in jobs).items() if n > 1]
+    if repeated:
+        fail(f"counters.json repeats job label {repeated[0]!r}")
     retired = sum(j["counters"].get("core.retired_uops", 0) for j in jobs)
     if retired <= 0:
         fail("no retired uops recorded across jobs")
