@@ -221,4 +221,15 @@ mod tests {
         assert_eq!(parse_line("--threads 3 fig2").threads, 3);
         assert_eq!(parse_line("fig2").params, ExperimentSetup::default().params);
     }
+
+    /// Telemetry is taken from the experiments' runs, so it needs one;
+    /// the soak alone needs none.
+    #[test]
+    fn telemetry_out_needs_an_experiment() {
+        let parses = |line: &str| parse(line.split_whitespace().map(str::to_string)).is_some();
+        assert!(!parses("--quick --telemetry-out d"));
+        assert!(!parses("--quick --telemetry-out d --faults default"));
+        assert!(parses("--quick --telemetry-out d fig2"));
+        assert!(parses("--quick --faults default"));
+    }
 }
